@@ -271,29 +271,65 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    base_dir = Path(args.manifest).resolve().parent
-    instances = []
+# Optional manifest fields: the bench_to_csv keyword each sets and its JSON type.
+_MANIFEST_OPTIONS = {
+    "repetitions": int,
+    "include_timing": bool,
+    "include_decomposition_time": bool,
+    "workers": int,
+    "td_seed": int,
+}
+
+
+def _check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], dict]:
+    """Check a bench manifest before any instance is read or decomposed.
+
+    Returns the instance entries, the algorithm specs and the options for
+    ``bench_to_csv``; anything malformed raises InputError.
+    """
+    if not isinstance(manifest, dict):
+        raise InputError("the manifest must be a JSON object")
+    unknown = sorted(set(manifest) - {"instances", "algorithms", *_MANIFEST_OPTIONS})
+    if unknown:
+        raise InputError(f"unknown manifest field(s): {', '.join(unknown)}")
+    for key in ("instances", "algorithms"):
+        if not isinstance(manifest.get(key), list):
+            raise InputError(f"the manifest needs an {key!r} list")
     for entry in manifest["instances"]:
-        graph_path = base_dir / entry["graph"]
-        colouring_path = base_dir / entry["colouring"]
-        g = parse_graph(graph_path.read_text())
-        col = parse_colouring(colouring_path.read_text(), g)
+        if not (
+            isinstance(entry, dict)
+            and all(isinstance(entry.get(f), str) for f in ("id", "graph", "colouring"))
+        ):
+            raise InputError(
+                f"instance entry needs string 'id', 'graph' and 'colouring' fields: {entry!r}"
+            )
+    algorithms = [AlgorithmSpec.from_manifest(entry) for entry in manifest["algorithms"]]
+    options = {}
+    for key, kind in _MANIFEST_OPTIONS.items():
+        value = manifest.get(key)
+        if value is None:
+            continue
+        if type(value) is not kind:
+            raise InputError(f"manifest field {key!r} must be {kind.__name__}, got {value!r}")
+        options[key] = value
+    if options.get("repetitions", 1) < 1:
+        raise InputError("repetitions must be at least 1")
+    return manifest["instances"], algorithms, options
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    manifest_path = Path(args.manifest)
+    entries, algorithms, options = _check_manifest(json.loads(manifest_path.read_text()))
+    base_dir = manifest_path.resolve().parent
+    instances = []
+    for entry in entries:
+        g = parse_graph((base_dir / entry["graph"]).read_text())
+        col = parse_colouring((base_dir / entry["colouring"]).read_text(), g)
         instances.append((entry["id"], Instance(g, col)))
-    algorithms = [AlgorithmSpec(**spec) for spec in manifest["algorithms"]]
-    workers = args.workers if args.workers is not None else manifest.get("workers")
+    if args.workers is not None:
+        options["workers"] = args.workers
     with open(args.out, "w", encoding="utf-8") as out:
-        written = bench_to_csv(
-            out,
-            instances,
-            algorithms,
-            repetitions=manifest.get("repetitions", 1),
-            include_timing=manifest.get("include_timing", True),
-            include_decomposition_time=manifest.get("include_decomposition_time", False),
-            workers=workers,
-            td_seed=manifest.get("td_seed", 0),
-        )
+        written = bench_to_csv(out, instances, algorithms, **options)
     print(f"wrote {written} records to {args.out}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, TextIO
 
 from .baselines import greedy_mhv, growth_mhv
@@ -146,6 +146,34 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.algorithm not in ("greedy", "growth", "heuristic", "exact", "brute"):
             raise InputError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "heuristic":
+            self.heuristic_config(self.seed)  # raises InputError on a bad knob
+
+    @classmethod
+    def from_manifest(cls, entry: object) -> AlgorithmSpec:
+        """Build a spec from one manifest entry: a JSON object whose keys are
+        this class's fields.  Anything else raises InputError."""
+        if not isinstance(entry, dict):
+            raise InputError(f"algorithm entry must be a JSON object, got {entry!r}")
+        unknown = sorted(set(entry) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InputError(f"unknown algorithm field(s) {', '.join(unknown)} in {entry!r}")
+        if "algorithm" not in entry:
+            raise InputError(f"algorithm entry needs an 'algorithm' field: {entry!r}")
+        values = dict(entry)
+        for name, value in entry.items():
+            if name == "weights":
+                if not (
+                    isinstance(value, list)
+                    and len(value) == 4
+                    and all(type(x) is int for x in value)
+                ):
+                    raise InputError(f"'weights' must be a list of four integers, got {value!r}")
+                values[name] = tuple(value)
+            elif type(value) is not _SPEC_FIELD_TYPES[name]:
+                kind = _SPEC_FIELD_TYPES[name].__name__
+                raise InputError(f"algorithm field {name!r} must be {kind}, got {value!r}")
+        return cls(**values)
 
     def label(self) -> str:
         if self.algorithm == "heuristic":
@@ -172,6 +200,19 @@ class AlgorithmSpec:
             join_merge_method=self.join_merge,
             seed=seed,
         )
+
+
+# JSON type of each AlgorithmSpec field but ``weights`` (bool is not an int).
+_SPEC_FIELD_TYPES = {
+    "algorithm": str,
+    "seed": int,
+    "width": int,
+    "join_loop": str,
+    "join_distance": str,
+    "join_merge": str,
+    "brute_cap": int,
+    "state_cap": int,
+}
 
 
 @dataclass(frozen=True)

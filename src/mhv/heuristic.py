@@ -21,6 +21,19 @@ label per vertex:
 Labels of uncoloured vertices are a pure function of the colouring (committed
 colours plus precoloured neighbours), which every handler recomputes locally
 through ``_border_label``.
+
+The joins rest on one fact of table DP over nice decompositions: a forgotten
+vertex has had all its neighbours introduced.  So at every node an uncoloured
+vertex with a label other than UNKNOWN is a neighbour of the bag, and the
+coloured territories of a join's two children meet only on the bag
+(``check_invariants`` asserts the first).  Two solutions of the two children
+can therefore differ in what they say about a vertex only inside the closed
+neighbourhood N[bag].  Per join node the solver indexes the inner list by
+match key once and computes the bag-only distance weights at most once;
+N(bag) is computed once per distinct bag.  Each exact merge is then a
+whole-array OR plus Python-level work on N[bag] alone.  Distances are
+computed only for an outer solution without an exact partner while the main
+list is empty, the one case that uses the nearest partner.
 """
 
 from __future__ import annotations
@@ -89,6 +102,10 @@ DISTANCE_WEIGHTINGS = (
     "count_nonborder_external_neighbours",
 )
 MERGE_METHODS = ("copy_bag", "greedy_match")
+# Weightings that depend on the bag alone, not on the outer solution's border.
+BAG_ONLY_WEIGHTINGS = frozenset(
+    ("all_ones", "has_external_neighbour", "count_external_neighbours")
+)
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,9 @@ class PartialSolution:
 
     ``colours`` and ``labels`` are byte strings over all vertices (0 means
     uncoloured / UNKNOWN); ``counts`` holds the totals for the four scored
-    labels in enum order.
+    labels in enum order.  At the node that holds it, the coloured vertices
+    are exactly those of the bags below, and every uncoloured vertex whose
+    label is not UNKNOWN is a neighbour of the node's bag.
     """
 
     __slots__ = ("colours", "labels", "counts", "score")
@@ -239,6 +258,7 @@ class HeuristicSolver:
         self.all_below_capacity = True
         self._bags = tuple(tuple(sorted(node.bag)) for node in nice.nodes)
         self._bag_sets = tuple(frozenset(b) for b in self._bags)
+        self._rings: dict[frozenset[int], tuple[int, ...]] = {}
 
     # -- label bookkeeping ------------------------------------------------
 
@@ -289,11 +309,23 @@ class HeuristicSolver:
                 return cu
         return 0
 
-    def _recount(self, labels: bytes | bytearray) -> tuple[int, int, int, int]:
-        totals = [0, 0, 0, 0, 0]
-        for lab in labels:
-            totals[lab] += 1
-        return (totals[HAPPY], totals[UNHAPPY], totals[MAYBE_HAPPY], totals[ASSUMED_UNHAPPY])
+    @staticmethod
+    def _recount(labels: bytes | bytearray) -> tuple[int, int, int, int]:
+        return (
+            labels.count(HAPPY),
+            labels.count(UNHAPPY),
+            labels.count(MAYBE_HAPPY),
+            labels.count(ASSUMED_UNHAPPY),
+        )
+
+    def _ring(self, bag_set: frozenset[int]) -> tuple[int, ...]:
+        """N(bag) minus the bag, looked up once per distinct bag of a solve."""
+        ring = self._rings.get(bag_set)
+        if ring is None:
+            adj = self.adj
+            ring = tuple(sorted({u for v in bag_set for u in adj[v]} - bag_set))
+            self._rings[bag_set] = ring
+        return ring
 
     @staticmethod
     def _set_label(labels: bytearray, counts: list[int], v: int, new: int) -> None:
@@ -490,52 +522,68 @@ class HeuristicSolver:
             outer, inner = (first, second) if len(first) >= len(second) else (second, first)
         else:
             outer, inner = (first, second) if len(first) <= len(second) else (second, first)
-        # Scan the inner list best-first so the first match is also the
-        # best-scoring matching partner; with every valid tuple present this
-        # realizes the exact join's maximisation.  Happy count orders ties.
+        # Index the inner list best-first so each key maps to its best-scoring
+        # partner; with every valid tuple present this realizes the exact
+        # join's maximisation.  Happy count orders ties.
         inner_entries = sorted(
             inner.entries, key=lambda s: (s.score, s.counts[0]), reverse=True
         )
-        inner_keys = [self._match_key(bag, s) for s in inner_entries]
+        partners: dict[bytes, PartialSolution] = {}
+        for inner_sol in inner_entries:
+            partners.setdefault(self._match_key(bag, inner_sol), inner_sol)
         main = Beam(self.config.width)
         backup = Beam(self.config.width)
+        weights: tuple[int, ...] | None = None
+        per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
-            outer_key = self._match_key(bag, outer_sol)
-            nearest = inner_entries[0]
-            nearest_d: int | None = None
-            matched = False
-            for inner_sol, inner_key in zip(inner_entries, inner_keys):
-                if inner_key == outer_key:
-                    main.insert(self.merge_exact(outer_sol, inner_sol), self.rng)
-                    matched = True
-                    break
-                d = self.tuple_distance(bag, outer_sol, inner_sol)
-                if nearest_d is None or d < nearest_d:
-                    nearest_d = d
-                    nearest = inner_sol
-            if not matched and not len(main):
+            partner = partners.get(self._match_key(bag, outer_sol))
+            if partner is not None:
+                main.insert(self.merge_exact(outer_sol, partner, bag_set), self.rng)
+            elif not len(main):
+                if weights is None or per_outer:
+                    weights = self.distance_weights(bag, outer_sol)
+                # The first nearest in best-first order.
+                nearest = min(
+                    inner_entries,
+                    key=lambda s: self.tuple_distance(bag, outer_sol, s, weights),
+                )
                 for merged in self.merge_heuristic(outer_sol, nearest, bag, bag_set):
                     backup.insert(merged, self.rng)
         return main if len(main) else backup
 
     # -- join helpers -----------------------------------------------------
 
-    def tuple_distance(self, bag: tuple[int, ...], a: PartialSolution, b: PartialSolution) -> int:
+    def tuple_distance(
+        self,
+        bag: tuple[int, ...],
+        a: PartialSolution,
+        b: PartialSolution,
+        weights: tuple[int, ...] | None = None,
+    ) -> int:
         """Weighted disagreement between two solutions on the bag.
 
         Each bag vertex contributes its weight once for a colour mismatch and
         once for a label mismatch.  Border-based weights are taken with
-        respect to the first solution.
+        respect to the first solution; ``weights``, when given, must be
+        ``distance_weights(bag, a)``.
+        """
+        if weights is None:
+            weights = self.distance_weights(bag, a)
+        a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
+        total = 0
+        for v, w in zip(bag, weights):
+            total += w * ((a_col[v] != b_col[v]) + (a_lab[v] != b_lab[v]))
+        return total
+
+    def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
+        """The weight of each bag vertex in ``tuple_distance``, in bag order.
+
+        Only the border modes read ``outer``; the modes in
+        ``BAG_ONLY_WEIGHTINGS`` give the same weights for every solution.
         """
         mode = self.config.join_distance_weighting
         bag_set = set(bag)
-        total = 0
-        for v in bag:
-            differs = (a.colours[v] != b.colours[v]) + (a.labels[v] != b.labels[v])
-            if not differs:
-                continue
-            total += differs * self._distance_weight(mode, v, bag_set, a)
-        return total
+        return tuple(self._distance_weight(mode, v, bag_set, outer) for v in bag)
 
     def _distance_weight(
         self, mode: str, v: int, bag_set: set[int], outer: PartialSolution
@@ -559,32 +607,38 @@ class HeuristicSolver:
     def _in_border(u: int, sol: PartialSolution) -> bool:
         return sol.colours[u] == 0 and sol.labels[u] != UNKNOWN
 
-    def merge_exact(self, a: PartialSolution, b: PartialSolution) -> PartialSolution:
-        """Union two solutions that agree on the bag's colours and designations.
+    def merge_exact(
+        self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
+    ) -> PartialSolution:
+        """Union two solutions of a join's children that agree on the bag's
+        colours and designations.
 
-        Colours and settled labels come from each side's own territory.  On
-        the shared bag an UNHAPPY label on either side wins over
-        ASSUMED_UNHAPPY: the conflict that justified it persists in the
-        union.  Labels of uncoloured vertices are recomputed against the
-        union.
+        Colours and settled labels come from each side's own territory.  The
+        territories meet only on the bag, and an uncoloured vertex with a
+        label is a neighbour of the bag (the premise in the module
+        docstring), so outside N[bag] at most one side has a non-zero colour
+        or label and the union is a bytewise OR of the two arrays.  Only
+        N[bag] is looked at vertex by vertex.  On the bag an UNHAPPY label on
+        either side wins over ASSUMED_UNHAPPY: the conflict that justified it
+        persists in the union.  On the rest of N[bag] a vertex coloured on
+        one side keeps that side's label; an uncoloured one has committed
+        neighbours only in the bag, whose colours both sides share, so both
+        sides already give it the label the union does.
         """
-        colours = bytearray(a.colours)
-        labels = bytearray(a.labels)
-        b_colours = b.colours
-        b_labels = b.labels
-        for v in range(self.n):
-            if b_colours[v]:
-                if colours[v]:
-                    if b_labels[v] == UNHAPPY:
-                        labels[v] = UNHAPPY
-                else:
-                    colours[v] = b_colours[v]
-                    labels[v] = b_labels[v]
-        for v in range(self.n):
-            if not colours[v]:
-                labels[v] = self._border_label(v, colours)
+        n = self.n
+        colours = _or_bytes(a.colours, b.colours, n)
+        labels = bytearray(_or_bytes(a.labels, b.labels, n))
+        a_colours, a_labels = a.colours, a.labels
+        b_colours, b_labels = b.colours, b.labels
+        for v in bag_set:
+            labels[v] = UNHAPPY if b_labels[v] == UNHAPPY else a_labels[v]
+        for v in self._ring(bag_set):
+            if a_colours[v]:
+                labels[v] = a_labels[v]
+            elif b_colours[v]:
+                labels[v] = b_labels[v]
         counts = self._recount(labels)
-        return PartialSolution(bytes(colours), bytes(labels), counts, self._score(counts))
+        return PartialSolution(colours, bytes(labels), counts, self._score(counts))
 
     def merge_heuristic(
         self,
@@ -632,7 +686,8 @@ class HeuristicSolver:
                     if u in bag_set and labels[u] in (HAPPY, ASSUMED_UNHAPPY):
                         labels[u] = UNHAPPY
             labels[v] = UNHAPPY if conflict else HAPPY
-        for v in range(self.n):
+        # Uncoloured vertices outside N[bag] stay UNKNOWN.
+        for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
         counts = self._recount(labels)
@@ -711,7 +766,8 @@ class HeuristicSolver:
                 cv = colours[v]
                 conflict = any(colours[u] and colours[u] != cv for u in self.adj[v])
                 labels[v] = UNHAPPY if conflict else HAPPY
-        for v in range(n):
+        # Uncoloured vertices outside N[bag] stay UNKNOWN.
+        for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
         counts = self._recount(labels)
@@ -777,6 +833,7 @@ class HeuristicSolver:
 
     def _verify(self, idx: int, beam: Beam, covered: frozenset[int]) -> None:
         bag_set = self._bag_sets[idx]
+        near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         previous_score: int | None = None
         assert len(beam) <= self.config.width
@@ -802,7 +859,17 @@ class HeuristicSolver:
                                 f"{Label(lab).name} vertex {v} has a conflicting neighbour"
                             )
                 else:
+                    # The premise the joins rely on (module docstring).
+                    assert lab == UNKNOWN or v in near_bag, (
+                        f"node {idx}: uncoloured vertex {v} is labelled "
+                        f"{Label(lab).name} but lies outside N(bag)"
+                    )
                     assert lab == self._border_label(v, sol.colours)
+
+
+def _or_bytes(x: bytes, y: bytes, n: int) -> bytes:
+    """Bytewise OR of two length-n byte strings, in one C-level pass each way."""
+    return (int.from_bytes(x, "little") | int.from_bytes(y, "little")).to_bytes(n, "little")
 
 
 def solve_heuristic(

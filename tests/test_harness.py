@@ -273,6 +273,61 @@ def test_cli_bench_manifest(tmp_path, capsys):
     assert lines[0].startswith("schema_version")
 
 
+_GOOD_ALGORITHMS = [{"algorithm": "greedy"}]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"algorithms": [{"algorithm": "greedy", "widht": 3}]}, id="unknown-field"),
+        pytest.param({"algorithms": ["greedy"]}, id="string-entry"),
+        pytest.param({"repetitions": "x"}, id="repetitions-string"),
+        pytest.param({"repetitions": 0}, id="repetitions-zero"),
+        pytest.param({"algorithms": [{"algorithm": "heuristic", "width": 0}]}, id="width-zero"),
+        pytest.param({"algorithms": [{"algorithm": "heuristic", "width": "8"}]}, id="width-string"),
+        pytest.param({"algorithms": [{"algorithm": "heuristic", "weights": [1, 2]}]}, id="weights-short"),
+        pytest.param({"algorithms": [{"algorithm": "heuristic", "join_merge": "x"}]}, id="bad-knob"),
+        pytest.param({"algorithms": [{"algorithm": "quantum"}]}, id="bad-algorithm"),
+        pytest.param({"algorithms": [{"seed": 1}]}, id="no-algorithm"),
+        pytest.param({"algorithms": {"algorithm": "greedy"}}, id="algorithms-object"),
+        pytest.param({"instances": [{"id": "x"}]}, id="instance-fields"),
+        pytest.param({"include_timing": "yes"}, id="timing-string"),
+        pytest.param({"td_seed": True}, id="td-seed-bool"),
+        pytest.param({"repetiton": 2}, id="unknown-option"),
+    ],
+)
+def test_cli_bench_rejects_malformed_manifest_before_decomposing(
+    tmp_path, capsys, monkeypatch, change
+):
+    graph_path, colouring_path = _write_instance(tmp_path)
+    manifest = {
+        "instances": [
+            {"id": "x", "graph": graph_path.name, "colouring": colouring_path.name}
+        ],
+        "algorithms": _GOOD_ALGORITHMS,
+    }
+    manifest.update(change)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decomposed before the manifest was checked")
+
+    monkeypatch.setattr("mhv.harness.min_fill_decompose", no_decomposition)
+    csv_path = tmp_path / "out.csv"
+    assert main(["bench", str(manifest_path), "--out", str(csv_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: "), err
+    assert not csv_path.exists()
+
+
+def test_cli_bench_manifest_not_an_object(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text("[1, 2]")
+    assert main(["bench", str(manifest_path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_validate_subcommand(tmp_path, capsys):
     graph_path, colouring_path = _write_instance(tmp_path)
     assert main(["validate", str(graph_path), str(colouring_path)]) == 0

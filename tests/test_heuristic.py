@@ -328,7 +328,7 @@ def _merge_fixture():
 
 def test_merge_exact_two_sided():
     solver, outer, inner = _merge_fixture()
-    merged = solver.merge_exact(outer, inner)
+    merged = solver.merge_exact(outer, inner, frozenset({3, 4}))
     assert merged.colours == bytes([0, 0, 0, 1, 2, 1, 1, 2, 2])
     assert merged.labels[0] == UNKNOWN
     assert merged.labels[1] == UNKNOWN
@@ -345,7 +345,7 @@ def test_merge_exact_with_bag_only_inner_keeps_outer_counts():
         [0, 0, 0, 1, 2, 0, 0, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, MAYBE_HAPPY, UNKNOWN],
     )
-    merged = solver.merge_exact(outer, bag_only)
+    merged = solver.merge_exact(outer, bag_only, frozenset({3, 4}))
     assert merged.colours == outer.colours
     assert merged.counts == outer.counts
 
@@ -356,9 +356,9 @@ def test_merge_exact_unhappy_dominates_assumed_unhappy():
     # Bag = {0}; side a saw a conflict with its interior 1, side b did not.
     a = _sol(solver, [1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY])
     b = _sol(solver, [1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
-    merged = solver.merge_exact(b, a)
+    merged = solver.merge_exact(b, a, frozenset({0}))
     assert merged.labels[0] == UNHAPPY
-    merged2 = solver.merge_exact(a, b)
+    merged2 = solver.merge_exact(a, b, frozenset({0}))
     assert merged2.labels[0] == UNHAPPY
 
 
@@ -396,7 +396,7 @@ def test_merge_copy_upgrades_vanished_conflicts():
 
 def test_merge_methods_degenerate_to_exact_on_identical_bags():
     solver, outer, inner = _merge_fixture()
-    exact = solver.merge_exact(outer, inner)
+    exact = solver.merge_exact(outer, inner, frozenset({3, 4}))
     copy1 = solver._merge_copy(outer, inner, frozenset({3, 4}))
     copy2 = solver._merge_copy(inner, outer, frozenset({3, 4}))
     greedy = solver._merge_greedy(outer, inner, (3, 4), frozenset({3, 4}))
@@ -419,6 +419,36 @@ def test_merge_greedy_invariants_on_mismatched_tuples():
             cv = merged.colours[v]
             for u in solver.adj[v]:
                 assert merged.colours[u] in (0, cv)
+
+
+def _labelled(solver, colours):
+    """A state with the given colours, HAPPY coloured vertices and the border
+    labels the colouring implies."""
+    labels = [HAPPY if c else solver._border_label(v, bytes(colours)) for v, c in enumerate(colours)]
+    return _sol(solver, colours, labels)
+
+
+def test_verify_enforces_labels_only_next_to_the_bag():
+    """The merges skip every vertex outside N[bag]; ``_verify`` must reject a
+    state in which a coloured vertex away from the bag gives a label to an
+    uncoloured vertex outside N(bag)."""
+    g = Graph(7, [(i, i + 1) for i in range(6)])
+    solver = _solver(g, PartialColouring(2), width=8)
+    idx = next(
+        i for i, node in enumerate(solver.nice.nodes) if node.bag and max(node.bag) <= 2
+    )
+    bag = solver.nice.nodes[idx].bag
+    colours = [1 if v in bag else 0 for v in range(7)]
+    valid = Beam(8)
+    valid.insert(_labelled(solver, colours), solver.rng)
+    solver._verify(idx, valid, frozenset(bag))
+
+    # Vertex 5 coloured as if forgotten below: 4 and 6 become MAYBE_HAPPY.
+    colours[5] = 1
+    broken = Beam(8)
+    broken.insert(_labelled(solver, colours), solver.rng)
+    with pytest.raises(AssertionError, match=r"outside N\(bag\)"):
+        solver._verify(idx, broken, frozenset(bag) | {5})
 
 
 # -- join ---------------------------------------------------------------------
