@@ -16,7 +16,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, TextIO
 
 from .baselines import greedy_mhv, growth_mhv
@@ -155,7 +155,7 @@ class AlgorithmSpec:
         this class's fields.  Anything else raises InputError."""
         if not isinstance(entry, dict):
             raise InputError(f"algorithm entry must be a JSON object, got {entry!r}")
-        unknown = sorted(set(entry) - {f.name for f in fields(cls)})
+        unknown = sorted(set(entry) - {"weights", *_SPEC_FIELD_TYPES})
         if unknown:
             raise InputError(f"unknown algorithm field(s) {', '.join(unknown)} in {entry!r}")
         if "algorithm" not in entry:

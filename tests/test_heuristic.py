@@ -424,7 +424,8 @@ def test_merge_greedy_invariants_on_mismatched_tuples():
 def _labelled(solver, colours):
     """A state with the given colours, HAPPY coloured vertices and the border
     labels the colouring implies."""
-    labels = [HAPPY if c else solver._border_label(v, bytes(colours)) for v, c in enumerate(colours)]
+    border = bytes(colours)
+    labels = [HAPPY if c else solver._border_label(v, border) for v, c in enumerate(colours)]
     return _sol(solver, colours, labels)
 
 
