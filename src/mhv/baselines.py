@@ -37,7 +37,6 @@ def greedy_mhv(g: Graph, colouring: PartialColouring) -> SolveResult:
         algorithm="greedy-mhv",
         colouring=witness,
         happy=best_happy,
-        percent_happy=best_happy / n if n else 1.0,
         provably_optimal=False,
         time_ms=elapsed,
     )
@@ -108,17 +107,10 @@ def _uncoloured_label(
 class GrowthRun:
     """Stepwise Growth-MHV execution; exposed so tests can audit each step."""
 
-    def __init__(
-        self,
-        g: Graph,
-        colouring: PartialColouring,
-        seed: int = 0,
-        prefer_low_degree: bool = False,
-    ) -> None:
+    def __init__(self, g: Graph, colouring: PartialColouring, seed: int = 0) -> None:
         self.g = g
         self.k = colouring.k
         self.rng = random.Random(seed)
-        self.prefer_low_degree = prefer_low_degree
         self.colours = list(colouring.as_array(g.n))
         self.labels: list[GrowthLabel] = list(compute_growth_labels(g, colouring))
         self.uncoloured = sum(1 for c in self.colours if c == 0)
@@ -134,8 +126,7 @@ class GrowthRun:
         for v in range(self.g.n):
             if self.labels[v] != wanted:
                 continue
-            deg = self.g.degrees[v]
-            key = (deg if self.prefer_low_degree else -deg, v)
+            key = (-self.g.degrees[v], v)
             if best_key is None or key < best_key:
                 best_key = key
                 best = v
@@ -207,20 +198,15 @@ class GrowthRun:
                 self.labels[v] = _uncoloured_label(self.g, self.colours, self.labels, v)
 
 
-def growth_mhv(
-    g: Graph,
-    colouring: PartialColouring,
-    seed: int = 0,
-    prefer_low_degree: bool = False,
-) -> SolveResult:
+def growth_mhv(g: Graph, colouring: PartialColouring, seed: int = 0) -> SolveResult:
     """Run Growth-MHV to completion.
 
-    Candidate ties break by degree (highest first by default; the flag flips
-    to lowest first), then by vertex id.  FREE vertices take a seeded random
-    colour, which also serves disconnected graphs.
+    Candidate ties break by degree (highest first), then by vertex id.  FREE
+    vertices take a seeded random colour, which also serves disconnected
+    graphs.
     """
     start = time.perf_counter()
-    run = GrowthRun(g, colouring, seed=seed, prefer_low_degree=prefer_low_degree)
+    run = GrowthRun(g, colouring, seed=seed)
     while not run.done:
         run.step()
     full = FullColouring(colouring.k, tuple(run.colours))
@@ -230,7 +216,6 @@ def growth_mhv(
         algorithm="growth-mhv",
         colouring=full,
         happy=happy,
-        percent_happy=happy / g.n if g.n else 1.0,
         provably_optimal=False,
         time_ms=elapsed,
     )

@@ -8,11 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
-from .baselines import greedy_mhv, growth_mhv
 from .errors import InputError, MhvError, ParseError, ResourceLimitError
-from .exact import solve_exact
+from .exact import DEFAULT_STATE_CAP
 from .graph import (
     Graph,
     Instance,
@@ -24,21 +24,15 @@ from .graph import (
     write_graph,
 )
 from .harness import (
+    SOLVERS,
     AlgorithmSpec,
     GeneratorParams,
     bench_to_csv,
     generate,
     hardest_regime,
 )
-from .heuristic import (
-    DISTANCE_WEIGHTINGS,
-    JOIN_LOOP_CHOICES,
-    MERGE_METHODS,
-    HeuristicConfig,
-    LabelWeights,
-    solve_heuristic,
-)
-from .oracle import DEFAULT_CAP, brute_force
+from .heuristic import DISTANCE_WEIGHTINGS, JOIN_LOOP_CHOICES, MERGE_METHODS, HeuristicConfig
+from .oracle import DEFAULT_CAP
 from .result import SolveResult
 from .treedec import make_nice, min_fill_decompose, parse_td, td_stats, validate_td, write_td
 
@@ -61,13 +55,13 @@ def _load_instance(graph_path: str, colouring_path: str) -> Instance:
 
 
 def _decomposition(args: argparse.Namespace, g: Graph):
-    if getattr(args, "td", None):
+    if args.td:
         td = parse_td(Path(args.td).read_text(), g)
         report = validate_td(g, td)
         if not report.ok:
             raise InputError("invalid tree decomposition: " + "; ".join(report.violations))
     else:
-        td = min_fill_decompose(g, seed=getattr(args, "td_seed", 0))
+        td = min_fill_decompose(g, seed=args.td_seed)
     return make_nice(td, g)
 
 
@@ -92,15 +86,21 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_heuristic_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", "-W", type=int, default=67, help="beam width (default 67)")
+    tuned = HeuristicConfig()
+    weights = ",".join(str(w) for w in astuple(tuned.weights))
+    p.add_argument(
+        "--width", "-W", type=int, default=tuned.width, help=f"beam width (default {tuned.width})"
+    )
     p.add_argument(
         "--weights",
-        default="15,-9,4,-8",
-        help="label weights W_H,W_U,W_PH,W_PU (default tuned 15,-9,4,-8)",
+        default=weights,
+        help=f"label weights W_H,W_U,W_PH,W_PU (default tuned {weights})",
     )
-    p.add_argument("--join-loop", choices=JOIN_LOOP_CHOICES, default="smaller_list")
-    p.add_argument("--join-distance", choices=DISTANCE_WEIGHTINGS, default="count_external_neighbours")
-    p.add_argument("--join-merge", choices=MERGE_METHODS, default="copy_bag")
+    p.add_argument("--join-loop", choices=JOIN_LOOP_CHOICES, default=tuned.join_loop_choice)
+    p.add_argument(
+        "--join-distance", choices=DISTANCE_WEIGHTINGS, default=tuned.join_distance_weighting
+    )
+    p.add_argument("--join-merge", choices=MERGE_METHODS, default=tuned.join_merge_method)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--td", help="use this .td decomposition instead of min-fill")
     p.add_argument("--td-seed", type=int, default=0, help="seed for the min-fill decomposer")
@@ -129,30 +129,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="report instance facts relevant to the solvers")
     _add_instance_args(p)
 
+    # Each solver subcommand names its row of harness.SOLVERS; its flags are
+    # named after the AlgorithmSpec fields they set.
     p = sub.add_parser("solve", help="beam-bounded tree decomposition heuristic")
+    p.set_defaults(algorithm="heuristic")
     _add_instance_args(p)
     _add_heuristic_args(p)
     p.add_argument("--out", help="write the full colouring here")
 
     p = sub.add_parser("exact", help="exact bounded-treewidth dynamic program")
+    p.set_defaults(algorithm="exact")
     _add_instance_args(p)
     p.add_argument("--td", help="use this .td decomposition instead of min-fill")
     p.add_argument("--td-seed", type=int, default=0)
-    p.add_argument("--state-cap", type=int, default=2_000_000)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--out")
 
     p = sub.add_parser("greedy", help="best monochromatic completion")
+    p.set_defaults(algorithm="greedy")
     _add_instance_args(p)
     p.add_argument("--out")
 
     p = sub.add_parser("growth", help="label-driven constructive baseline")
+    p.set_defaults(algorithm="growth")
     _add_instance_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("brute", help="exhaustive oracle for small instances")
+    p.set_defaults(algorithm="brute")
     _add_instance_args(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", dest="brute_cap", metavar="CAP", type=int, default=DEFAULT_CAP)
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="run a benchmark manifest into CSV")
@@ -218,54 +225,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    """Run the solver subcommand's row of the solver table on one instance."""
+    values = {f.name: getattr(args, f.name) for f in fields(AlgorithmSpec) if f.name in args}
+    if "weights" in values:
+        try:
+            wh, wu, wph, wpu = (int(x) for x in args.weights.split(","))
+        except ValueError:
+            raise InputError("--weights expects four comma-separated integers") from None
+        values["weights"] = (wh, wu, wph, wpu)
+    spec = AlgorithmSpec(**values)
     inst = _load_instance(args.graph, args.colouring)
-    nice = _decomposition(args, inst.graph)
-    try:
-        wh, wu, wph, wpu = (int(x) for x in args.weights.split(","))
-    except ValueError:
-        raise InputError("--weights expects four comma-separated integers") from None
-    config = HeuristicConfig(
-        width=args.width,
-        weights=LabelWeights(wh, wu, wph, wpu),
-        join_loop_choice=args.join_loop,
-        join_distance_weighting=args.join_distance,
-        join_merge_method=args.join_merge,
-        seed=args.seed,
-    )
-    result = solve_heuristic(inst.graph, inst.colouring, nice, config)
-    _print_result(result)
-    _write_solution(result, args.out)
-    return EXIT_OK
-
-
-def _cmd_exact(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.graph, args.colouring)
-    nice = _decomposition(args, inst.graph)
-    result = solve_exact(inst.graph, inst.colouring, nice, state_cap=args.state_cap)
-    _print_result(result)
-    _write_solution(result, args.out)
-    return EXIT_OK
-
-
-def _cmd_greedy(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.graph, args.colouring)
-    result = greedy_mhv(inst.graph, inst.colouring)
-    _print_result(result)
-    _write_solution(result, args.out)
-    return EXIT_OK
-
-
-def _cmd_growth(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.graph, args.colouring)
-    result = growth_mhv(inst.graph, inst.colouring, seed=args.seed)
-    _print_result(result)
-    _write_solution(result, args.out)
-    return EXIT_OK
-
-
-def _cmd_brute(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.graph, args.colouring)
-    result = brute_force(inst.graph, inst.colouring, cap=args.cap)
+    row = SOLVERS[spec.algorithm]
+    nice = _decomposition(args, inst.graph) if row.needs_decomposition else None
+    result = row.run(inst, nice, spec, spec.seed)
     _print_result(result)
     _write_solution(result, args.out)
     return EXIT_OK
@@ -338,11 +310,6 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "decompose": _cmd_decompose,
     "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "exact": _cmd_exact,
-    "greedy": _cmd_greedy,
-    "growth": _cmd_growth,
-    "brute": _cmd_brute,
     "bench": _cmd_bench,
 }
 
@@ -351,11 +318,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Every other subcommand runs a solver.
+        return _COMMANDS.get(args.command, _cmd_solve)(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, InputError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        ParseError,
+        InputError,
+        OSError,  # a missing file, a directory, an unwritable output path
+        UnicodeDecodeError,  # a binary file given as a text input
+        json.JSONDecodeError,
+        KeyError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MhvError as exc:

@@ -23,6 +23,8 @@ from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
 from .treedec import NiceTreeDecomposition, NodeKind
 
+DEFAULT_STATE_CAP = 2_000_000
+
 
 class AugKind(IntEnum):
     LEAF = 0
@@ -99,7 +101,7 @@ def solve_exact(
     g: Graph,
     colouring: PartialColouring,
     nice: NiceTreeDecomposition,
-    state_cap: int = 2_000_000,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> SolveResult:
     """Optimal extension of the partial colouring via the table DP.
 
@@ -210,7 +212,6 @@ def solve_exact(
         algorithm="exact-dp",
         colouring=witness,
         happy=best_val,
-        percent_happy=best_val / n if n else 1.0,
         provably_optimal=True,
         time_ms=elapsed,
     )

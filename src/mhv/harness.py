@@ -16,12 +16,12 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, TextIO
+from dataclasses import astuple, dataclass, replace
+from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 from .baselines import greedy_mhv, growth_mhv
 from .errors import InputError, MhvError
-from .exact import solve_exact
+from .exact import DEFAULT_STATE_CAP, solve_exact
 from .graph import Graph, Instance, PartialColouring, floor_fraction
 from .heuristic import HeuristicConfig, LabelWeights, solve_heuristic
 from .oracle import DEFAULT_CAP, brute_force
@@ -129,25 +129,33 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     return Graph(n, edges)
 
 
+_TUNED = HeuristicConfig()
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One algorithm configuration for the benchmark harness."""
 
-    algorithm: str  # greedy | growth | heuristic | exact | brute
+    algorithm: str  # a key of SOLVERS
     seed: int = 0
-    width: int = 67
-    weights: tuple[int, int, int, int] = (15, -9, 4, -8)
-    join_loop: str = "smaller_list"
-    join_distance: str = "count_external_neighbours"
-    join_merge: str = "copy_bag"
+    width: int = _TUNED.width
+    weights: tuple[int, int, int, int] = astuple(_TUNED.weights)
+    join_loop: str = _TUNED.join_loop_choice
+    join_distance: str = _TUNED.join_distance_weighting
+    join_merge: str = _TUNED.join_merge_method
     brute_cap: int = DEFAULT_CAP
-    state_cap: int = 2_000_000
+    state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("greedy", "growth", "heuristic", "exact", "brute"):
+        row = SOLVERS.get(self.algorithm)
+        if row is None:
             raise InputError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == "heuristic":
-            self.heuristic_config(self.seed)  # raises InputError on a bad knob
+        if self.brute_cap < 1:
+            raise InputError(f"brute_cap must be at least 1, got {self.brute_cap}")
+        if self.state_cap < 1:
+            raise InputError(f"state_cap must be at least 1, got {self.state_cap}")
+        if row.check is not None:
+            row.check(self)
 
     @classmethod
     def from_manifest(cls, entry: object) -> AlgorithmSpec:
@@ -155,7 +163,7 @@ class AlgorithmSpec:
         this class's fields.  Anything else raises InputError."""
         if not isinstance(entry, dict):
             raise InputError(f"algorithm entry must be a JSON object, got {entry!r}")
-        unknown = sorted(set(entry) - {"weights", *_SPEC_FIELD_TYPES})
+        unknown = sorted(set(entry) - set(_SPEC_FIELD_TYPES))
         if unknown:
             raise InputError(f"unknown algorithm field(s) {', '.join(unknown)} in {entry!r}")
         if "algorithm" not in entry:
@@ -176,19 +184,7 @@ class AlgorithmSpec:
         return cls(**values)
 
     def label(self) -> str:
-        if self.algorithm == "heuristic":
-            w = ",".join(str(x) for x in self.weights)
-            return (
-                f"W={self.width};weights={w};loop={self.join_loop};"
-                f"dist={self.join_distance};merge={self.join_merge};seed={self.seed}"
-            )
-        if self.algorithm == "growth":
-            return f"seed={self.seed}"
-        if self.algorithm == "brute":
-            return f"cap={self.brute_cap}"
-        if self.algorithm == "exact":
-            return f"state_cap={self.state_cap}"
-        return ""
+        return SOLVERS[self.algorithm].config(self)
 
     def heuristic_config(self, seed: int) -> HeuristicConfig:
         wh, wu, wph, wpu = self.weights
@@ -202,16 +198,67 @@ class AlgorithmSpec:
         )
 
 
-# JSON type of each AlgorithmSpec field but ``weights`` (bool is not an int).
-_SPEC_FIELD_TYPES = {
-    "algorithm": str,
-    "seed": int,
-    "width": int,
-    "join_loop": str,
-    "join_distance": str,
-    "join_merge": str,
-    "brute_cap": int,
-    "state_cap": int,
+# The type of each AlgorithmSpec field; a manifest value must have exactly
+# this JSON type (bool is not an int).  ``weights`` is checked on its own.
+_SPEC_FIELD_TYPES = get_type_hints(AlgorithmSpec)
+
+
+@dataclass(frozen=True)
+class SolverRow:
+    """How to run one algorithm of the solver table.
+
+    ``run(instance, nice, spec, seed)`` solves; ``nice`` is None unless the
+    row ``needs_decomposition``.  ``config`` builds the CSV config label, and
+    ``check``, when set, raises InputError on a spec the solver cannot run.
+    """
+
+    needs_decomposition: bool
+    run: Callable[[Instance, NiceTreeDecomposition | None, AlgorithmSpec, int], SolveResult]
+    config: Callable[[AlgorithmSpec], str]
+    check: Callable[[AlgorithmSpec], object] | None = None
+
+
+def _heuristic_config_label(spec: AlgorithmSpec) -> str:
+    w = ",".join(str(x) for x in spec.weights)
+    return (
+        f"W={spec.width};weights={w};loop={spec.join_loop};"
+        f"dist={spec.join_distance};merge={spec.join_merge};seed={spec.seed}"
+    )
+
+
+SOLVERS: dict[str, SolverRow] = {
+    "greedy": SolverRow(
+        needs_decomposition=False,
+        run=lambda inst, nice, spec, seed: greedy_mhv(inst.graph, inst.colouring),
+        config=lambda spec: "",
+    ),
+    "growth": SolverRow(
+        needs_decomposition=False,
+        run=lambda inst, nice, spec, seed: growth_mhv(inst.graph, inst.colouring, seed=seed),
+        config=lambda spec: f"seed={spec.seed}",
+    ),
+    "brute": SolverRow(
+        needs_decomposition=False,
+        run=lambda inst, nice, spec, seed: brute_force(
+            inst.graph, inst.colouring, cap=spec.brute_cap
+        ),
+        config=lambda spec: f"cap={spec.brute_cap}",
+    ),
+    "exact": SolverRow(
+        needs_decomposition=True,
+        run=lambda inst, nice, spec, seed: solve_exact(
+            inst.graph, inst.colouring, nice, state_cap=spec.state_cap
+        ),
+        config=lambda spec: f"state_cap={spec.state_cap}",
+    ),
+    "heuristic": SolverRow(
+        needs_decomposition=True,
+        run=lambda inst, nice, spec, seed: solve_heuristic(
+            inst.graph, inst.colouring, nice, spec.heuristic_config(seed)
+        ),
+        config=_heuristic_config_label,
+        check=lambda spec: spec.heuristic_config(spec.seed),
+    ),
 }
 
 
@@ -244,21 +291,11 @@ class _RunTask:
 
 def _execute(task: _RunTask) -> BenchRecord:
     g = task.instance.graph
-    colouring = task.instance.colouring
     spec = task.spec
+    row = SOLVERS[spec.algorithm]
     stats = td_stats(task.nice)
     try:
-        result: SolveResult
-        if spec.algorithm == "greedy":
-            result = greedy_mhv(g, colouring)
-        elif spec.algorithm == "growth":
-            result = growth_mhv(g, colouring, seed=task.seed)
-        elif spec.algorithm == "brute":
-            result = brute_force(g, colouring, cap=spec.brute_cap)
-        elif spec.algorithm == "exact":
-            result = solve_exact(g, colouring, task.nice, state_cap=spec.state_cap)
-        else:
-            result = solve_heuristic(g, colouring, task.nice, spec.heuristic_config(task.seed))
+        result = row.run(task.instance, task.nice, spec, task.seed)
     except MhvError as exc:
         return BenchRecord(
             instance_id=task.instance_id,
@@ -275,7 +312,7 @@ def _execute(task: _RunTask) -> BenchRecord:
             error=f"{type(exc).__name__}: {exc}",
         )
     time_ms = result.time_ms
-    if task.include_decomposition_time and spec.algorithm in ("exact", "heuristic"):
+    if task.include_decomposition_time and row.needs_decomposition:
         time_ms += task.decompose_ms
     return BenchRecord(
         instance_id=task.instance_id,

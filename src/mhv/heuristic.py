@@ -43,7 +43,7 @@ import time
 from bisect import insort_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
@@ -262,14 +262,10 @@ class HeuristicSolver:
 
     # -- label bookkeeping ------------------------------------------------
 
-    def _score(self, counts: tuple[int, int, int, int]) -> int:
-        w = self.weights
-        return (
-            w.happy * counts[0]
-            + w.unhappy * counts[1]
-            + w.maybe_happy * counts[2]
-            + w.assumed_unhappy * counts[3]
-        )
+    def _entry(self, colours: bytes, labels: bytes, counts: Sequence[int]) -> PartialSolution:
+        """A beam entry scored from its four label counts."""
+        counts_t = (counts[0], counts[1], counts[2], counts[3])
+        return PartialSolution(colours, labels, counts_t, evaluate(self.weights, counts_t))
 
     def _border_label(self, v: int, colours: bytes | bytearray) -> int:
         """Label of an uncoloured vertex given committed colours.
@@ -443,35 +439,18 @@ class HeuristicSolver:
             out_labels = bytearray(labels)
             out_counts = list(counts)
             self._set_label(out_labels, out_counts, vtx, lab)
-            counts_t = (out_counts[0], out_counts[1], out_counts[2], out_counts[3])
-            beam.insert(
-                PartialSolution(frozen_colours, bytes(out_labels), counts_t, self._score(counts_t)),
-                self.rng,
-            )
+            beam.insert(self._entry(frozen_colours, bytes(out_labels), out_counts), self.rng)
 
     def _emit_backup(self, beam: Beam, sol: PartialSolution, vtx: int, colour: int) -> None:
-        """Force the introduction by demoting conflicting happy neighbours."""
-        colours = bytearray(sol.colours)
-        colours[vtx] = colour
+        """Force the introduction as UNHAPPY by first demoting the conflicting
+        HAPPY neighbours."""
+        colours = sol.colours
         labels = bytearray(sol.labels)
         counts = list(sol.counts)
         for u in self.adj[vtx]:
             if colours[u] and colours[u] != colour and labels[u] == HAPPY:
                 self._set_label(labels, counts, u, UNHAPPY)
-        for u in self.adj[vtx]:
-            if colours[u]:
-                if labels[u] == ASSUMED_UNHAPPY and colours[u] != colour:
-                    self._set_label(labels, counts, u, UNHAPPY)
-            else:
-                refreshed = self._border_label(u, colours)
-                if refreshed != labels[u]:
-                    self._set_label(labels, counts, u, refreshed)
-        self._set_label(labels, counts, vtx, UNHAPPY)
-        counts_t = (counts[0], counts[1], counts[2], counts[3])
-        beam.insert(
-            PartialSolution(bytes(colours), bytes(labels), counts_t, self._score(counts_t)),
-            self.rng,
-        )
+        self._emit(beam, self._entry(colours, bytes(labels), counts), vtx, colour, (UNHAPPY,))
 
     def handle_forget(self, idx: int, child_beam: Beam) -> Beam:
         """Settle the forgotten vertex and deduplicate on the smaller bag.
@@ -491,8 +470,7 @@ class HeuristicSolver:
                 labels = bytearray(sol.labels)
                 counts = list(sol.counts)
                 self._set_label(labels, counts, vtx, HAPPY)
-                counts_t = (counts[0], counts[1], counts[2], counts[3])
-                sol = PartialSolution(sol.colours, bytes(labels), counts_t, self._score(counts_t))
+                sol = self._entry(sol.colours, bytes(labels), counts)
             key = self._bag_key(bag, sol)
             held = groups.get(key)
             # The happy count breaks score ties; equal weights for happy and
@@ -637,8 +615,7 @@ class HeuristicSolver:
                 labels[v] = a_labels[v]
             elif b_colours[v]:
                 labels[v] = b_labels[v]
-        counts = self._recount(labels)
-        return PartialSolution(colours, bytes(labels), counts, self._score(counts))
+        return self._entry(colours, bytes(labels), self._recount(labels))
 
     def merge_heuristic(
         self,
@@ -690,8 +667,7 @@ class HeuristicSolver:
         for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
-        counts = self._recount(labels)
-        return PartialSolution(bytes(colours), bytes(labels), counts, self._score(counts))
+        return self._entry(bytes(colours), bytes(labels), self._recount(labels))
 
     def _merge_greedy(
         self,
@@ -770,8 +746,7 @@ class HeuristicSolver:
         for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
-        counts = self._recount(labels)
-        return PartialSolution(bytes(colours), bytes(labels), counts, self._score(counts))
+        return self._entry(bytes(colours), bytes(labels), self._recount(labels))
 
     # -- full solve ---------------------------------------------------------
 
@@ -823,7 +798,6 @@ class HeuristicSolver:
             algorithm="heuristic-dp",
             colouring=full,
             happy=happy,
-            percent_happy=happy / self.n if self.n else 1.0,
             provably_optimal=self.all_below_capacity,
             time_ms=elapsed,
             final_labels=tuple(best.labels),
@@ -841,7 +815,7 @@ class HeuristicSolver:
             assert previous_score is None or sol.score >= previous_score
             previous_score = sol.score
             assert self._recount(sol.labels) == sol.counts
-            assert self._score(sol.counts) == sol.score
+            assert evaluate(self.weights, sol.counts) == sol.score
             coloured = {v for v in range(self.n) if sol.colours[v]}
             assert coloured == covered, f"node {idx}: colour domain mismatch"
             for v in range(self.n):

@@ -63,7 +63,6 @@ def brute_force(g: Graph, colouring: PartialColouring, cap: int = DEFAULT_CAP) -
         algorithm="brute-force",
         colouring=full,
         happy=best,
-        percent_happy=best / n if n else 1.0,
         provably_optimal=True,
         time_ms=elapsed,
     )

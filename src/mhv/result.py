@@ -20,7 +20,11 @@ class SolveResult:
     algorithm: str
     colouring: FullColouring
     happy: int
-    percent_happy: float
     provably_optimal: bool
     time_ms: float
     final_labels: tuple[int, ...] | None = None
+
+    @property
+    def percent_happy(self) -> float:
+        n = len(self.colouring.colours)
+        return self.happy / n if n else 1.0

@@ -9,7 +9,7 @@ join's closed neighbourhood N[bag].
 
 from __future__ import annotations
 
-from mhv.heuristic import UNHAPPY, HeuristicSolver, PartialSolution
+from mhv.heuristic import UNHAPPY, HeuristicSolver, PartialSolution, evaluate
 
 
 def reference_merge_exact(
@@ -32,4 +32,4 @@ def reference_merge_exact(
     for lab in labels:
         totals[lab] += 1
     counts = (totals[1], totals[2], totals[3], totals[4])
-    return PartialSolution(bytes(colours), bytes(labels), counts, solver._score(counts))
+    return PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts))

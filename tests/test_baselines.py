@@ -148,11 +148,3 @@ def test_growth_handles_disconnected_graphs():
     result = growth_mhv(g, col, seed=3)
     assert all(1 <= c <= 2 for c in result.colouring.colours)
 
-
-def test_growth_degree_preference_flag():
-    # Star plus pendant path; highest-degree-first picks the hub first.
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    col = PartialColouring(2, {1: 1, 4: 2})
-    hi = growth_mhv(g, col, seed=0, prefer_low_degree=False)
-    lo = growth_mhv(g, col, seed=0, prefer_low_degree=True)
-    assert hi.colouring.extends(col) and lo.colouring.extends(col)

@@ -242,6 +242,69 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+# Every subcommand once with a directory and once with a binary file where a
+# path is expected, plus caps below 1.  {dir} is a directory, {bin} a file of
+# undecodable bytes, {g}/{c}/{m} a valid graph, colouring and bench manifest.
+_BAD_INPUT_CASES = [
+    ["gen", "--n", "30", "--k", "2", "--hardest", "--out-graph", "{dir}", "--out-colouring", "{tmp}/o.col"],
+    ["gen", "--n", "30", "--k", "2", "--hardest", "--out-graph", "{tmp}/o.gr", "--out-colouring", "{dir}"],
+    ["decompose", "{dir}"],
+    ["decompose", "{bin}"],
+    ["decompose", "{g}", "--td", "{dir}"],
+    ["decompose", "{g}", "--td", "{bin}"],
+    ["decompose", "{g}", "--out", "{dir}"],
+    ["validate", "{dir}", "{c}"],
+    ["validate", "{g}", "{bin}"],
+    ["solve", "{dir}", "{c}"],
+    ["solve", "{bin}", "{c}"],
+    ["solve", "{g}", "{c}", "--td", "{dir}"],
+    ["solve", "{g}", "{c}", "--td", "{bin}"],
+    ["solve", "{g}", "{c}", "--out", "{dir}"],
+    ["exact", "{g}", "{dir}"],
+    ["exact", "{bin}", "{c}"],
+    ["exact", "{g}", "{c}", "--td", "{dir}"],
+    ["exact", "{g}", "{c}", "--out", "{dir}"],
+    ["greedy", "{dir}", "{c}"],
+    ["greedy", "{g}", "{bin}"],
+    ["greedy", "{g}", "{c}", "--out", "{dir}"],
+    ["growth", "{g}", "{dir}"],
+    ["growth", "{bin}", "{c}"],
+    ["brute", "{dir}", "{c}"],
+    ["brute", "{g}", "{bin}"],
+    ["brute", "{g}", "{c}", "--out", "{dir}"],
+    ["bench", "{dir}", "--out", "{tmp}/o.csv"],
+    ["bench", "{bin}", "--out", "{tmp}/o.csv"],
+    ["bench", "{m}", "--out", "{dir}"],
+    ["exact", "{g}", "{c}", "--state-cap", "-1"],
+    ["exact", "{g}", "{c}", "--state-cap", "0"],
+    ["brute", "{g}", "{c}", "--cap", "-1"],
+    ["brute", "{g}", "{c}", "--cap", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT_CASES, ids=lambda argv: " ".join(argv))
+def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
+    graph_path, colouring_path = _write_instance(tmp_path)
+    binary = tmp_path / "binary.gr"
+    binary.write_bytes(b"\x80\x81\xfe\xff\x00")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "instances": [{"id": "x", "graph": graph_path.name, "colouring": colouring_path.name}],
+                "algorithms": [{"algorithm": "greedy"}],
+            }
+        )
+    )
+    names = {"dir": directory, "bin": binary, "g": graph_path, "c": colouring_path, "m": manifest}
+    argv = [arg.format(tmp=tmp_path, **names) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: "), err
+
+
 def test_cli_usage_exit_code_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mhv.cli", "--nonsense"],
@@ -294,6 +357,8 @@ _GOOD_ALGORITHMS = [{"algorithm": "greedy"}]
         pytest.param({"include_timing": "yes"}, id="timing-string"),
         pytest.param({"td_seed": True}, id="td-seed-bool"),
         pytest.param({"repetiton": 2}, id="unknown-option"),
+        pytest.param({"algorithms": [{"algorithm": "brute", "brute_cap": -5}]}, id="brute-cap-negative"),
+        pytest.param({"algorithms": [{"algorithm": "exact", "state_cap": 0}]}, id="state-cap-zero"),
     ],
 )
 def test_cli_bench_rejects_malformed_manifest_before_decomposing(

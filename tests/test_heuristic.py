@@ -44,7 +44,7 @@ def _introduce_idx(solver, vertex):
 
 def _sol(solver, colours, labels):
     counts = solver._recount(bytes(labels))
-    return PartialSolution(bytes(colours), bytes(labels), counts, solver._score(counts))
+    return PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_merge_exact_two_sided():
     assert merged.labels[2] == UNKNOWN
     assert merged.counts == (4, 2, 0, 0)
     assert merged.counts == solver._recount(merged.labels)
-    assert merged.score == solver._score(merged.counts)
+    assert merged.score == evaluate(solver.weights, merged.counts)
 
 
 def test_merge_exact_with_bag_only_inner_keeps_outer_counts():
@@ -491,7 +491,7 @@ def test_join_with_bag_only_side_preserves_other_side():
                 labels[v] = solver._border_label(v, colours)
         counts = solver._recount(labels)
         crafted.insert(
-            PartialSolution(bytes(colours), bytes(labels), counts, solver._score(counts)),
+            PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts)),
             solver.rng,
         )
     out = solver.handle_join(join_idx, left, crafted)
