@@ -186,11 +186,20 @@ def test_validate_instance_empty_colouring():
     assert report.connected
 
 
-def test_validate_instance_components():
-    g = Graph(4, [(0, 1), (2, 3)])
-    report = validate_instance(Instance(g, PartialColouring(2, {0: 1, 2: 2})))
-    assert report.n_components == 2
-    assert not report.connected
+@pytest.mark.parametrize(
+    "g, components",
+    [
+        (Graph(0), 0),
+        (Graph(7), 7),
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), 1),
+        (Graph(4, [(0, 1), (2, 3)]), 2),
+    ],
+    ids=["empty", "edgeless", "path", "two-components"],
+)
+def test_validate_instance_components(g, components):
+    report = validate_instance(Instance(g, PartialColouring(2, {})))
+    assert report.n_components == components
+    assert report.connected == (components <= 1)
 
 
 def test_instance_rejects_stray_vertex():

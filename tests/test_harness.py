@@ -96,6 +96,41 @@ def test_bench_run_record_shape():
         assert record.td_width >= 0
 
 
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# perfbench times the decomposition layer by patching these module
+# attributes, so each must be called through them, once per decomposition.
+def test_make_nice_validates_through_its_module_once(monkeypatch):
+    import mhv.treedec
+
+    calls = _count_calls(monkeypatch, mhv.treedec, "validate_td")
+    g = generate(GeneratorParams(n=8, k=2, p=0.3, q=0.5, seed=1)).graph
+    mhv.treedec.make_nice(mhv.treedec.min_fill_decompose(g), g)
+    assert calls == [1]
+
+
+def test_bench_run_decomposes_through_its_module_once_per_instance(monkeypatch):
+    import mhv.harness
+
+    decomposed = _count_calls(monkeypatch, mhv.harness, "min_fill_decompose")
+    made_nice = _count_calls(monkeypatch, mhv.harness, "make_nice")
+    specs = [AlgorithmSpec("greedy"), AlgorithmSpec("heuristic", width=4)]
+    records = list(bench_run(_bench_instances(), specs, repetitions=2, workers=1))
+    assert len(records) == 8
+    assert decomposed == made_nice == [2]
+
+
 def test_bench_run_error_rows_keep_going():
     specs = [AlgorithmSpec("brute", brute_cap=1), AlgorithmSpec("greedy")]
     records = list(bench_run(_bench_instances(), specs))

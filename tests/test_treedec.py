@@ -91,6 +91,72 @@ def test_validate_catches_cyclic_bag_tree():
     assert not report.ok
 
 
+def _td(n: int, bags: list[set[int]], edges: set[tuple[int, int]]) -> TreeDecomposition:
+    return TreeDecomposition(n, tuple(frozenset(b) for b in bags), frozenset(edges))
+
+
+# The whole report, messages and witnesses in order: each check reports its
+# first witness only, and an out-of-range tree edge returns at once.
+_TD_REPORTS = {
+    "valid": (
+        Graph(3, [(0, 1), (1, 2)]),
+        _td(3, [{0, 1}, {1, 2}], {(0, 1)}),
+        (),
+    ),
+    "no-nodes": (Graph(2), _td(2, [], set()), ("decomposition has no nodes",)),
+    "vertex-count": (
+        Graph(2, [(0, 1)]),
+        _td(3, [{0, 1}], set()),
+        ("decomposition is for 3 vertices, graph has 2",),
+    ),
+    "tree-edge-out-of-range": (
+        Graph(2, [(0, 1)]),
+        _td(3, [{0}, {1}], {(0, 5)}),
+        ("tree edge (0, 5) out of range",),
+    ),
+    "disconnected-tree-wrong-edge-count": (
+        Graph(2, [(0, 1)]),
+        _td(2, [{0, 1}, {0}, set()], {(0, 1)}),
+        (
+            "bag tree is disconnected (2 of 3 nodes reachable)",
+            "bag tree has 1 edges, a tree on 3 nodes needs 2",
+        ),
+    ),
+    "cyclic-tree": (
+        Graph(2, [(0, 1)]),
+        _td(2, [{0, 1}, {0, 1}, {0, 1}], {(0, 1), (1, 2), (0, 2)}),
+        ("bag tree has 3 edges, a tree on 3 nodes needs 2",),
+    ),
+    "stray-vertex": (
+        Graph(2, [(0, 1)]),
+        _td(2, [{0, 1, 7}, {1, 5}], {(0, 1)}),
+        ("bag contains unknown vertex 5",),
+    ),
+    "negative-stray-vertex": (
+        Graph(2, [(0, 1)]),
+        _td(2, [{0, 1}, {-1, 1}], {(0, 1)}),
+        ("bag contains unknown vertex -1",),
+    ),
+    "missing-uncovered-split": (
+        Graph(5, [(0, 2), (1, 3), (2, 3)]),
+        _td(5, [{0, 2}, {1}, {0, 2}, {1}], {(0, 1), (1, 2), (2, 3)}),
+        (
+            "vertex 3 not in any bag",
+            "edge (1, 3) not covered by any bag",
+            "occurrence set of vertex 0 is not connected in the bag tree",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TD_REPORTS))
+def test_validate_td_reports_every_violation_in_order(case):
+    g, td, expected = _TD_REPORTS[case]
+    report = validate_td(g, td)
+    assert report.violations == expected
+    assert report.ok == (not expected)
+
+
 def test_min_fill_on_trees_gives_width_one():
     # Exhaustive over all labelled trees on up to 6 vertices via Prufer codes.
     for n in range(2, 7):
