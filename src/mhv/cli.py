@@ -48,18 +48,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _read_text(path: str | Path) -> str:
+    """Read a UTF-8 text input; a file that is not UTF-8 is an input error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not a UTF-8 text file: {exc}") from None
+
+
 def _load_instance(graph_path: str, colouring_path: str) -> Instance:
-    g = parse_graph(Path(graph_path).read_text())
-    col = parse_colouring(Path(colouring_path).read_text(), g)
+    g = parse_graph(_read_text(graph_path))
+    col = parse_colouring(_read_text(colouring_path), g)
     return Instance(g, col)
 
 
 def _decomposition(args: argparse.Namespace, g: Graph):
+    # make_nice validates the decomposition and rejects an invalid one.
     if args.td:
-        td = parse_td(Path(args.td).read_text(), g)
-        report = validate_td(g, td)
-        if not report.ok:
-            raise InputError("invalid tree decomposition: " + "; ".join(report.violations))
+        td = parse_td(_read_text(args.td), g)
     else:
         td = min_fill_decompose(g, seed=args.td_seed)
     return make_nice(td, g)
@@ -188,9 +194,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    g = parse_graph(Path(args.graph).read_text())
+    g = parse_graph(_read_text(args.graph))
     if args.td:
-        td = parse_td(Path(args.td).read_text(), g)
+        td = parse_td(_read_text(args.td), g)
         report = validate_td(g, td)
         if report.ok:
             print(f"valid: width={td.width} nodes={td.node_count}")
@@ -291,12 +297,12 @@ def _check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
-    entries, algorithms, options = _check_manifest(json.loads(manifest_path.read_text()))
+    entries, algorithms, options = _check_manifest(json.loads(_read_text(manifest_path)))
     base_dir = manifest_path.resolve().parent
     instances = []
     for entry in entries:
-        g = parse_graph((base_dir / entry["graph"]).read_text())
-        col = parse_colouring((base_dir / entry["colouring"]).read_text(), g)
+        g = parse_graph(_read_text(base_dir / entry["graph"]))
+        col = parse_colouring(_read_text(base_dir / entry["colouring"]), g)
         instances.append((entry["id"], Instance(g, col)))
     if args.workers is not None:
         options["workers"] = args.workers
@@ -327,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         ParseError,
         InputError,
         OSError,  # a missing file, a directory, an unwritable output path
-        UnicodeDecodeError,  # a binary file given as a text input
         json.JSONDecodeError,
         KeyError,
     ) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import InputError, ParseError
 
@@ -338,21 +338,31 @@ def validate_instance(inst: Instance) -> InstanceReport:
 
 
 def _count_components(g: Graph) -> int:
-    seen = bytearray(g.n)
+    seen: set[int] = set()
     components = 0
     for start in range(g.n):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
+        if start not in seen:
+            components += 1
+            seen |= reachable(g.adjacency, start)
     return components
+
+
+def reachable(
+    adj: Sequence[Iterable[int]], start: int, allowed: Container[int] | None = None
+) -> set[int]:
+    """Nodes reachable from ``start`` in the adjacency lists ``adj``.
+
+    The walk passes only through ``allowed`` nodes, or through any node when
+    ``allowed`` is None; ``start`` itself is always included.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen and (allowed is None or y in allowed):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def floor_fraction(q: float, n: int) -> int:

@@ -91,20 +91,45 @@ class LabelWeights:
             raise InputError("unhappy weight must not exceed either potential label")
 
 
-JOIN_LOOP_CHOICES = ("random", "larger_list", "smaller_list")
-DISTANCE_WEIGHTINGS = (
-    "all_ones",
-    "has_external_neighbour",
-    "has_border_neighbour",
-    "has_nonborder_external_neighbour",
-    "count_external_neighbours",
-    "count_border_neighbours",
-    "count_nonborder_external_neighbours",
-)
+# Join loop choice -> whether the first child's list is the outer loop.
+_FIRST_IS_OUTER = {
+    "random": lambda rng, first, second: rng.random() < 0.5,
+    "larger_list": lambda rng, first, second: len(first) >= len(second),
+    "smaller_list": lambda rng, first, second: len(first) <= len(second),
+}
+
+
+def _external(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
+    return u not in bag_set
+
+
+def _in_border(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
+    return sol.colours[u] == 0 and sol.labels[u] != UNKNOWN
+
+
+def _nonborder_external(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
+    return u not in bag_set and not _in_border(u, bag_set, sol)
+
+
+# Distance weighting -> (neighbour test, capped at 1).  A bag vertex weighs
+# the number of its neighbours that pass the test, at most 1 when capped;
+# "all_ones" has no test and weighs 1.
+_DISTANCE_RULES = {
+    "all_ones": (None, True),
+    "has_external_neighbour": (_external, True),
+    "has_border_neighbour": (_in_border, True),
+    "has_nonborder_external_neighbour": (_nonborder_external, True),
+    "count_external_neighbours": (_external, False),
+    "count_border_neighbours": (_in_border, False),
+    "count_nonborder_external_neighbours": (_nonborder_external, False),
+}
+
+JOIN_LOOP_CHOICES = tuple(_FIRST_IS_OUTER)
+DISTANCE_WEIGHTINGS = tuple(_DISTANCE_RULES)
 MERGE_METHODS = ("copy_bag", "greedy_match")
 # Weightings that depend on the bag alone, not on the outer solution's border.
 BAG_ONLY_WEIGHTINGS = frozenset(
-    ("all_ones", "has_external_neighbour", "count_external_neighbours")
+    name for name, (test, _) in _DISTANCE_RULES.items() if test in (None, _external)
 )
 
 
@@ -493,13 +518,8 @@ class HeuristicSolver:
         """
         bag = self._bags[idx]
         bag_set = self._bag_sets[idx]
-        choice = self.config.join_loop_choice
-        if choice == "random":
-            outer, inner = (first, second) if self.rng.random() < 0.5 else (second, first)
-        elif choice == "larger_list":
-            outer, inner = (first, second) if len(first) >= len(second) else (second, first)
-        else:
-            outer, inner = (first, second) if len(first) <= len(second) else (second, first)
+        first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
+        outer, inner = (first, second) if first_is_outer else (second, first)
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
@@ -566,24 +586,11 @@ class HeuristicSolver:
     def _distance_weight(
         self, mode: str, v: int, bag_set: set[int], outer: PartialSolution
     ) -> int:
-        if mode == "all_ones":
+        test, capped = _DISTANCE_RULES[mode]
+        if test is None:
             return 1
-        adj_v = self.adj[v]
-        if mode == "has_external_neighbour":
-            return 1 if any(u not in bag_set for u in adj_v) else 0
-        if mode == "count_external_neighbours":
-            return sum(1 for u in adj_v if u not in bag_set)
-        if mode == "has_border_neighbour":
-            return 1 if any(self._in_border(u, outer) for u in adj_v) else 0
-        if mode == "count_border_neighbours":
-            return sum(1 for u in adj_v if self._in_border(u, outer))
-        if mode == "has_nonborder_external_neighbour":
-            return 1 if any(u not in bag_set and not self._in_border(u, outer) for u in adj_v) else 0
-        return sum(1 for u in adj_v if u not in bag_set and not self._in_border(u, outer))
-
-    @staticmethod
-    def _in_border(u: int, sol: PartialSolution) -> bool:
-        return sol.colours[u] == 0 and sol.labels[u] != UNKNOWN
+        count = sum(1 for u in self.adj[v] if test(u, bag_set, outer))
+        return min(count, 1) if capped else count
 
     def merge_exact(
         self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]

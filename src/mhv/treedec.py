@@ -16,7 +16,7 @@ from enum import IntEnum
 from typing import Iterator
 
 from .errors import InputError, ParseError
-from .graph import Graph
+from .graph import Graph, reachable
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
             return TdValidation(False, (f"tree edge ({a}, {c}) out of range",))
 
     adj = td.neighbour_map()
-    seen = bytearray(b)
-    stack = [0]
-    seen[0] = 1
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                reached += 1
-                stack.append(y)
+    reached = len(reachable(adj, 0))
     if reached != b:
         violations.append(f"bag tree is disconnected ({reached} of {b} nodes reachable)")
     if len(td.tree_edges) != b - 1:
@@ -90,34 +80,27 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
             f"bag tree has {len(td.tree_edges)} edges, a tree on {b} nodes needs {b - 1}"
         )
 
-    covered = set().union(*td.bags) if td.bags else set()
+    # The checks below read this one index instead of scanning the bags.
+    holders: dict[int, set[int]] = {}
+    for t, bag in enumerate(td.bags):
+        for v in bag:
+            holders.setdefault(v, set()).add(t)
     for v in range(g.n):
-        if v not in covered:
+        if v not in holders:
             violations.append(f"vertex {v} not in any bag")
             break
-    stray = covered - set(range(g.n))
+    stray = [v for v in holders if not 0 <= v < g.n]
     if stray:
         violations.append(f"bag contains unknown vertex {min(stray)}")
 
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not any(v in td.bags[t] for t in holders.get(u, ())):
             violations.append(f"edge ({u}, {v}) not covered by any bag")
             break
 
     for v in range(g.n):
-        holders = [t for t in range(b) if v in td.bags[t]]
-        if not holders:
-            continue
-        member = set(holders)
-        comp = {holders[0]}
-        stack = [holders[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in member and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if len(comp) != len(holders):
+        occurrences = holders.get(v)
+        if occurrences and reachable(adj, min(occurrences), occurrences) != occurrences:
             violations.append(f"occurrence set of vertex {v} is not connected in the bag tree")
             break
 
@@ -271,7 +254,7 @@ def parse_td(text: str | bytes, g: Graph) -> TreeDecomposition:
     bags = tuple(bag_lines.get(i, frozenset()) for i in range(1, nb_bags + 1))
 
     td = TreeDecomposition(g.n, bags, frozenset(edges))
-    if len(edges) != nb_bags - 1 or not _is_connected_tree(td):
+    if len(edges) != nb_bags - 1 or len(reachable(td.neighbour_map(), 0)) != nb_bags:
         raise ParseError("bag-tree edges do not form a tree")
     actual = td.width + 1
     if actual != declared_width_plus1:
@@ -279,23 +262,6 @@ def parse_td(text: str | bytes, g: Graph) -> TreeDecomposition:
             f"declared width+1 {declared_width_plus1} but bags give {actual}", stacklevel=2
         )
     return td
-
-
-def _is_connected_tree(td: TreeDecomposition) -> bool:
-    b = td.node_count
-    adj = td.neighbour_map()
-    seen = bytearray(b)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                reached += 1
-                stack.append(y)
-    return reached == b
 
 
 def write_td(td: TreeDecomposition) -> str:

@@ -334,10 +334,12 @@ def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
         )
     )
     names = {"dir": directory, "bin": binary, "g": graph_path, "c": colouring_path, "m": manifest}
-    argv = [arg.format(tmp=tmp_path, **names) for arg in argv]
+    raw_argv, argv = argv, [arg.format(tmp=tmp_path, **names) for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error: "), err
+    if "{bin}" in raw_argv:
+        assert str(binary) in err[0], err
 
 
 def test_cli_usage_exit_code_subprocess():
