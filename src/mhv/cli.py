@@ -230,6 +230,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# AlgorithmSpec fields whose flag is spelled differently, for error messages.
+_FLAG_SPELLINGS = {"brute_cap": "--cap", "state_cap": "--state-cap"}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     """Run the solver subcommand's row of the solver table on one instance."""
     values = {f.name: getattr(args, f.name) for f in fields(AlgorithmSpec) if f.name in args}
@@ -239,7 +243,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         except ValueError:
             raise InputError("--weights expects four comma-separated integers") from None
         values["weights"] = (wh, wu, wph, wpu)
-    spec = AlgorithmSpec(**values)
+    try:
+        spec = AlgorithmSpec(**values)
+    except InputError as exc:
+        message = str(exc)
+        for name, flag in _FLAG_SPELLINGS.items():
+            message = message.replace(name, flag)
+        raise InputError(message) from None
     inst = _load_instance(args.graph, args.colouring)
     row = SOLVERS[spec.algorithm]
     nice = _decomposition(args, inst.graph) if row.needs_decomposition else None

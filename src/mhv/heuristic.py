@@ -19,8 +19,15 @@ label per vertex:
 * UNKNOWN         untouched by the partial solution
 
 Labels of uncoloured vertices are a pure function of the colouring (committed
-colours plus precoloured neighbours), which every handler recomputes locally
-through ``_border_label``.
+colours plus precoloured neighbours).  The merges recompute them through
+``_border_label``.  The introduce handler instead applies a delta rule to the
+introduced vertex's neighbours: colouring it can only turn an UNKNOWN
+neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
+colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
+UNHAPPY.  The rule rests on two premises that ``check_invariants`` asserts:
+committed colours only grow and extend the input, and every stored label
+equals ``_border_label``.  The introduce scores each emission from these
+changes and builds arrays only for an entry the beam keeps.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import insort_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Sequence
@@ -203,45 +210,50 @@ def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
     )
 
 
-def _score_key(sol: PartialSolution) -> int:
-    return sol.score
-
-
 class Beam:
     """Score-sorted list capped at ``capacity`` entries.
 
     Kept in ascending score order; entries with equal score stay in insertion
     order.  On overflow one entry with the worst score is discarded uniformly
-    at random among the worst (the incoming entry included).
+    at random among the worst (the incoming entry included).  ``scores``
+    mirrors ``entries``, so placing an entry and counting the worst ties are
+    bisections.
     """
 
-    __slots__ = ("capacity", "entries")
+    __slots__ = ("capacity", "entries", "scores")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise InputError("beam capacity must be at least 1")
         self.capacity = capacity
         self.entries: list[PartialSolution] = []
+        self.scores: list[int] = []
+
+    def rejects(self, score: int) -> bool:
+        """Whether ``insert`` turns down an entry of this score outright,
+        without drawing from the RNG: the beam is full and the score is below
+        the worst."""
+        return len(self.scores) >= self.capacity and score < self.scores[0]
 
     def insert(self, sol: PartialSolution, rng: random.Random) -> bool:
         entries = self.entries
-        if len(entries) < self.capacity:
-            insort_right(entries, sol, key=_score_key)
-            return True
-        worst = entries[0].score
-        if sol.score < worst:
-            return False
-        ties = 1
-        while ties < len(entries) and entries[ties].score == worst:
-            ties += 1
-        if sol.score == worst:
-            pick = rng.randrange(ties + 1)
-            if pick == ties:
+        scores = self.scores
+        score = sol.score
+        if len(entries) >= self.capacity:
+            worst = scores[0]
+            if score < worst:
                 return False
-            entries.pop(pick)
-        else:
-            entries.pop(rng.randrange(ties))
-        insort_right(entries, sol, key=_score_key)
+            ties = bisect_right(scores, worst)
+            if score == worst:
+                pick = rng.randrange(ties + 1)
+                if pick == ties:
+                    return False
+            else:
+                pick = rng.randrange(ties)
+            del entries[pick], scores[pick]
+        at = bisect_right(scores, score)
+        entries.insert(at, sol)
+        scores.insert(at, score)
         return True
 
     @property
@@ -284,6 +296,12 @@ class HeuristicSolver:
         self._bags = tuple(tuple(sorted(node.bag)) for node in nice.nodes)
         self._bag_sets = tuple(frozenset(b) for b in self._bags)
         self._rings: dict[frozenset[int], tuple[int, ...]] = {}
+        # Per vertex, the colour its precoloured neighbours agree on: 0 for
+        # none, -1 when they disagree.
+        self._evidence = tuple(
+            -1 if len(seen) > 1 else max(seen, default=0)
+            for seen in ({self.base[u] for u in self.adj[v]} - {0} for v in range(self.n))
+        )
 
     # -- label bookkeeping ------------------------------------------------
 
@@ -393,50 +411,73 @@ class HeuristicSolver:
         Per child solution and colour the branch structure is: an untouched
         vertex becomes UNHAPPY on a precoloured conflict and otherwise both
         HAPPY and ASSUMED_UNHAPPY; a committed happy neighbour of a different
-        colour blocks the tuple entirely (a demoting backup is built only
-        while the main list is empty); a MAYBE_HAPPY vertex matching its
-        evidence colour becomes HAPPY and ASSUMED_UNHAPPY; anything else
-        becomes UNHAPPY.  Neighbour labels are recomputed after each emission.
+        colour blocks the tuple entirely (a backup that demotes such
+        neighbours to UNHAPPY is built only while the main list is empty); a
+        MAYBE_HAPPY vertex matching its evidence colour becomes HAPPY and
+        ASSUMED_UNHAPPY; anything else becomes UNHAPPY.
+
+        Colouring the vertex relabels only its neighbours, by a delta rule: a
+        coloured ASSUMED_UNHAPPY neighbour (in the backup also a HAPPY one) of
+        another colour becomes UNHAPPY; an UNKNOWN neighbour becomes
+        MAYBE_HAPPY when its precoloured neighbours agree with the colour and
+        UNHAPPY otherwise; a MAYBE_HAPPY neighbour bound to another colour
+        becomes UNHAPPY.  It rests on two premises that ``_verify`` asserts:
+        committed colours only grow and extend the input, so an uncoloured
+        label can only move as stated, and every stored label equals
+        ``_border_label``.  One scan of the neighbours per child solution
+        collects those whose label can change, and ``_emit`` scores each
+        emission from their changes.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
         adj_v = self.adj[vtx]
-        base = self.base
-        allowed = (base[vtx],) if base[vtx] else tuple(range(1, self.k + 1))
+        evidence = self._evidence
+        base_v = self.base[vtx]
+        allowed = (base_v,) if base_v else tuple(range(1, self.k + 1))
         main = Beam(self.config.width)
         backup = Beam(self.config.width)
         for sol in child_beam:
             col_c = sol.colours
             lab_c = sol.labels
+            # Neighbours whose label can change, as (vertex, label, label on
+            # agreement, the colour agreed with or 0 for any); the coloured
+            # HAPPY ones change only in the backup.
+            watch: list[tuple[int, int, int, int]] = []
+            happy: list[tuple[int, int, int, int]] = []
+            for u in adj_v:
+                cu = col_c[u]
+                lu = lab_c[u]
+                if cu:
+                    if lu == HAPPY:
+                        happy.append((u, lu, lu, cu))
+                    elif lu == ASSUMED_UNHAPPY:
+                        watch.append((u, lu, lu, cu))
+                elif lu == UNKNOWN:
+                    watch.append((u, lu, MAYBE_HAPPY, evidence[u]))
+                elif lu == MAYBE_HAPPY:
+                    watch.append((u, lu, lu, evidence[u] or self._evidence_colour(u, col_c)))
+            happy_colours = {entry[3] for entry in happy}
             v_label = lab_c[vtx]
+            # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
+            bound = (
+                (evidence[vtx] or self._evidence_colour(vtx, col_c))
+                if v_label == MAYBE_HAPPY
+                else 0
+            )
             for i in allowed:
                 if v_label == UNKNOWN:
-                    conflict = False
-                    for u in adj_v:
-                        b = base[u]
-                        if b and b != i:
-                            conflict = True
-                            break
-                    if conflict:
-                        self._emit(main, sol, vtx, i, (UNHAPPY,))
-                    else:
-                        self._emit(main, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY))
-                    continue
-                blocked = False
-                for u in adj_v:
-                    cu = col_c[u]
-                    if cu and cu != i and lab_c[u] == HAPPY:
-                        blocked = True
-                        break
-                if blocked:
+                    conflict = evidence[vtx] not in (0, i)
+                    labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
+                elif happy_colours and happy_colours != {i}:
                     if not len(main):
-                        self._emit_backup(backup, sol, vtx, i)
+                        self._emit(backup, sol, vtx, i, (UNHAPPY,), watch + happy)
                     continue
-                if v_label == MAYBE_HAPPY and self._evidence_colour(vtx, col_c) == i:
-                    self._emit(main, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY))
+                elif bound == i:
+                    labs = (HAPPY, ASSUMED_UNHAPPY)
                 else:
-                    self._emit(main, sol, vtx, i, (UNHAPPY,))
+                    labs = (UNHAPPY,)
+                self._emit(main, sol, vtx, i, labs, watch)
         return main if len(main) else backup
 
     def _emit(
@@ -446,36 +487,43 @@ class HeuristicSolver:
         vtx: int,
         colour: int,
         labels_for_vertex: tuple[int, ...],
+        watch: Sequence[tuple[int, int, int, int]],
     ) -> None:
-        colours = bytearray(sol.colours)
-        colours[vtx] = colour
-        labels = bytearray(sol.labels)
-        counts = list(sol.counts)
-        for u in self.adj[vtx]:
-            if colours[u]:
-                if labels[u] == ASSUMED_UNHAPPY and colours[u] != colour:
-                    self._set_label(labels, counts, u, UNHAPPY)
-            else:
-                refreshed = self._border_label(u, colours)
-                if refreshed != labels[u]:
-                    self._set_label(labels, counts, u, refreshed)
-        frozen_colours = bytes(colours)
-        for lab in labels_for_vertex:
-            out_labels = bytearray(labels)
-            out_counts = list(counts)
-            self._set_label(out_labels, out_counts, vtx, lab)
-            beam.insert(self._entry(frozen_colours, bytes(out_labels), out_counts), self.rng)
+        """Offer ``sol`` with ``vtx`` coloured ``colour`` and labelled each of
+        ``labels_for_vertex`` in turn, relabelling the watched neighbours.
 
-    def _emit_backup(self, beam: Beam, sol: PartialSolution, vtx: int, colour: int) -> None:
-        """Force the introduction as UNHAPPY by first demoting the conflicting
-        HAPPY neighbours."""
-        colours = sol.colours
-        labels = bytearray(sol.labels)
-        counts = list(sol.counts)
-        for u in self.adj[vtx]:
-            if colours[u] and colours[u] != colour and labels[u] == HAPPY:
-                self._set_label(labels, counts, u, UNHAPPY)
-        self._emit(beam, self._entry(colours, bytes(labels), counts), vtx, colour, (UNHAPPY,))
+        Each emission is scored from the label changes first.  Arrays are
+        built only for one the beam does not reject; skipping the rest gives
+        the same beam, since ``Beam.insert`` turns them down without an RNG
+        draw.
+        """
+        # Label totals indexed by label; slot 0 (UNKNOWN) is not scored.
+        tally = [0, *sol.counts]
+        changes = []
+        for u, old, agreed, agrees_with in watch:
+            new = agreed if agrees_with == colour or not agrees_with else UNHAPPY
+            if new != old:
+                changes.append((u, new))
+                tally[old] -= 1
+                tally[new] += 1
+        tally[sol.labels[vtx]] -= 1
+        colours = labels = None
+        for lab in labels_for_vertex:
+            tally[lab] += 1
+            counts = (tally[1], tally[2], tally[3], tally[4])
+            tally[lab] -= 1
+            score = evaluate(self.weights, counts)
+            if beam.rejects(score):
+                continue
+            if colours is None:
+                coloured = bytearray(sol.colours)
+                coloured[vtx] = colour
+                colours = bytes(coloured)
+                labels = bytearray(sol.labels)
+                for u, new in changes:
+                    labels[u] = new
+            labels[vtx] = lab
+            beam.insert(PartialSolution(colours, bytes(labels), counts, score), self.rng)
 
     def handle_forget(self, idx: int, child_beam: Beam) -> Beam:
         """Settle the forgotten vertex and deduplicate on the smaller bag.

@@ -58,7 +58,9 @@ class TdValidation:
 def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     """Check the three decomposition properties plus tree shape.
 
-    Every violation is reported with a witness (0-indexed ids).
+    Every violation is reported with a witness (0-indexed ids).  An
+    out-of-range tree edge ends the report, after the violations found
+    before it: the checks that follow walk the bag tree.
     """
     violations: list[str] = []
     b = td.node_count
@@ -69,7 +71,8 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
 
     for a, c in td.tree_edges:
         if not (0 <= a < b and 0 <= c < b):
-            return TdValidation(False, (f"tree edge ({a}, {c}) out of range",))
+            violations.append(f"tree edge ({a}, {c}) out of range")
+            return TdValidation(False, tuple(violations))
 
     adj = td.neighbour_map()
     reached = len(reachable(adj, 0))

@@ -340,6 +340,9 @@ def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("input error: "), err
     if "{bin}" in raw_argv:
         assert str(binary) in err[0], err
+    for flag in ("--cap", "--state-cap"):
+        if flag in raw_argv:
+            assert f"input error: {flag} must be at least 1, got " in err[0], err
 
 
 def test_cli_usage_exit_code_subprocess():

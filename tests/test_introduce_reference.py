@@ -1,0 +1,124 @@
+"""The delta-scored introduce and the bisecting ``Beam`` against the array-first
+reference, entry by entry and RNG state by RNG state."""
+
+import random
+from contextlib import contextmanager
+
+import pytest
+
+from mhv.harness import GeneratorParams, generate, hardest_regime
+from mhv.heuristic import Beam, HeuristicConfig, HeuristicSolver, PartialSolution
+from mhv.treedec import NodeKind, make_nice, min_fill_decompose
+
+from corpus import tree_instance
+from introduce_reference import ReferenceBeam, reference_introduce
+
+
+def _state(sol):
+    return (sol.colours, sol.labels, sol.counts, sol.score)
+
+
+@contextmanager
+def _no_rejected_offers():
+    """Fail on any entry offered to a beam that would reject it outright: the
+    introduce builds arrays only for entries the beam keeps."""
+    original = Beam.insert
+
+    def insert(beam, sol, rng):
+        assert not beam.rejects(sol.score), "introduce offered an entry the beam rejects"
+        return original(beam, sol, rng)
+
+    Beam.insert = insert
+    try:
+        yield
+    finally:
+        Beam.insert = original
+
+
+class _CheckedSolver(HeuristicSolver):
+    """Runs the reference on a copy of the RNG before every introduce."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.introduces = 0
+        self.rejected = 0
+        self.backups = 0
+
+    def handle_introduce(self, idx, child_beam):
+        rng = random.Random()
+        rng.setstate(self.rng.getstate())
+        want, main = reference_introduce(self, idx, list(child_beam), rng)
+        with _no_rejected_offers():
+            got = super().handle_introduce(idx, child_beam)
+        assert [_state(s) for s in got] == [_state(s) for s in want.entries], f"node {idx}"
+        assert self.rng.getstate() == rng.getstate(), f"node {idx}: RNG draws differ"
+        self.introduces += 1
+        self.rejected += main.rejected
+        self.backups += want is not main
+        return got
+
+
+def _sweep(n, seed):
+    return generate(GeneratorParams(n=n, p=4.0 / (n - 1), k=3, q=0.5, seed=seed))
+
+
+def _instances():
+    rng = random.Random(606)
+    yield "tree-n40", tree_instance(rng, 40)
+    yield "tree-n30-q0.4", tree_instance(rng, 30, q=0.4)
+    yield "hard-n30", generate(hardest_regime(30, 3, seed=61))
+    yield "hard-n34", generate(hardest_regime(34, 3, seed=62))
+    yield "sweep-n36", _sweep(36, 63)
+    yield "sweep-n40", _sweep(40, 64)
+
+
+INSTANCES = dict(_instances())
+WIDTHS = (1, 4, 67)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_introduce_matches_array_first_reference(name, width):
+    inst = INSTANCES[name]
+    g, col = inst.graph, inst.colouring
+    nice = make_nice(min_fill_decompose(g, seed=0), g)
+    config = HeuristicConfig(
+        width=width, join_loop_choice="random", seed=width, check_invariants=True
+    )
+    solver = _CheckedSolver(g, col, nice, config)
+    solver.solve()
+    assert solver.introduces == sum(1 for node in nice.nodes if node.kind == NodeKind.INTRODUCE)
+    if width < 67 or name.startswith("hard"):
+        assert solver.rejected > 0, "no emission reached a full beam below its worst score"
+
+
+def test_introduce_reference_exercises_the_backup_list():
+    """Some introduce above returns its backup list, so the demoting path is
+    compared too."""
+    backups = 0
+    for name in ("hard-n30", "hard-n34"):
+        inst = INSTANCES[name]
+        nice = make_nice(min_fill_decompose(inst.graph, seed=0), inst.graph)
+        solver = _CheckedSolver(inst.graph, inst.colouring, nice, HeuristicConfig(width=1))
+        solver.solve()
+        backups += solver.backups
+    assert backups > 0
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+def test_beam_matches_insort_reference(capacity):
+    """Random offers with many ties keep the same entries, in the same order,
+    with the same RNG draws, as the insort_right beam."""
+    for seed in range(40):
+        offers = random.Random(seed)
+        beam, reference = Beam(capacity), ReferenceBeam(capacity)
+        rng, rng_ref = random.Random(seed), random.Random(seed)
+        for i in range(60):
+            sol = PartialSolution(bytes([i]), b"", (0, 0, 0, 0), offers.randint(-3, 3))
+            rejects, before = beam.rejects(sol.score), rng.getstate()
+            accepted = beam.insert(sol, rng)
+            assert accepted == reference.insert(sol, rng_ref)
+            if rejects:
+                assert not accepted and rng.getstate() == before
+            assert beam.entries == reference.entries
+            assert rng.getstate() == rng_ref.getstate()

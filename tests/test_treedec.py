@@ -96,7 +96,8 @@ def _td(n: int, bags: list[set[int]], edges: set[tuple[int, int]]) -> TreeDecomp
 
 
 # The whole report, messages and witnesses in order: each check reports its
-# first witness only, and an out-of-range tree edge returns at once.
+# first witness only, and an out-of-range tree edge ends the report after the
+# violations found before it.
 _TD_REPORTS = {
     "valid": (
         Graph(3, [(0, 1), (1, 2)]),
@@ -112,7 +113,7 @@ _TD_REPORTS = {
     "tree-edge-out-of-range": (
         Graph(2, [(0, 1)]),
         _td(3, [{0}, {1}], {(0, 5)}),
-        ("tree edge (0, 5) out of range",),
+        ("decomposition is for 3 vertices, graph has 2", "tree edge (0, 5) out of range"),
     ),
     "disconnected-tree-wrong-edge-count": (
         Graph(2, [(0, 1)]),
