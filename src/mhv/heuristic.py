@@ -339,15 +339,6 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _evidence_colour(self, v: int, colours: bytes) -> int:
-        """The single colour a MAYBE_HAPPY vertex is bound to."""
-        base = self.base
-        for u in self.adj[v]:
-            cu = colours[u] or base[u]
-            if cu:
-                return cu
-        return 0
-
     @staticmethod
     def _recount(labels: bytes | bytearray) -> tuple[int, int, int, int]:
         return (
@@ -431,8 +422,17 @@ class HeuristicSolver:
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        adj_v = self.adj[vtx]
+        adj = self.adj
+        adj_v = adj[vtx]
         evidence = self._evidence
+        # Every committed neighbour of an uncoloured vertex lies in the child
+        # bag, and every child-bag vertex is coloured.  So a MAYBE_HAPPY vertex
+        # without precoloured neighbours is bound to the colour of any one of
+        # its child-bag neighbours: its anchor.
+        child_bag = self._bag_sets[node.children[0]]
+        anchor = {
+            x: u for x in (vtx, *adj_v) if not evidence[x] for u in adj[x] if u in child_bag
+        }
         base_v = self.base[vtx]
         allowed = (base_v,) if base_v else tuple(range(1, self.k + 1))
         main = Beam(self.config.width)
@@ -456,15 +456,11 @@ class HeuristicSolver:
                 elif lu == UNKNOWN:
                     watch.append((u, lu, MAYBE_HAPPY, evidence[u]))
                 elif lu == MAYBE_HAPPY:
-                    watch.append((u, lu, lu, evidence[u] or self._evidence_colour(u, col_c)))
+                    watch.append((u, lu, lu, evidence[u] or col_c[anchor[u]]))
             happy_colours = {entry[3] for entry in happy}
             v_label = lab_c[vtx]
             # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
-            bound = (
-                (evidence[vtx] or self._evidence_colour(vtx, col_c))
-                if v_label == MAYBE_HAPPY
-                else 0
-            )
+            bound = (evidence[vtx] or col_c[anchor[vtx]]) if v_label == MAYBE_HAPPY else 0
             for i in allowed:
                 if v_label == UNKNOWN:
                     conflict = evidence[vtx] not in (0, i)

@@ -113,41 +113,47 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
 def min_fill_decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
     """Build a decomposition from a greedy minimum fill-in elimination ordering.
 
-    Ties are broken by minimum degree, then by a seed-determined random pick.
-    Disconnected graphs get one decomposition per component, joined through an
-    empty connector bag.
+    Each step eliminates a live vertex of least fill-in, ties broken by least
+    degree and then by a seed-determined pick: ``rng.randrange`` indexes the
+    tied vertices in increasing order, and is drawn only when there are two or
+    more.  Disconnected graphs get one decomposition per component, joined
+    through an empty connector bag.
+
+    No step rescans the graph.  Per live vertex x the function keeps its
+    degree and ``tri[x]``, the number of edges among its neighbours, so that
+    ``fill(x) = C(deg x, 2) - tri[x]``; vertices wait in buckets keyed
+    ``(fill, degree)``.  Eliminating v updates the counts by deltas.  Each
+    fill edge (a, c) added among N(v) closes a triangle with every common
+    neighbour w of a and c: ``tri[a]`` and ``tri[c]`` grow by their number and
+    each ``tri[w]`` by one.  Dropping v then takes ``deg(v) - 1`` triangles and
+    one degree from each u in N(v), now a clique.  Only N(v) and the common
+    neighbours are re-keyed.
     """
     n = g.n
     if n == 0:
         return TreeDecomposition(0, (frozenset(),), frozenset())
     rng = random.Random(seed)
     nb: list[set[int]] = [set(g.adjacency[v]) for v in range(n)]
-    alive = set(range(n))
+    tri = [sum(len(nb[a] & nbx) for a in nbx) // 2 for nbx in nb]
+    key = [(len(nbx) * (len(nbx) - 1) // 2 - tri[x], len(nbx)) for x, nbx in enumerate(nb)]
+    buckets: dict[tuple[int, int], set[int]] = {}
+    for x, kx in enumerate(key):
+        buckets.setdefault(kx, set()).add(x)
     bags: list[frozenset[int]] = []
     bag_of: dict[int, int] = {}
     elim_pos: dict[int, int] = {}
     elim_nb: dict[int, frozenset[int]] = {}
     order: list[int] = []
 
-    while alive:
-        best_key: tuple[int, int] | None = None
-        candidates: list[int] = []
-        for v in sorted(alive):
-            nbv = nb[v]
-            fill = 0
-            nbl = sorted(nbv)
-            for i, a in enumerate(nbl):
-                nba = nb[a]
-                for c in nbl[i + 1 :]:
-                    if c not in nba:
-                        fill += 1
-            key = (fill, len(nbv))
-            if best_key is None or key < best_key:
-                best_key = key
-                candidates = [v]
-            elif key == best_key:
-                candidates.append(v)
-        v = candidates[0] if len(candidates) == 1 else candidates[rng.randrange(len(candidates))]
+    while buckets:
+        best = min(buckets)
+        candidates = buckets[best]
+        if len(candidates) == 1:
+            v = candidates.pop()
+            del buckets[best]
+        else:
+            v = sorted(candidates)[rng.randrange(len(candidates))]
+            candidates.remove(v)
 
         neighbours = nb[v]
         bag_of[v] = len(bags)
@@ -155,15 +161,37 @@ def min_fill_decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
         elim_nb[v] = frozenset(neighbours)
         elim_pos[v] = len(order)
         order.append(v)
+        touched = set(neighbours)
         nbl = sorted(neighbours)
         for i, a in enumerate(nbl):
+            nba = nb[a]
             for c in nbl[i + 1 :]:
-                if c not in nb[a]:
-                    nb[a].add(c)
-                    nb[c].add(a)
+                if c not in nba:
+                    nbc = nb[c]
+                    common = nba & nbc
+                    tri[a] += len(common)
+                    tri[c] += len(common)
+                    for w in common:
+                        tri[w] += 1
+                    touched |= common
+                    nba.add(c)
+                    nbc.add(a)
+        lost = len(neighbours) - 1
         for u in neighbours:
             nb[u].discard(v)
-        alive.remove(v)
+            tri[u] -= lost
+        touched.discard(v)
+        for x in touched:
+            d = len(nb[x])
+            kx = (d * (d - 1) // 2 - tri[x], d)
+            old = key[x]
+            if kx != old:
+                key[x] = kx
+                bucket = buckets[old]
+                bucket.remove(x)
+                if not bucket:
+                    del buckets[old]
+                buckets.setdefault(kx, set()).add(x)
 
     edges: set[tuple[int, int]] = set()
     roots: list[int] = []

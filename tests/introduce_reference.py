@@ -73,6 +73,15 @@ def _set_label(labels: bytearray, counts: list[int], v: int, new: int) -> None:
     labels[v] = new
 
 
+def _evidence_colour(solver: HeuristicSolver, v: int, colours: bytes) -> int:
+    """The single colour a MAYBE_HAPPY vertex is bound to."""
+    for u in solver.adj[v]:
+        cu = colours[u] or solver.base[u]
+        if cu:
+            return cu
+    return 0
+
+
 def _entry(solver: HeuristicSolver, colours: bytes, labels: bytes, counts) -> PartialSolution:
     counts_t = tuple(counts)
     return PartialSolution(colours, labels, counts_t, evaluate(solver.weights, counts_t))
@@ -137,7 +146,7 @@ def reference_introduce(
                 if not main.entries:
                     _emit_backup(solver, backup, sol, vtx, i, rng)
                 continue
-            if v_label == MAYBE_HAPPY and solver._evidence_colour(vtx, col_c) == i:
+            if v_label == MAYBE_HAPPY and _evidence_colour(solver, vtx, col_c) == i:
                 _emit(solver, main, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY), rng)
             else:
                 _emit(solver, main, sol, vtx, i, (UNHAPPY,), rng)
