@@ -9,6 +9,11 @@ map missing states to missing states).
 
 State encoding: bags are kept sorted and a state is a tuple with one code per
 bag position, ``code = colour << 1 | designated_happy``.
+
+Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
+table is dropped once its parent's is built.  Alive at any time are only the
+tables of open subtrees, the forget back-pointers that the traceback reads,
+and the root table.  The state cap counts every table produced, freed or not.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from itertools import product
 from .errors import InputError, ResourceLimitError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
-from .treedec import NiceTreeDecomposition, NodeKind
+from .treedec import NiceTreeDecomposition
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -43,7 +48,6 @@ class SStarAugmentedTd:
     node indexing match the base decomposition.
     """
 
-    base: NiceTreeDecomposition
     s_star: tuple[int, ...]
     kinds: tuple[AugKind, ...]
     bags: tuple[tuple[int, ...], ...]
@@ -51,10 +55,6 @@ class SStarAugmentedTd:
     @property
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
-
-    @property
-    def root(self) -> int:
-        return self.base.root
 
 
 def build_sstar_td(
@@ -80,21 +80,13 @@ def build_sstar_td(
     s_star = tuple(anchors[c] for c in range(1, colouring.k + 1))
     s_set = frozenset(s_star)
 
-    kinds: list[AugKind] = []
-    bags: list[tuple[int, ...]] = []
-    for node in nice.nodes:
-        bags.append(tuple(sorted(node.bag | s_set)))
-        if node.kind == NodeKind.LEAF:
-            kinds.append(AugKind.LEAF)
-        elif node.kind == NodeKind.JOIN:
-            kinds.append(AugKind.JOIN)
-        elif node.vertex in s_set:
-            kinds.append(AugKind.PASS)
-        elif node.kind == NodeKind.INTRODUCE:
-            kinds.append(AugKind.INTRODUCE)
-        else:
-            kinds.append(AugKind.FORGET)
-    return SStarAugmentedTd(nice, s_star, tuple(kinds), tuple(bags))
+    # AugKind repeats NodeKind's values.  Leaves and joins move no vertex, so
+    # only an introduce or forget can become PASS; the rest keep their kind.
+    kinds = tuple(
+        AugKind.PASS if node.vertex in s_set else AugKind(node.kind) for node in nice.nodes
+    )
+    bags = tuple(tuple(sorted(node.bag | s_set)) for node in nice.nodes)
+    return SStarAugmentedTd(s_star, kinds, bags)
 
 
 def solve_exact(
@@ -105,73 +97,53 @@ def solve_exact(
 ) -> SolveResult:
     """Optimal extension of the partial colouring via the table DP.
 
-    Aborts with ResourceLimitError when the total number of stored states
-    exceeds ``state_cap``.  The returned colouring extends the input and its
-    happy count is the proven optimum.
+    Aborts with ResourceLimitError, naming the node, when the total number
+    of states produced exceeds ``state_cap``.  The returned colouring extends
+    the input and its happy count is the proven optimum.
     """
     start = time.perf_counter()
     aug = build_sstar_td(g, colouring, nice)
-    n = g.n
     k = colouring.k
-    base = colouring.as_array(n)
+    base = colouring.as_array(g.n)
     adjacency = g.adjacency
     nodes = nice.nodes
 
-    tables: list[dict[tuple[int, ...], int] | None] = [None] * len(nodes)
     forget_pred: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    total_states = 0
 
-    for idx in nice.post_order():
-        kind = aug.kinds[idx]
-        bag = aug.bags[idx]
-        if kind == AugKind.LEAF:
-            table = _leaf_table(adjacency, base, bag)
-        elif kind == AugKind.PASS:
-            table = tables[nodes[idx].children[0]]
-            assert table is not None
-        elif kind == AugKind.INTRODUCE:
-            child_idx = nodes[idx].children[0]
-            child_table = tables[child_idx]
-            assert child_table is not None
-            table = _introduce_table(
-                adjacency, base, k, bag, aug.bags[child_idx], nodes[idx].vertex, child_table
-            )
-        elif kind == AugKind.FORGET:
-            child_idx = nodes[idx].children[0]
-            child_table = tables[child_idx]
-            assert child_table is not None
-            vertex = nodes[idx].vertex
-            assert vertex is not None
-            pos = aug.bags[child_idx].index(vertex)
-            table = {}
-            pred: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for key, val in child_table.items():
-                nk = key[:pos] + key[pos + 1 :]
-                if val > table.get(nk, -1):
-                    table[nk] = val
-                    pred[nk] = key
-            forget_pred[idx] = pred
-        else:
-            c1, c2 = nodes[idx].children
-            t1, t2 = tables[c1], tables[c2]
-            assert t1 is not None and t2 is not None
-            if len(t1) > len(t2):
-                t1, t2 = t2, t1
-            table = {}
-            for key, v1 in t1.items():
-                v2 = t2.get(key)
-                if v2 is not None:
-                    designated = sum(code & 1 for code in key)
-                    table[key] = v1 + v2 - designated
-        tables[idx] = table
+    def forget(idx: int, child_table: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        vertex = nodes[idx].vertex
+        assert vertex is not None
+        pos = aug.bags[nodes[idx].children[0]].index(vertex)
+        table: dict[tuple[int, ...], int] = {}
+        pred: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key, val in child_table.items():
+            nk = key[:pos] + key[pos + 1 :]
+            if val > table.get(nk, -1):
+                table[nk] = val
+                pred[nk] = key
+        forget_pred[idx] = pred
+        return table
+
+    handlers = {
+        AugKind.LEAF: lambda idx: _leaf_table(adjacency, base, aug.bags[idx]),
+        AugKind.PASS: lambda idx, child_table: child_table,
+        AugKind.INTRODUCE: lambda idx, child_table: _introduce_table(
+            adjacency, base, k, aug.bags[idx], nodes[idx].vertex, child_table
+        ),
+        AugKind.FORGET: forget,
+        AugKind.JOIN: lambda idx, t1, t2: _join_table(t1, t2),
+    }
+    total_states = 0
+    for idx, table in nice.walk(handlers, aug.kinds):
         total_states += len(table)
         if total_states > state_cap:
             raise ResourceLimitError(
-                f"exact DP exceeded the state cap ({total_states} > {state_cap} states)"
+                f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
+                f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(aug.bags[idx])})"
             )
+        if idx == nice.root:
+            root_table = table
 
-    root_table = tables[nice.root]
-    assert root_table is not None
     if not root_table:
         # Cannot happen for a valid instance: the all-assumed-unhappy state
         # survives every recurrence.
@@ -241,18 +213,34 @@ def _leaf_table(
     return table
 
 
+def _join_table(
+    t1: dict[tuple[int, ...], int], t2: dict[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Pair the states both children hold; bag vertices designated happy are
+    counted by both, so once is taken off."""
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    table: dict[tuple[int, ...], int] = {}
+    for key, v1 in t1.items():
+        v2 = t2.get(key)
+        if v2 is not None:
+            designated = sum(code & 1 for code in key)
+            table[key] = v1 + v2 - designated
+    return table
+
+
 def _introduce_table(
     adjacency: tuple[tuple[int, ...], ...],
     base: bytes,
     k: int,
     bag: tuple[int, ...],
-    child_bag: tuple[int, ...],
     vertex: int | None,
     child_table: dict[tuple[int, ...], int],
 ) -> dict[tuple[int, ...], int]:
     assert vertex is not None
     pos = bag.index(vertex)
-    child_index = {v: i for i, v in enumerate(child_bag)}
+    # The child's bag is this one without the introduced vertex.
+    child_index = {v: i for i, v in enumerate(bag[:pos] + bag[pos + 1 :])}
     nbr_pos = [child_index[u] for u in adjacency[vertex] if u in child_index]
     allowed = (base[vertex],) if base[vertex] else tuple(range(1, k + 1))
 

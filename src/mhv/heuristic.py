@@ -200,6 +200,11 @@ class PartialSolution:
         return f"PartialSolution(score={self.score}, counts={self.counts})"
 
 
+def _rank(sol: PartialSolution) -> tuple[int, int]:
+    """The order of entries by score, the happy count breaking ties."""
+    return sol.score, sol.counts[0]
+
+
 def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
     """Weighted label-count score of a partial solution."""
     return (
@@ -545,7 +550,7 @@ class HeuristicSolver:
             # The happy count breaks score ties; equal weights for happy and
             # unhappy labels would otherwise let a worse completion shadow a
             # better one while the optimality flag stays set.
-            if held is None or (sol.score, sol.counts[0]) > (held.score, held.counts[0]):
+            if held is None or _rank(sol) > _rank(held):
                 groups[key] = sol
         beam = Beam(self.config.width)
         for sol in groups.values():
@@ -567,9 +572,7 @@ class HeuristicSolver:
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
-        inner_entries = sorted(
-            inner.entries, key=lambda s: (s.score, s.counts[0]), reverse=True
-        )
+        inner_entries = sorted(inner.entries, key=_rank, reverse=True)
         partners: dict[bytes, PartialSolution] = {}
         for inner_sol in inner_entries:
             partners.setdefault(self._match_key(bag, inner_sol), inner_sol)
@@ -803,43 +806,29 @@ class HeuristicSolver:
 
     def beams(self) -> Iterator[tuple[int, Beam]]:
         """Run the DP bottom-up, yielding the surviving beam at every node."""
-        store: dict[int, Beam] = {}
-        unions: dict[int, frozenset[int]] = {}
-        for idx in self.nice.post_order():
-            node = self.nice.nodes[idx]
-            if node.kind == NodeKind.LEAF:
-                beam = self.handle_leaf(idx)
-            elif node.kind == NodeKind.INTRODUCE:
-                beam = self.handle_introduce(idx, store.pop(node.children[0]))
-            elif node.kind == NodeKind.FORGET:
-                beam = self.handle_forget(idx, store.pop(node.children[0]))
-            else:
-                c1, c2 = node.children
-                beam = self.handle_join(idx, store.pop(c1), store.pop(c2))
+        # Looked up per call, so that handlers patched on the class are seen.
+        handlers = {
+            NodeKind.LEAF: self.handle_leaf,
+            NodeKind.INTRODUCE: self.handle_introduce,
+            NodeKind.FORGET: self.handle_forget,
+            NodeKind.JOIN: self.handle_join,
+        }
+        if self.config.check_invariants:
+            # The vertices of the bags below each node, walked alongside.
+            covers = self.nice.walk(dict.fromkeys(NodeKind, self._covered))
+        for idx, beam in self.nice.walk(handlers):
             if self.config.check_invariants:
-                covered = node.bag.union(*(unions.pop(c) for c in node.children)) if node.children else node.bag
-                unions[idx] = frozenset(covered)
-                self._verify(idx, beam, unions[idx])
-            if len(beam) >= self.config.width:
+                self._verify(idx, beam, next(covers)[1])
+            if beam.at_capacity:
                 self.all_below_capacity = False
-            store[idx] = beam
             yield idx, beam
 
     def solve(self) -> SolveResult:
         start = time.perf_counter()
-        root_beam: Beam | None = None
-        for _, beam in self.beams():
-            root_beam = beam
-        assert root_beam is not None and len(root_beam)
-        top_score = root_beam.entries[-1].score
-        top_happy = max(
-            s.counts[0] for s in root_beam.entries if s.score == top_score
-        )
-        best = next(
-            s
-            for s in root_beam.entries
-            if s.score == top_score and s.counts[0] == top_happy
-        )
+        for _, root_beam in self.beams():
+            pass  # the root comes last
+        assert len(root_beam)
+        best = max(root_beam.entries, key=_rank)
         full = FullColouring(self.k, tuple(best.colours))
         happy = count_happy(self.g, full)
         assert happy == best.counts[0], "root happy count must equal the HAPPY label count"
@@ -856,15 +845,18 @@ class HeuristicSolver:
 
     # -- debug verification -------------------------------------------------
 
+    def _covered(self, idx: int, *below: frozenset[int]) -> frozenset[int]:
+        """The vertices of the bags in the subtree of node ``idx``."""
+        return self._bag_sets[idx].union(*below)
+
     def _verify(self, idx: int, beam: Beam, covered: frozenset[int]) -> None:
         bag_set = self._bag_sets[idx]
         near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
-        previous_score: int | None = None
         assert len(beam) <= self.config.width
+        # Entries in ascending score order, mirrored by ``scores``.
+        assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
         for sol in beam:
-            assert previous_score is None or sol.score >= previous_score
-            previous_score = sol.score
             assert self._recount(sol.labels) == sol.counts
             assert evaluate(self.weights, sol.counts) == sol.score
             coloured = {v for v in range(self.n) if sol.colours[v]}

@@ -1,10 +1,13 @@
 """Exact bounded-treewidth solver and its anchor-augmented decomposition."""
 
+import re
+
 import pytest
 
 from mhv.errors import InputError, ResourceLimitError
 from mhv.exact import AugKind, build_sstar_td, solve_exact
 from mhv.graph import Graph, PartialColouring, count_happy
+from mhv.harness import generate, hardest_regime
 from mhv.oracle import brute_force
 from mhv.treedec import make_nice, min_fill_decompose
 
@@ -77,6 +80,36 @@ def test_exact_state_cap():
     inst = fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0]
     with pytest.raises(ResourceLimitError):
         solve_exact(inst.graph, inst.colouring, _nice_for(inst.graph), state_cap=3)
+
+
+# The totals were read before child tables were freed as they are consumed;
+# the cap must still count every table produced, so they must not move.
+@pytest.mark.parametrize(
+    "make, cap, total",
+    [
+        (lambda: fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0], 100, 109),
+        (lambda: generate(hardest_regime(30, 3, seed=30)), 200_000, 219_171),
+    ],
+    ids=["fuzz-601", "hardest-30"],
+)
+def test_exact_state_cap_counts_every_table(make, cap, total):
+    inst = make()
+    g, col = inst.graph, inst.colouring
+    nice = _nice_for(g)
+    with pytest.raises(ResourceLimitError) as err:
+        solve_exact(g, col, nice, state_cap=cap)
+    message = str(err.value)
+    match = re.fullmatch(
+        r"exact DP exceeded the state cap \((\d+) > (\d+) states\) "
+        r"at node (\d+) \((\w+), bag of (\d+)\)",
+        message,
+    )
+    assert match, message
+    assert (int(match[1]), int(match[2])) == (total, cap)
+    aug = build_sstar_td(g, col, nice)
+    idx = int(match[3])
+    assert match[4] == aug.kinds[idx].name.lower()
+    assert int(match[5]) == len(aug.bags[idx])
 
 
 def test_exact_matches_oracle_fuzz():

@@ -11,6 +11,7 @@ import pytest
 
 from mhv.cli import main
 from mhv.errors import InputError
+from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
 from mhv.graph import parse_colouring, parse_graph, write_colouring, write_graph
 from mhv.harness import (
     AlgorithmSpec,
@@ -21,7 +22,7 @@ from mhv.harness import (
     hardest_regime,
     random_tree,
 )
-from mhv.treedec import parse_td, validate_td
+from mhv.treedec import make_nice, min_fill_decompose, parse_td, td_stats, validate_td
 
 
 def test_generate_counts_and_colour_classes():
@@ -118,6 +119,36 @@ def test_make_nice_validates_through_its_module_once(monkeypatch):
     g = generate(GeneratorParams(n=8, k=2, p=0.3, q=0.5, seed=1)).graph
     mhv.treedec.make_nice(mhv.treedec.min_fill_decompose(g), g)
     assert calls == [1]
+
+
+# perfbench times the beam DP per node kind and per node by patching these
+# HeuristicSolver attributes, so the walk must call them through the class.
+def test_beam_dp_runs_through_its_class_hooks(monkeypatch):
+    calls = {
+        kind: _count_calls(monkeypatch, HeuristicSolver, "handle_" + kind)
+        for kind in ("leaf", "introduce", "forget", "join")
+    }
+    yielded = []
+    original = HeuristicSolver.beams
+
+    def beams(solver):
+        for idx, beam in original(solver):
+            yielded.append(idx)
+            yield idx, beam
+
+    monkeypatch.setattr(HeuristicSolver, "beams", beams)
+    inst = generate(GeneratorParams(n=14, k=3, p=0.25, q=0.5, seed=2))
+    nice = make_nice(min_fill_decompose(inst.graph), inst.graph)
+    solve_heuristic(inst.graph, inst.colouring, nice, HeuristicConfig(width=8))
+    stats = td_stats(nice)
+    assert stats.join_count > 0
+    assert calls == {
+        "leaf": [stats.leaf_count],
+        "introduce": [stats.introduce_count],
+        "forget": [stats.forget_count],
+        "join": [stats.join_count],
+    }
+    assert yielded == list(range(nice.node_count))
 
 
 def test_bench_run_decomposes_through_its_module_once_per_instance(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -412,3 +413,56 @@ def test_min_fill_empty_and_single_vertex():
     assert td1.width == 0
     nice = make_nice(td1, g1)
     assert validate_nice(g1, nice).ok
+
+
+class _Result:
+    """A walk result that can be weakly referenced."""
+
+    def __init__(self, idx: int) -> None:
+        self.idx = idx
+
+
+def _nice_with_joins():
+    g = er_graph(random.Random(41), 14, 0.25)
+    nice = make_nice(min_fill_decompose(g, seed=1), g)
+    assert td_stats(nice).join_count > 0
+    return nice
+
+
+def test_walk_passes_child_results_in_children_order():
+    nice = _nice_with_joins()
+
+    def handler(idx, *below):
+        assert [r.idx for r in below] == list(nice.nodes[idx].children)
+        return _Result(idx)
+
+    visited = [idx for idx, result in nice.walk(dict.fromkeys(NodeKind, handler))]
+    assert visited == list(range(nice.node_count))
+
+
+def test_walk_drops_a_result_once_its_parent_has_consumed_it():
+    nice = _nice_with_joins()
+    parent_of = {c: i for i, node in enumerate(nice.nodes) for c in node.children}
+    refs = {}
+
+    def handler(idx, *below):
+        result = _Result(idx)
+        refs[idx] = weakref.ref(result)
+        return result
+
+    for idx, result in nice.walk(dict.fromkeys(NodeKind, handler)):
+        del result
+        for c in range(idx + 1):
+            consumed = parent_of.get(c, nice.node_count) <= idx
+            assert (refs[c]() is None) == consumed, (idx, c)
+
+
+def test_walk_kinds_override_node_kind():
+    nice = _nice_with_joins()
+    kinds = ["even" if idx % 2 == 0 else "odd" for idx in range(nice.node_count)]
+    handlers = {
+        "even": lambda idx, *below: ("even", idx),
+        "odd": lambda idx, *below: ("odd", idx),
+    }
+    walked = list(nice.walk(handlers, kinds))
+    assert walked == [(idx, (kinds[idx], idx)) for idx in range(nice.node_count)]
