@@ -9,7 +9,9 @@ The heuristic runs every join-loop x distance x merge combination (3x7x2) at
 beam widths 1, 4 and 67 on every instance, except that at width 67 the two
 hardest-regime instances run a 7-configuration cover in which every knob
 value appears at least once (the full matrix there takes longer than the
-test suite can spend).  ``solve_exact`` runs on every instance but those two,
+test suite can spend).  With the default knobs it also runs three
+non-default ``LabelWeights`` at widths 4 and 67 on every instance; the last
+of them weighs every label alike, so every score ties.  ``solve_exact`` runs on every instance but those two,
 where it costs seconds per solve; ``greedy_mhv`` everywhere, and
 ``growth_mhv`` with seeds 0 and 1.
 
@@ -38,6 +40,7 @@ from mhv.heuristic import (
     JOIN_LOOP_CHOICES,
     MERGE_METHODS,
     HeuristicConfig,
+    LabelWeights,
     solve_heuristic,
 )
 from mhv.result import SolveResult
@@ -47,6 +50,12 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 K = 3
 WIDTHS = (1, 4, 67)
 HARDEST = ("hard-n30", "hard-n34")
+WEIGHT_WIDTHS = (4, 67)
+WEIGHTS = (
+    LabelWeights(20, -10, 20, -10),
+    LabelWeights(1, -10, -5, 0),
+    LabelWeights(5, 5, 5, 5),
+)
 
 
 def _tree(n: int, seed: int) -> Instance:
@@ -94,6 +103,11 @@ def heuristic_configs(name: str) -> Iterator[tuple[str, HeuristicConfig]]:
                 join_merge_method=merge,
             )
             yield f"heuristic:W={width}:{loop}:{dist}:{merge}", config
+    for width in WEIGHT_WIDTHS:
+        for weights in WEIGHTS:
+            w = weights
+            label = f"{w.happy},{w.unhappy},{w.maybe_happy},{w.assumed_unhappy}"
+            yield f"heuristic:W={width}:weights={label}", HeuristicConfig(width=width, weights=w)
 
 
 def solves(name: str) -> Iterator[tuple[str, Callable[[], SolveResult]]]:

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from mhv.harness import GeneratorParams, generate, hardest_regime
-from mhv.heuristic import Beam, HeuristicConfig, HeuristicSolver, PartialSolution
+from mhv.heuristic import Beam, HeuristicConfig, HeuristicSolver, LabelWeights, PartialSolution
 from mhv.treedec import NodeKind, make_nice, min_fill_decompose
 
 from corpus import tree_instance
@@ -76,20 +76,36 @@ INSTANCES = dict(_instances())
 WIDTHS = (1, 4, 67)
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_introduce_matches_array_first_reference(name, width):
+def _check_against_reference(name, width, weights):
     inst = INSTANCES[name]
     g, col = inst.graph, inst.colouring
     nice = make_nice(min_fill_decompose(g, seed=0), g)
     config = HeuristicConfig(
-        width=width, join_loop_choice="random", seed=width, check_invariants=True
+        width=width,
+        weights=weights,
+        join_loop_choice="random",
+        seed=width,
+        check_invariants=True,
     )
     solver = _CheckedSolver(g, col, nice, config)
     solver.solve()
     assert solver.introduces == sum(1 for node in nice.nodes if node.kind == NodeKind.INTRODUCE)
     if width < 67 or name.startswith("hard"):
         assert solver.rejected > 0, "no emission reached a full beam below its worst score"
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_introduce_matches_array_first_reference(name, width):
+    _check_against_reference(name, width, LabelWeights())
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_introduce_matches_reference_under_other_weights(name, width):
+    """Scores are read per label, so a non-default weight set is compared
+    too."""
+    _check_against_reference(name, width, LabelWeights(1, -10, -5, 0))
 
 
 def test_introduce_reference_exercises_the_backup_list():
