@@ -26,8 +26,14 @@ neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
 colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
 UNHAPPY.  The rule rests on two premises that ``check_invariants`` asserts:
 committed colours only grow and extend the input, and every stored label
-equals ``_border_label``.  The introduce scores each emission from these
-changes and builds arrays only for an entry the beam keeps.
+equals ``_border_label``.  The introduce works in three phases.  One scan of
+the neighbours per child solution scores the changes: as if every neighbour
+whose label can change turned UNHAPPY, plus per colour a correction for the
+ones that agree with it.  Every emission is then offered by its score alone,
+as a pending entry that points at its child solution, colour and watched
+neighbours; one the beam rejects outright is skipped, which draws nothing
+from the RNG.  Last, arrays are built only for the entries of the list the node
+returns, once per (child solution, colour) for both labels.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -180,6 +186,13 @@ class PartialSolution:
     labels in enum order.  At the node that holds it, the coloured vertices
     are exactly those of the bags below, and every uncoloured vertex whose
     label is not UNKNOWN is a neighbour of the node's bag.
+
+    An introduce offers its entries to a beam before it builds them.  Such a
+    pending entry holds, instead of arrays, its group in ``colours`` (the
+    child solution, colour and watch list it shares with the other label of
+    that colour) and the introduced vertex's label in ``labels``; ``counts``
+    is None.  ``HeuristicSolver._materialise`` fills in the entries that
+    survive the node, and no pending entry leaves it.
     """
 
     __slots__ = ("colours", "labels", "counts", "score")
@@ -296,6 +309,9 @@ class HeuristicSolver:
         self.nice = nice
         self.config = config or HeuristicConfig()
         self.weights = self.config.weights
+        w = self.weights
+        # The score weight of each label, indexed by label.
+        self._label_weight = (0, w.happy, w.unhappy, w.maybe_happy, w.assumed_unhappy)
         self.rng = random.Random(self.config.seed)
         self.all_below_capacity = True
         self._bags = tuple(tuple(sorted(node.bag)) for node in nice.nodes)
@@ -420,9 +436,19 @@ class HeuristicSolver:
         becomes UNHAPPY.  It rests on two premises that ``_verify`` asserts:
         committed colours only grow and extend the input, so an uncoloured
         label can only move as stated, and every stored label equals
-        ``_border_label``.  One scan of the neighbours per child solution
-        collects those whose label can change, and ``_emit`` scores each
-        emission from their changes.
+        ``_border_label``.
+
+        The handler runs in three phases.  One scan of the neighbours per
+        child solution collects those whose label can change (its watch list)
+        and scores the change twice over: as if every one turned UNHAPPY, and
+        per colour the correction for those that agree with it (slot 0 for
+        those that agree with any).  Every emission's score is then a sum of
+        three terms and one label weight, equal to ``evaluate`` of its counts.
+        The emissions are offered in order by score alone, as pending entries
+        (see ``PartialSolution``) whose two labels of one colour share one
+        group; one the beam rejects outright is skipped, which draws nothing
+        from the RNG.  Last, ``_materialise`` fills in the entries of the
+        returned list only.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -440,6 +466,10 @@ class HeuristicSolver:
         }
         base_v = self.base[vtx]
         allowed = (base_v,) if base_v else tuple(range(1, self.k + 1))
+        weight = self._label_weight
+        w_happy, w_unhappy, w_maybe, w_assumed = weight[1:]
+        slots = self.k + 1
+        rng = self.rng
         main = Beam(self.config.width)
         backup = Beam(self.config.width)
         for sol in child_beam:
@@ -450,6 +480,10 @@ class HeuristicSolver:
             # HAPPY ones change only in the backup.
             watch: list[tuple[int, int, int, int]] = []
             happy: list[tuple[int, int, int, int]] = []
+            # The score change if every watched neighbour turned UNHAPPY, and
+            # per colour what agreeing with it gives back.
+            drop = 0
+            agree = [0] * slots
             for u in adj_v:
                 cu = col_c[u]
                 lu = lab_c[u]
@@ -458,73 +492,86 @@ class HeuristicSolver:
                         happy.append((u, lu, lu, cu))
                     elif lu == ASSUMED_UNHAPPY:
                         watch.append((u, lu, lu, cu))
+                        drop += w_unhappy - w_assumed
+                        agree[cu] += w_assumed - w_unhappy
                 elif lu == UNKNOWN:
-                    watch.append((u, lu, MAYBE_HAPPY, evidence[u]))
+                    ev = evidence[u]
+                    watch.append((u, lu, MAYBE_HAPPY, ev))
+                    drop += w_unhappy
+                    if ev >= 0:
+                        agree[ev] += w_maybe - w_unhappy
                 elif lu == MAYBE_HAPPY:
-                    watch.append((u, lu, lu, evidence[u] or col_c[anchor[u]]))
+                    bound_u = evidence[u] or col_c[anchor[u]]
+                    watch.append((u, lu, lu, bound_u))
+                    drop += w_unhappy - w_maybe
+                    agree[bound_u] += w_maybe - w_unhappy
             happy_colours = {entry[3] for entry in happy}
             v_label = lab_c[vtx]
             # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
             bound = (evidence[vtx] or col_c[anchor[vtx]]) if v_label == MAYBE_HAPPY else 0
+            # The score with every watched neighbour UNHAPPY, those agreeing
+            # with any colour restored, and the vertex's own label removed.
+            floor = sol.score + drop + agree[0] - weight[v_label]
             for i in allowed:
                 if v_label == UNKNOWN:
                     conflict = evidence[vtx] not in (0, i)
                     labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
                 elif happy_colours and happy_colours != {i}:
                     if not len(main):
-                        self._emit(backup, sol, vtx, i, (UNHAPPY,), watch + happy)
+                        # The happy neighbours of another colour turn UNHAPPY.
+                        score = floor + agree[i] + w_unhappy + sum(
+                            w_unhappy - w_happy for entry in happy if entry[3] != i
+                        )
+                        if not backup.rejects(score):
+                            group = [sol, i, watch + happy, None]
+                            backup.insert(PartialSolution(group, UNHAPPY, None, score), rng)
                     continue
                 elif bound == i:
                     labs = (HAPPY, ASSUMED_UNHAPPY)
                 else:
                     labs = (UNHAPPY,)
-                self._emit(main, sol, vtx, i, labs, watch)
-        return main if len(main) else backup
+                at_colour = floor + agree[i]
+                group = None
+                for lab in labs:
+                    score = at_colour + weight[lab]
+                    if main.rejects(score):
+                        continue
+                    if group is None:
+                        # The arrays built for it go in its last slot.
+                        group = [sol, i, watch, None]
+                    main.insert(PartialSolution(group, lab, None, score), rng)
+        return self._materialise(main if len(main) else backup, vtx)
 
-    def _emit(
-        self,
-        beam: Beam,
-        sol: PartialSolution,
-        vtx: int,
-        colour: int,
-        labels_for_vertex: tuple[int, ...],
-        watch: Sequence[tuple[int, int, int, int]],
-    ) -> None:
-        """Offer ``sol`` with ``vtx`` coloured ``colour`` and labelled each of
-        ``labels_for_vertex`` in turn, relabelling the watched neighbours.
-
-        Each emission is scored from the label changes first.  Arrays are
-        built only for one the beam does not reject; skipping the rest gives
-        the same beam, since ``Beam.insert`` turns them down without an RNG
-        draw.
-        """
-        # Label totals indexed by label; slot 0 (UNKNOWN) is not scored.
-        tally = [0, *sol.counts]
-        changes = []
-        for u, old, agreed, agrees_with in watch:
-            new = agreed if agrees_with == colour or not agrees_with else UNHAPPY
-            if new != old:
-                changes.append((u, new))
-                tally[old] -= 1
-                tally[new] += 1
-        tally[sol.labels[vtx]] -= 1
-        colours = labels = None
-        for lab in labels_for_vertex:
-            tally[lab] += 1
-            counts = (tally[1], tally[2], tally[3], tally[4])
-            tally[lab] -= 1
-            score = evaluate(self.weights, counts)
-            if beam.rejects(score):
-                continue
-            if colours is None:
+    def _materialise(self, beam: Beam, vtx: int) -> Beam:
+        """Fill in every pending entry of an introduce's result in place.
+        Each group's colours and relabelled neighbours are built once, for
+        whichever of its labels survived."""
+        for pending in beam.entries:
+            group = pending.colours
+            sol, colour, watch, made = group
+            if made is None:
                 coloured = bytearray(sol.colours)
                 coloured[vtx] = colour
-                colours = bytes(coloured)
-                labels = bytearray(sol.labels)
-                for u, new in changes:
-                    labels[u] = new
+                relabelled = bytearray(sol.labels)
+                # Label totals indexed by label; slot 0 (UNKNOWN) is not scored.
+                tally = [0, *sol.counts]
+                for u, old, agreed, agrees_with in watch:
+                    new = agreed if agrees_with == colour or not agrees_with else UNHAPPY
+                    if new != old:
+                        relabelled[u] = new
+                        tally[old] -= 1
+                        tally[new] += 1
+                tally[sol.labels[vtx]] -= 1
+                made = group[3] = (bytes(coloured), relabelled, tally)
+            colours, labels, tally = made
+            lab = pending.labels
             labels[vtx] = lab
-            beam.insert(PartialSolution(colours, bytes(labels), counts, score), self.rng)
+            tally[lab] += 1
+            pending.counts = (tally[1], tally[2], tally[3], tally[4])
+            tally[lab] -= 1
+            pending.colours = colours
+            pending.labels = bytes(labels)
+        return beam
 
     def handle_forget(self, idx: int, child_beam: Beam) -> Beam:
         """Settle the forgotten vertex and deduplicate on the smaller bag.
@@ -857,6 +904,9 @@ class HeuristicSolver:
         # Entries in ascending score order, mirrored by ``scores``.
         assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
         for sol in beam:
+            # A pending introduce entry holds no arrays.
+            assert type(sol.colours) is type(sol.labels) is bytes, f"node {idx}: pending entry"
+            assert len(sol.colours) == len(sol.labels) == self.n
             assert self._recount(sol.labels) == sol.counts
             assert evaluate(self.weights, sol.counts) == sol.score
             coloured = {v for v in range(self.n) if sol.colours[v]}

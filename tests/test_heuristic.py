@@ -6,6 +6,7 @@ import pytest
 
 from mhv.errors import InputError
 from mhv.graph import Graph, PartialColouring, count_happy, is_happy
+from mhv.harness import generate, hardest_regime
 from mhv.heuristic import (
     ASSUMED_UNHAPPY,
     HAPPY,
@@ -24,7 +25,7 @@ from mhv.heuristic import (
 from mhv.oracle import brute_force
 from mhv.treedec import NodeKind, make_nice, min_fill_decompose
 
-from corpus import fuzz_instances
+from corpus import fuzz_instances, tree_instance
 
 TUNED = LabelWeights(15, -9, 4, -8)
 
@@ -154,6 +155,56 @@ def test_introduce_backup_demotes_conflicting_happy_neighbours():
         kept = [v for v in (0, 1) if sol.labels[v] == HAPPY]
         assert len(demoted) == 1 and len(kept) == 1
         assert sol.colours[kept[0]] == sol.colours[2]
+
+
+class _SurvivorSolver(HeuristicSolver):
+    """Counts the entries each introduce builds arrays for."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.built: int | None = None
+        self.introduces = 0
+
+    def _materialise(self, beam, vtx):
+        assert self.built is None, "materialised twice in one introduce"
+        pending = [sol for sol in beam if sol.counts is None]
+        beam = super()._materialise(beam, vtx)
+        self.built = sum(1 for sol in pending if type(sol.colours) is bytes)
+        return beam
+
+    def handle_introduce(self, idx, child_beam):
+        self.built = None
+        beam = super().handle_introduce(idx, child_beam)
+        assert self.built == len(beam), f"node {idx}: built {self.built} of {len(beam)}"
+        self.introduces += 1
+        return beam
+
+
+@pytest.mark.parametrize(
+    "name, width",
+    [("hard-n34", 4), ("hard-n34", 67), ("tree-n80", 67)],
+)
+def test_introduce_builds_arrays_only_for_survivors(name, width):
+    """Every introduce builds arrays for exactly the entries it returns."""
+    if name == "tree-n80":
+        inst = tree_instance(random.Random(80), 80)
+    else:
+        inst = generate(hardest_regime(34, 3, seed=34))
+    g, col = inst.graph, inst.colouring
+    nice = make_nice(min_fill_decompose(g, seed=0), g)
+    config = HeuristicConfig(width=width, check_invariants=True)
+    solver = _SurvivorSolver(g, col, nice, config)
+    solver.solve()
+    assert solver.introduces == sum(1 for node in nice.nodes if node.kind == NodeKind.INTRODUCE)
+
+
+def test_verify_rejects_an_unbuilt_introduce_entry(monkeypatch):
+    """An introduce offer that leaves its node without arrays fails loudly."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    solver = _solver(g, PartialColouring(2, {0: 1}), width=4, check_invariants=True)
+    monkeypatch.setattr(solver, "_materialise", lambda beam, vtx: beam)
+    with pytest.raises(AssertionError, match="pending entry"):
+        solver.solve()
 
 
 def test_introduce_maybe_happy_matching_colour_offers_happy():
