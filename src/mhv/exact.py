@@ -13,7 +13,8 @@ bag position, ``code = colour << 1 | designated_happy``.
 Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
 table is dropped once its parent's is built.  Alive at any time are only the
 tables of open subtrees, the forget back-pointers that the traceback reads,
-and the root table.  The state cap counts every table produced, freed or not.
+and the root table.  The state cap counts the states of every table built,
+freed or not; a PASS node builds none, since it hands its child's table on.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ def solve_exact(
     """Optimal extension of the partial colouring via the table DP.
 
     Aborts with ResourceLimitError, naming the node, when the total number
-    of states produced exceeds ``state_cap``.  The returned colouring extends
-    the input and its happy count is the proven optimum.
+    of states built exceeds ``state_cap``; a PASS node builds none.  The
+    returned colouring extends the input and its happy count is the proven
+    optimum.
     """
     start = time.perf_counter()
     aug = build_sstar_td(g, colouring, nice)
@@ -135,12 +137,14 @@ def solve_exact(
     }
     total_states = 0
     for idx, table in nice.walk(handlers, aug.kinds):
-        total_states += len(table)
-        if total_states > state_cap:
-            raise ResourceLimitError(
-                f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
-                f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(aug.bags[idx])})"
-            )
+        # A PASS node hands its child's table on and builds no state.
+        if aug.kinds[idx] != AugKind.PASS:
+            total_states += len(table)
+            if total_states > state_cap:
+                raise ResourceLimitError(
+                    f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
+                    f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(aug.bags[idx])})"
+                )
         if idx == nice.root:
             root_table = table
 

@@ -82,13 +82,14 @@ def test_exact_state_cap():
         solve_exact(inst.graph, inst.colouring, _nice_for(inst.graph), state_cap=3)
 
 
-# The totals were read before child tables were freed as they are consumed;
-# the cap must still count every table produced, so they must not move.
+# The totals count the states of every table built, freed or not, and skip
+# PASS nodes, which hand their child's table on.  Counting PASS nodes too gave
+# 109 and 219 171.
 @pytest.mark.parametrize(
     "make, cap, total",
     [
-        (lambda: fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0], 100, 109),
-        (lambda: generate(hardest_regime(30, 3, seed=30)), 200_000, 219_171),
+        (lambda: fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0], 100, 108),
+        (lambda: generate(hardest_regime(30, 3, seed=30)), 200_000, 205_085),
     ],
     ids=["fuzz-601", "hardest-30"],
 )
@@ -108,7 +109,7 @@ def test_exact_state_cap_counts_every_table(make, cap, total):
     assert (int(match[1]), int(match[2])) == (total, cap)
     aug = build_sstar_td(g, col, nice)
     idx = int(match[3])
-    assert match[4] == aug.kinds[idx].name.lower()
+    assert match[4] == aug.kinds[idx].name.lower() != "pass"
     assert int(match[5]) == len(aug.bags[idx])
 
 
