@@ -32,8 +32,8 @@ whose label can change turned UNHAPPY, plus per colour a correction for the
 ones that agree with it.  Every emission is then offered by its score alone,
 as a pending entry that points at its child solution, colour and watched
 neighbours; one the beam rejects outright is skipped, which draws nothing
-from the RNG.  Last, arrays are built only for the entries of the list the node
-returns, once per (child solution, colour) for both labels.
+from the RNG.  Last, arrays are built only for the entries of the list the
+node returns, once per (child solution, colour) for both labels.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -505,7 +505,7 @@ class HeuristicSolver:
                     watch.append((u, lu, lu, bound_u))
                     drop += w_unhappy - w_maybe
                     agree[bound_u] += w_maybe - w_unhappy
-            happy_colours = {entry[3] for entry in happy}
+            happy_colours = {entry[3] for entry in happy} if happy else None
             v_label = lab_c[vtx]
             # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
             bound = (evidence[vtx] or col_c[anchor[vtx]]) if v_label == MAYBE_HAPPY else 0
@@ -537,7 +537,7 @@ class HeuristicSolver:
                     if main.rejects(score):
                         continue
                     if group is None:
-                        # The arrays built for it go in its last slot.
+                        # The last slot takes the arrays once they are built.
                         group = [sol, i, watch, None]
                     main.insert(PartialSolution(group, lab, None, score), rng)
         return self._materialise(main if len(main) else backup, vtx)
