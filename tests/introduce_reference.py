@@ -6,7 +6,7 @@ both arrays, recomputes every uncoloured neighbour's label through
 with ``insort_right`` on the score and counts the worst-score ties in a loop.
 It assumes nothing about which neighbour labels can change, so it checks the
 solver's introduce, which scores each emission from the label changes of a
-watch list and builds arrays only for the entries the beam keeps.
+watch list and builds arrays only for the entries that survive the node.
 """
 
 from __future__ import annotations

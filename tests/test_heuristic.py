@@ -181,15 +181,17 @@ class _SurvivorSolver(HeuristicSolver):
 
 
 @pytest.mark.parametrize(
-    "name, width",
-    [("hard-n34", 4), ("hard-n34", 67), ("tree-n80", 67)],
+    "make, width",
+    [
+        (lambda: generate(hardest_regime(34, 3, seed=34)), 4),
+        (lambda: generate(hardest_regime(34, 3, seed=34)), 67),
+        (lambda: tree_instance(random.Random(80), 80), 67),
+    ],
+    ids=["hard-n34-W4", "hard-n34-W67", "tree-n80-W67"],
 )
-def test_introduce_builds_arrays_only_for_survivors(name, width):
+def test_introduce_builds_arrays_only_for_survivors(make, width):
     """Every introduce builds arrays for exactly the entries it returns."""
-    if name == "tree-n80":
-        inst = tree_instance(random.Random(80), 80)
-    else:
-        inst = generate(hardest_regime(34, 3, seed=34))
+    inst = make()
     g, col = inst.graph, inst.colouring
     nice = make_nice(min_fill_decompose(g, seed=0), g)
     config = HeuristicConfig(width=width, check_invariants=True)

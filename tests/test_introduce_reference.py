@@ -21,7 +21,7 @@ def _state(sol):
 @contextmanager
 def _no_rejected_offers():
     """Fail on any entry offered to a beam that would reject it outright: the
-    introduce builds arrays only for entries the beam keeps."""
+    introduce skips those before it offers anything."""
     original = Beam.insert
 
     def insert(beam, sol, rng):
