@@ -11,9 +11,9 @@ hardest-regime instances run a 7-configuration cover in which every knob
 value appears at least once (the full matrix there takes longer than the
 test suite can spend).  With the default knobs it also runs three
 non-default ``LabelWeights`` at widths 4 and 67 on every instance; the last
-of them weighs every label alike, so every score ties.  ``solve_exact`` runs on every instance but those two,
-where it costs seconds per solve; ``greedy_mhv`` everywhere, and
-``growth_mhv`` with seeds 0 and 1.
+of them weighs every label alike, so every score ties.  ``solve_exact`` runs
+on every instance but those two, where it costs seconds per solve;
+``greedy_mhv`` everywhere, and ``growth_mhv`` with seeds 0 and 1.
 
 Regenerate only when a change of behaviour is intended, and say why in
 CHANGES.md:
@@ -104,8 +104,7 @@ def heuristic_configs(name: str) -> Iterator[tuple[str, HeuristicConfig]]:
             )
             yield f"heuristic:W={width}:{loop}:{dist}:{merge}", config
     for width in WEIGHT_WIDTHS:
-        for weights in WEIGHTS:
-            w = weights
+        for w in WEIGHTS:
             label = f"{w.happy},{w.unhappy},{w.maybe_happy},{w.assumed_unhappy}"
             yield f"heuristic:W={width}:weights={label}", HeuristicConfig(width=width, weights=w)
 
