@@ -29,10 +29,10 @@ committed colours only grow and extend the input, and every stored label
 equals ``_border_label``.  The introduce works in three phases.  One scan of
 the neighbours per child solution scores the changes: as if every neighbour
 whose label can change turned UNHAPPY, plus per colour a correction for the
-ones that agree with it.  Every emission is then offered by its score alone,
-as a pending entry that points at its child solution, colour and watched
-neighbours; one the beam rejects outright is skipped, which draws nothing
-from the RNG.  Last, arrays are built only for the entries of the list the
+ones that agree with it.  The emissions are collected by score alone, each
+pointing at its child solution, colour and watched neighbours, and offered to
+the beam in one ``Beam.extend`` pass; every handler offers its candidates in
+bulk that way.  Last, arrays are built only for the entries of the list the
 node returns, once per (child solution, colour) for both labels.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
@@ -56,7 +56,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
@@ -187,12 +187,13 @@ class PartialSolution:
     are exactly those of the bags below, and every uncoloured vertex whose
     label is not UNKNOWN is a neighbour of the node's bag.
 
-    An introduce offers its entries to a beam before it builds them.  Such a
-    pending entry holds, instead of arrays, its group in ``colours`` (the
-    child solution, colour and watch list it shares with the other label of
-    that colour) and the introduced vertex's label in ``labels``; ``counts``
-    is None.  ``HeuristicSolver._materialise`` fills in the entries that
-    survive the node, and no pending entry leaves it.
+    An introduce offers (group, label) pairs to its beams and turns only the
+    survivors into entries before it builds them.  Such a pending entry
+    holds, instead of arrays, its group in ``colours`` (the child solution,
+    colour and watch list it shares with the other label of that colour) and
+    the introduced vertex's label in ``labels``; ``counts`` is None.
+    ``HeuristicSolver._materialise`` fills them in, and no pending entry
+    leaves the node.
     """
 
     __slots__ = ("colours", "labels", "counts", "score")
@@ -231,11 +232,14 @@ def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
 class Beam:
     """Score-sorted list capped at ``capacity`` entries.
 
-    Kept in ascending score order; entries with equal score stay in insertion
-    order.  On overflow one entry with the worst score is discarded uniformly
-    at random among the worst (the incoming entry included).  ``scores``
-    mirrors ``entries``, so placing an entry and counting the worst ties are
-    bisections.
+    The one rule lives in ``extend``.  Entries are kept in ascending score
+    order; entries with equal score stay in insertion order.  On overflow one
+    entry with the worst score is discarded uniformly at random among the
+    worst (the incoming entry included); an offer below the worst score of a
+    full beam is turned down without an RNG draw.  ``scores`` mirrors
+    ``entries``, so placing an entry and counting the worst ties are
+    bisections.  Entries are ``PartialSolution``s, except inside an
+    introduce, whose beams hold (group, label) pairs until it materialises.
     """
 
     __slots__ = ("capacity", "entries", "scores")
@@ -244,35 +248,39 @@ class Beam:
         if capacity < 1:
             raise InputError("beam capacity must be at least 1")
         self.capacity = capacity
-        self.entries: list[PartialSolution] = []
+        self.entries: list[Any] = []
         self.scores: list[int] = []
 
-    def rejects(self, score: int) -> bool:
-        """Whether ``insert`` turns down an entry of this score outright,
-        without drawing from the RNG: the beam is full and the score is below
-        the worst."""
-        return len(self.scores) >= self.capacity and score < self.scores[0]
-
     def insert(self, sol: PartialSolution, rng: random.Random) -> bool:
+        return self.extend(((sol.score, sol),), rng) == 1
+
+    def extend(self, offers: Iterable[tuple[int, Any]], rng: random.Random) -> int:
+        """Offer each (score, entry) pair in order; return how many were
+        accepted (an accepted entry may be evicted by a later offer)."""
         entries = self.entries
         scores = self.scores
-        score = sol.score
-        if len(entries) >= self.capacity:
-            worst = scores[0]
-            if score < worst:
-                return False
-            ties = bisect_right(scores, worst)
-            if score == worst:
-                pick = rng.randrange(ties + 1)
-                if pick == ties:
-                    return False
+        room = self.capacity - len(scores)
+        accepted = 0
+        for score, entry in offers:
+            if room:
+                room -= 1
             else:
-                pick = rng.randrange(ties)
-            del entries[pick], scores[pick]
-        at = bisect_right(scores, score)
-        entries.insert(at, sol)
-        scores.insert(at, score)
-        return True
+                worst = scores[0]
+                if score < worst:
+                    continue
+                ties = bisect_right(scores, worst)
+                if score == worst:
+                    pick = rng.randrange(ties + 1)
+                    if pick == ties:
+                        continue
+                else:
+                    pick = rng.randrange(ties)
+                del entries[pick], scores[pick]
+            at = bisect_right(scores, score)
+            entries.insert(at, entry)
+            scores.insert(at, score)
+            accepted += 1
+        return accepted
 
     @property
     def at_capacity(self) -> bool:
@@ -444,11 +452,12 @@ class HeuristicSolver:
         per colour the correction for those that agree with it (slot 0 for
         those that agree with any).  Every emission's score is then a sum of
         three terms and one label weight, equal to ``evaluate`` of its counts.
-        The emissions are offered in order by score alone, as pending entries
-        (see ``PartialSolution``) whose two labels of one colour share one
-        group; one the beam rejects outright is skipped, which draws nothing
-        from the RNG.  Last, ``_materialise`` fills in the entries of the
-        returned list only.
+        The emissions are collected in order as (score, (group, label))
+        offers, the two labels of one colour sharing one group, and offered in
+        one ``Beam.extend`` call per list: the backup list first, since every
+        backup offer precedes every main offer.  Last, the survivors of the
+        returned list become pending entries (see ``PartialSolution``) that
+        ``_materialise`` fills in.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -469,9 +478,9 @@ class HeuristicSolver:
         weight = self._label_weight
         w_happy, w_unhappy, w_maybe, w_assumed = weight[1:]
         slots = self.k + 1
-        rng = self.rng
-        main = Beam(self.config.width)
-        backup = Beam(self.config.width)
+        # (score, (group, label)) offers; a group's last slot takes its arrays.
+        main_offers: list[tuple[int, tuple[list, int]]] = []
+        backup_offers: list[tuple[int, tuple[list, int]]] = []
         for sol in child_beam:
             col_c = sol.colours
             lab_c = sol.labels
@@ -517,30 +526,29 @@ class HeuristicSolver:
                     conflict = evidence[vtx] not in (0, i)
                     labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
                 elif happy_colours and happy_colours != {i}:
-                    if not len(main):
+                    if not main_offers:
                         # The happy neighbours of another colour turn UNHAPPY.
                         score = floor + agree[i] + w_unhappy + sum(
                             w_unhappy - w_happy for entry in happy if entry[3] != i
                         )
-                        if not backup.rejects(score):
-                            group = [sol, i, watch + happy, None]
-                            backup.insert(PartialSolution(group, UNHAPPY, None, score), rng)
+                        backup_offers.append((score, ([sol, i, watch + happy, None], UNHAPPY)))
                     continue
                 elif bound == i:
                     labs = (HAPPY, ASSUMED_UNHAPPY)
                 else:
                     labs = (UNHAPPY,)
                 at_colour = floor + agree[i]
-                group = None
+                group = [sol, i, watch, None]
                 for lab in labs:
-                    score = at_colour + weight[lab]
-                    if main.rejects(score):
-                        continue
-                    if group is None:
-                        # The last slot takes the arrays once they are built.
-                        group = [sol, i, watch, None]
-                    main.insert(PartialSolution(group, lab, None, score), rng)
-        return self._materialise(main if len(main) else backup, vtx)
+                    main_offers.append((at_colour + weight[lab], (group, lab)))
+        backup = Beam(self.config.width)
+        backup.extend(backup_offers, self.rng)
+        main = Beam(self.config.width)
+        main.extend(main_offers, self.rng)
+        beam = main if main_offers else backup
+        pairs = zip(beam.entries, beam.scores)
+        beam.entries = [PartialSolution(group, lab, None, score) for (group, lab), score in pairs]
+        return self._materialise(beam, vtx)
 
     def _materialise(self, beam: Beam, vtx: int) -> Beam:
         """Fill in every pending entry of an introduce's result in place.
@@ -600,8 +608,7 @@ class HeuristicSolver:
             if held is None or _rank(sol) > _rank(held):
                 groups[key] = sol
         beam = Beam(self.config.width)
-        for sol in groups.values():
-            beam.insert(sol, self.rng)
+        beam.extend([(sol.score, sol) for sol in groups.values()], self.rng)
         return beam
 
     def handle_join(self, idx: int, first: Beam, second: Beam) -> Beam:
@@ -623,15 +630,16 @@ class HeuristicSolver:
         partners: dict[bytes, PartialSolution] = {}
         for inner_sol in inner_entries:
             partners.setdefault(self._match_key(bag, inner_sol), inner_sol)
-        main = Beam(self.config.width)
+        exact: list[tuple[int, PartialSolution]] = []
         backup = Beam(self.config.width)
         weights: tuple[int, ...] | None = None
         per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
             partner = partners.get(self._match_key(bag, outer_sol))
             if partner is not None:
-                main.insert(self.merge_exact(outer_sol, partner, bag_set), self.rng)
-            elif not len(main):
+                merged = self.merge_exact(outer_sol, partner, bag_set)
+                exact.append((merged.score, merged))
+            elif not exact:
                 if weights is None or per_outer:
                     weights = self.distance_weights(bag, outer_sol)
                 # The first nearest in best-first order.
@@ -639,9 +647,14 @@ class HeuristicSolver:
                     inner_entries,
                     key=lambda s: self.tuple_distance(bag, outer_sol, s, weights),
                 )
+                # One insert per merge: ``_merge_greedy`` draws in between.
                 for merged in self.merge_heuristic(outer_sol, nearest, bag, bag_set):
                     backup.insert(merged, self.rng)
-        return main if len(main) else backup
+        # ``merge_exact`` draws nothing and every backup merge precedes the
+        # first exact one, so offering the exact merges last keeps the draws.
+        main = Beam(self.config.width)
+        main.extend(exact, self.rng)
+        return main if exact else backup
 
     # -- join helpers -----------------------------------------------------
 

@@ -19,20 +19,25 @@ def _state(sol):
 
 
 @contextmanager
-def _no_rejected_offers():
-    """Fail on any entry offered to a beam that would reject it outright: the
-    introduce skips those before it offers anything."""
-    original = Beam.insert
+def _bulk_offers_only():
+    """Fail on any ``Beam.insert`` call and on more than two ``Beam.extend``
+    calls: an introduce offers its backup list and its main list in bulk."""
+    insert, extend = Beam.insert, Beam.extend
+    calls = []
 
-    def insert(beam, sol, rng):
-        assert not beam.rejects(sol.score), "introduce offered an entry the beam rejects"
-        return original(beam, sol, rng)
+    def no_insert(beam, sol, rng):
+        raise AssertionError("introduce offered an entry through Beam.insert")
 
-    Beam.insert = insert
+    def counted_extend(beam, offers, rng):
+        calls.append(beam)
+        return extend(beam, offers, rng)
+
+    Beam.insert, Beam.extend = no_insert, counted_extend
     try:
         yield
     finally:
-        Beam.insert = original
+        Beam.insert, Beam.extend = insert, extend
+    assert len(calls) <= 2, f"introduce made {len(calls)} Beam.extend calls"
 
 
 class _CheckedSolver(HeuristicSolver):
@@ -48,7 +53,7 @@ class _CheckedSolver(HeuristicSolver):
         rng = random.Random()
         rng.setstate(self.rng.getstate())
         want, main = reference_introduce(self, idx, list(child_beam), rng)
-        with _no_rejected_offers():
+        with _bulk_offers_only():
             got = super().handle_introduce(idx, child_beam)
         assert [_state(s) for s in got] == [_state(s) for s in want.entries], f"node {idx}"
         assert self.rng.getstate() == rng.getstate(), f"node {idx}: RNG draws differ"
@@ -131,10 +136,55 @@ def test_beam_matches_insort_reference(capacity):
         rng, rng_ref = random.Random(seed), random.Random(seed)
         for i in range(60):
             sol = PartialSolution(bytes([i]), b"", (0, 0, 0, 0), offers.randint(-3, 3))
-            rejects, before = beam.rejects(sol.score), rng.getstate()
+            # Full and below the worst score: turned down without a draw.
+            rejects = len(beam) >= capacity and sol.score < beam.scores[0]
+            before = rng.getstate()
             accepted = beam.insert(sol, rng)
             assert accepted == reference.insert(sol, rng_ref)
             if rejects:
                 assert not accepted and rng.getstate() == before
             assert beam.entries == reference.entries
             assert rng.getstate() == rng_ref.getstate()
+
+
+def _offers(rng, count):
+    """``count`` entries whose scores tie often, over a spread picked per run."""
+    spread = rng.choice((1, 3, 10))
+    return [
+        PartialSolution(i.to_bytes(2, "little"), b"", (0, 0, 0, 0), rng.randint(-spread, spread))
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5, 67])
+def test_beam_extend_matches_insort_reference(capacity):
+    """Offers split into random chunks, each offered in one ``extend`` call,
+    keep the entries, scores, accepted counts and RNG draws of the insort_right
+    beam, checked after every call."""
+    for seed in range(30):
+        chunks = random.Random(seed)
+        sols = _offers(chunks, 5 * capacity + 40)
+        beam, reference = Beam(capacity), ReferenceBeam(capacity)
+        rng, rng_ref = random.Random(seed), random.Random(seed)
+        start = 0
+        while start < len(sols):
+            stop = start + chunks.randint(0, capacity + 5)
+            chunk = sols[start:stop]
+            accepted = beam.extend([(sol.score, sol) for sol in chunk], rng)
+            assert accepted == sum(reference.insert(sol, rng_ref) for sol in chunk)
+            assert beam.entries == reference.entries
+            assert beam.scores == [sol.score for sol in reference.entries]
+            assert rng.getstate() == rng_ref.getstate()
+            start = stop
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 67])
+def test_beam_insert_is_a_one_offer_extend(capacity):
+    for seed in range(20):
+        sols = _offers(random.Random(seed), 3 * capacity + 20)
+        one, bulk = Beam(capacity), Beam(capacity)
+        rng_one, rng_bulk = random.Random(seed), random.Random(seed)
+        for sol in sols:
+            assert one.insert(sol, rng_one) == (bulk.extend([(sol.score, sol)], rng_bulk) == 1)
+            assert one.entries == bulk.entries and one.scores == bulk.scores
+            assert rng_one.getstate() == rng_bulk.getstate()
