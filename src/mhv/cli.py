@@ -25,9 +25,11 @@ from .graph import (
 )
 from .harness import (
     SOLVERS,
+    WORKERS_ENV_VAR,
     AlgorithmSpec,
     GeneratorParams,
     bench_to_csv,
+    default_workers,
     generate,
     hardest_regime,
 )
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark manifest into CSV")
     p.add_argument("manifest", help="JSON manifest describing instances and algorithms")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=int, default=None, help=f"overrides ${'MHV_WORKERS'}")
+    p.add_argument("--workers", type=int, default=None, help=f"overrides ${WORKERS_ENV_VAR}")
 
     return parser
 
@@ -300,22 +302,28 @@ def _check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], 
         if type(value) is not kind:
             raise InputError(f"manifest field {key!r} must be {kind.__name__}, got {value!r}")
         options[key] = value
-    if options.get("repetitions", 1) < 1:
-        raise InputError("repetitions must be at least 1")
+    for key in ("repetitions", "workers"):
+        if options.get(key, 1) < 1:
+            raise InputError(f"{key} must be at least 1, got {options[key]}")
     return manifest["instances"], algorithms, options
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     entries, algorithms, options = _check_manifest(json.loads(_read_text(manifest_path)))
+    # The flag overrides the manifest, which overrides the environment.
+    if args.workers is not None:
+        if args.workers < 1:
+            raise InputError(f"--workers must be at least 1, got {args.workers}")
+        options["workers"] = args.workers
+    elif "workers" not in options:
+        options["workers"] = default_workers()
     base_dir = manifest_path.resolve().parent
     instances = []
     for entry in entries:
         g = parse_graph(_read_text(base_dir / entry["graph"]))
         col = parse_colouring(_read_text(base_dir / entry["colouring"]), g)
         instances.append((entry["id"], Instance(g, col)))
-    if args.workers is not None:
-        options["workers"] = args.workers
     with open(args.out, "w", encoding="utf-8") as out:
         written = bench_to_csv(out, instances, algorithms, **options)
     print(f"wrote {written} records to {args.out}")

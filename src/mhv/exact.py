@@ -103,6 +103,8 @@ def solve_exact(
     returned colouring extends the input and its happy count is the proven
     optimum.
     """
+    if nice.n != g.n:
+        raise InputError("decomposition does not match the graph")
     start = time.perf_counter()
     aug = build_sstar_td(g, colouring, nice)
     k = colouring.k

@@ -334,7 +334,9 @@ def default_workers() -> int:
         value = int(raw)
     except ValueError:
         raise InputError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, value)
+    if value < 1:
+        raise InputError(f"{WORKERS_ENV_VAR} must be at least 1, got {raw!r}")
+    return value
 
 
 def bench_run(
@@ -358,6 +360,8 @@ def bench_run(
     algorithms = list(algorithms)
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
 
     def tasks() -> Iterator[_RunTask]:
         for instance_id, instance in instances:

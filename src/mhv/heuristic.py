@@ -32,8 +32,12 @@ whose label can change turned UNHAPPY, plus per colour a correction for the
 ones that agree with it.  The emissions are collected by score alone, each
 pointing at its child solution, colour and watched neighbours, and offered to
 the beam in one ``Beam.extend`` pass; every handler offers its candidates in
-bulk that way.  Last, arrays are built only for the entries of the list the
-node returns, once per (child solution, colour) for both labels.
+bulk that way.  Last, a finished entry is built for each offer that survives
+the node, its arrays once per (child solution, colour) for both labels.
+
+The solver owns the entry format.  Entries are made from full arrays by
+``HeuristicSolver.entry`` and read by ``HeuristicSolver.arrays``; only the node
+handlers and their join helpers touch an entry's arrays directly.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -186,14 +190,6 @@ class PartialSolution:
     labels in enum order.  At the node that holds it, the coloured vertices
     are exactly those of the bags below, and every uncoloured vertex whose
     label is not UNKNOWN is a neighbour of the node's bag.
-
-    An introduce offers (group, label) pairs to its beams and turns only the
-    survivors into entries before it builds them.  Such a pending entry
-    holds, instead of arrays, its group in ``colours`` (the child solution,
-    colour and watch list it shares with the other label of that colour) and
-    the introduced vertex's label in ``labels``; ``counts`` is None.
-    ``HeuristicSolver._materialise`` fills them in, and no pending entry
-    leaves the node.
     """
 
     __slots__ = ("colours", "labels", "counts", "score")
@@ -334,10 +330,18 @@ class HeuristicSolver:
 
     # -- label bookkeeping ------------------------------------------------
 
-    def _entry(self, colours: bytes, labels: bytes, counts: Sequence[int]) -> PartialSolution:
-        """A beam entry scored from its four label counts."""
-        counts_t = (counts[0], counts[1], counts[2], counts[3])
-        return PartialSolution(colours, labels, counts_t, evaluate(self.weights, counts_t))
+    def entry(
+        self, colours: Iterable[int], labels: Iterable[int], counts: Sequence[int] | None = None
+    ) -> PartialSolution:
+        """A beam entry over full arrays, stored as bytes and scored from its
+        four label counts, which are recounted from ``labels`` if not given."""
+        labels = bytes(labels)
+        counts_t = self._recount(labels) if counts is None else tuple(counts)
+        return PartialSolution(bytes(colours), labels, counts_t, evaluate(self.weights, counts_t))
+
+    def arrays(self, sol: PartialSolution) -> tuple[bytes, bytes]:
+        """An entry's colours and labels over all vertices."""
+        return sol.colours, sol.labels
 
     def _border_label(self, v: int, colours: bytes | bytearray) -> int:
         """Label of an uncoloured vertex given committed colours.
@@ -385,17 +389,6 @@ class HeuristicSolver:
             ring = tuple(sorted({u for v in bag_set for u in adj[v]} - bag_set))
             self._rings[bag_set] = ring
         return ring
-
-    @staticmethod
-    def _set_label(labels: bytearray, counts: list[int], v: int, new: int) -> None:
-        old = labels[v]
-        if old == new:
-            return
-        if old:
-            counts[old - 1] -= 1
-        if new:
-            counts[new - 1] += 1
-        labels[v] = new
 
     def _bag_key(self, bag: tuple[int, ...], sol: PartialSolution) -> bytes:
         colours = sol.colours
@@ -455,9 +448,8 @@ class HeuristicSolver:
         The emissions are collected in order as (score, (group, label))
         offers, the two labels of one colour sharing one group, and offered in
         one ``Beam.extend`` call per list: the backup list first, since every
-        backup offer precedes every main offer.  Last, the survivors of the
-        returned list become pending entries (see ``PartialSolution``) that
-        ``_materialise`` fills in.
+        backup offer precedes every main offer.  Last, ``_materialise`` builds
+        a finished entry for each offer that survives in the returned list.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -545,17 +537,14 @@ class HeuristicSolver:
         backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
-        beam = main if main_offers else backup
-        pairs = zip(beam.entries, beam.scores)
-        beam.entries = [PartialSolution(group, lab, None, score) for (group, lab), score in pairs]
-        return self._materialise(beam, vtx)
+        return self._materialise(main if main_offers else backup, vtx)
 
     def _materialise(self, beam: Beam, vtx: int) -> Beam:
-        """Fill in every pending entry of an introduce's result in place.
-        Each group's colours and relabelled neighbours are built once, for
-        whichever of its labels survived."""
-        for pending in beam.entries:
-            group = pending.colours
+        """Replace each (group, label) offer in an introduce's result by its
+        finished entry.  Each group's colours and relabelled neighbours are
+        built once, for whichever of its labels survived."""
+        entries = []
+        for (group, lab), score in zip(beam.entries, beam.scores):
             sol, colour, watch, made = group
             if made is None:
                 coloured = bytearray(sol.colours)
@@ -572,13 +561,11 @@ class HeuristicSolver:
                 tally[sol.labels[vtx]] -= 1
                 made = group[3] = (bytes(coloured), relabelled, tally)
             colours, labels, tally = made
-            lab = pending.labels
             labels[vtx] = lab
             tally[lab] += 1
-            pending.counts = (tally[1], tally[2], tally[3], tally[4])
+            entries.append(PartialSolution(colours, bytes(labels), tuple(tally[1:]), score))
             tally[lab] -= 1
-            pending.colours = colours
-            pending.labels = bytes(labels)
+        beam.entries = entries
         return beam
 
     def handle_forget(self, idx: int, child_beam: Beam) -> Beam:
@@ -597,9 +584,9 @@ class HeuristicSolver:
         for sol in child_beam:
             if sol.labels[vtx] == ASSUMED_UNHAPPY:
                 labels = bytearray(sol.labels)
-                counts = list(sol.counts)
-                self._set_label(labels, counts, vtx, HAPPY)
-                sol = self._entry(sol.colours, bytes(labels), counts)
+                labels[vtx] = HAPPY
+                happy, unhappy, maybe, assumed = sol.counts
+                sol = self.entry(sol.colours, labels, (happy + 1, unhappy, maybe, assumed - 1))
             key = self._bag_key(bag, sol)
             held = groups.get(key)
             # The happy count breaks score ties; equal weights for happy and
@@ -729,7 +716,7 @@ class HeuristicSolver:
                 labels[v] = a_labels[v]
             elif b_colours[v]:
                 labels[v] = b_labels[v]
-        return self._entry(colours, bytes(labels), self._recount(labels))
+        return self.entry(colours, labels)
 
     def merge_heuristic(
         self,
@@ -781,7 +768,7 @@ class HeuristicSolver:
         for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
-        return self._entry(bytes(colours), bytes(labels), self._recount(labels))
+        return self.entry(colours, labels)
 
     def _merge_greedy(
         self,
@@ -860,7 +847,7 @@ class HeuristicSolver:
         for v in self._ring(bag_set):
             if not colours[v]:
                 labels[v] = self._border_label(v, colours)
-        return self._entry(bytes(colours), bytes(labels), self._recount(labels))
+        return self.entry(colours, labels)
 
     # -- full solve ---------------------------------------------------------
 
@@ -889,7 +876,8 @@ class HeuristicSolver:
             pass  # the root comes last
         assert len(root_beam)
         best = max(root_beam.entries, key=_rank)
-        full = FullColouring(self.k, tuple(best.colours))
+        colours, labels = self.arrays(best)
+        full = FullColouring(self.k, tuple(colours))
         happy = count_happy(self.g, full)
         assert happy == best.counts[0], "root happy count must equal the HAPPY label count"
         assert full.extends(self.colouring)
@@ -900,7 +888,7 @@ class HeuristicSolver:
             happy=happy,
             provably_optimal=self.all_below_capacity,
             time_ms=elapsed,
-            final_labels=tuple(best.labels),
+            final_labels=tuple(labels),
         )
 
     # -- debug verification -------------------------------------------------
@@ -914,19 +902,18 @@ class HeuristicSolver:
         near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         assert len(beam) <= self.config.width
-        # Entries in ascending score order, mirrored by ``scores``.
-        assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
         for sol in beam:
-            # A pending introduce entry holds no arrays.
-            assert type(sol.colours) is type(sol.labels) is bytes, f"node {idx}: pending entry"
-            assert len(sol.colours) == len(sol.labels) == self.n
-            assert self._recount(sol.labels) == sol.counts
+            assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
+            colours, labels = self.arrays(sol)
+            assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
+            assert len(colours) == len(labels) == self.n
+            assert self._recount(labels) == sol.counts
             assert evaluate(self.weights, sol.counts) == sol.score
-            coloured = {v for v in range(self.n) if sol.colours[v]}
+            coloured = {v for v in range(self.n) if colours[v]}
             assert coloured == covered, f"node {idx}: colour domain mismatch"
             for v in range(self.n):
-                cv = sol.colours[v]
-                lab = sol.labels[v]
+                cv = colours[v]
+                lab = labels[v]
                 if cv:
                     assert base[v] in (0, cv), "partial solution must extend the input"
                     assert lab in (HAPPY, UNHAPPY, ASSUMED_UNHAPPY)
@@ -934,7 +921,7 @@ class HeuristicSolver:
                         assert v in bag_set
                     if lab != UNHAPPY:
                         for u in self.adj[v]:
-                            cu = sol.colours[u] or base[u]
+                            cu = colours[u] or base[u]
                             assert cu in (0, cv), (
                                 f"{Label(lab).name} vertex {v} has a conflicting neighbour"
                             )
@@ -944,7 +931,9 @@ class HeuristicSolver:
                         f"node {idx}: uncoloured vertex {v} is labelled "
                         f"{Label(lab).name} but lies outside N(bag)"
                     )
-                    assert lab == self._border_label(v, sol.colours)
+                    assert lab == self._border_label(v, colours)
+        # Entries in ascending score order, mirrored by ``scores``.
+        assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
 
 
 def _or_bytes(x: bytes, y: bytes, n: int) -> bytes:

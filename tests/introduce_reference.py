@@ -22,7 +22,6 @@ from mhv.heuristic import (
     UNKNOWN,
     HeuristicSolver,
     PartialSolution,
-    evaluate,
 )
 
 
@@ -82,15 +81,11 @@ def _evidence_colour(solver: HeuristicSolver, v: int, colours: bytes) -> int:
     return 0
 
 
-def _entry(solver: HeuristicSolver, colours: bytes, labels: bytes, counts) -> PartialSolution:
-    counts_t = tuple(counts)
-    return PartialSolution(colours, labels, counts_t, evaluate(solver.weights, counts_t))
-
-
 def _emit(solver, beam, sol, vtx, colour, labels_for_vertex, rng) -> None:
-    colours = bytearray(sol.colours)
+    sol_colours, sol_labels = solver.arrays(sol)
+    colours = bytearray(sol_colours)
     colours[vtx] = colour
-    labels = bytearray(sol.labels)
+    labels = bytearray(sol_labels)
     counts = list(sol.counts)
     for u in solver.adj[vtx]:
         if colours[u]:
@@ -105,17 +100,17 @@ def _emit(solver, beam, sol, vtx, colour, labels_for_vertex, rng) -> None:
         out_labels = bytearray(labels)
         out_counts = list(counts)
         _set_label(out_labels, out_counts, vtx, lab)
-        beam.insert(_entry(solver, frozen_colours, bytes(out_labels), out_counts), rng)
+        beam.insert(solver.entry(frozen_colours, out_labels, out_counts), rng)
 
 
 def _emit_backup(solver, beam, sol, vtx, colour, rng) -> None:
-    colours = sol.colours
-    labels = bytearray(sol.labels)
+    colours, sol_labels = solver.arrays(sol)
+    labels = bytearray(sol_labels)
     counts = list(sol.counts)
     for u in solver.adj[vtx]:
         if colours[u] and colours[u] != colour and labels[u] == HAPPY:
             _set_label(labels, counts, u, UNHAPPY)
-    _emit(solver, beam, _entry(solver, colours, bytes(labels), counts), vtx, colour, (UNHAPPY,), rng)
+    _emit(solver, beam, solver.entry(colours, labels, counts), vtx, colour, (UNHAPPY,), rng)
 
 
 def reference_introduce(
@@ -133,8 +128,7 @@ def reference_introduce(
     main = ReferenceBeam(solver.config.width)
     backup = ReferenceBeam(solver.config.width)
     for sol in child_entries:
-        col_c = sol.colours
-        lab_c = sol.labels
+        col_c, lab_c = solver.arrays(sol)
         v_label = lab_c[vtx]
         for i in allowed:
             if v_label == UNKNOWN:

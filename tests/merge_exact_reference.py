@@ -9,22 +9,24 @@ join's closed neighbourhood N[bag].
 
 from __future__ import annotations
 
-from mhv.heuristic import UNHAPPY, HeuristicSolver, PartialSolution, evaluate
+from mhv.heuristic import UNHAPPY, HeuristicSolver, PartialSolution
 
 
 def reference_merge_exact(
     solver: HeuristicSolver, a: PartialSolution, b: PartialSolution
 ) -> PartialSolution:
-    colours = bytearray(a.colours)
-    labels = bytearray(a.labels)
+    a_colours, a_labels = solver.arrays(a)
+    b_colours, b_labels = solver.arrays(b)
+    colours = bytearray(a_colours)
+    labels = bytearray(a_labels)
     for v in range(solver.n):
-        if b.colours[v]:
+        if b_colours[v]:
             if colours[v]:
-                if b.labels[v] == UNHAPPY:
+                if b_labels[v] == UNHAPPY:
                     labels[v] = UNHAPPY
             else:
-                colours[v] = b.colours[v]
-                labels[v] = b.labels[v]
+                colours[v] = b_colours[v]
+                labels[v] = b_labels[v]
     for v in range(solver.n):
         if not colours[v]:
             labels[v] = solver._border_label(v, colours)
@@ -32,4 +34,4 @@ def reference_merge_exact(
     for lab in labels:
         totals[lab] += 1
     counts = (totals[1], totals[2], totals[3], totals[4])
-    return PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts))
+    return solver.entry(colours, labels, counts)

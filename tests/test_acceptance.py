@@ -270,8 +270,9 @@ def test_criterion_9_forget_join_reproduce_exact_recurrences():
             bag = bags[idx]
             groups: dict[tuple[int, ...], int] = {}
             for sol in beam:
+                colours, labels = solver.arrays(sol)
                 key = tuple(
-                    (sol.colours[v] << 1) | (1 if sol.labels[v] == HAPPY else 0)
+                    (colours[v] << 1) | (1 if labels[v] == HAPPY else 0)
                     for v in bag
                 )
                 groups[key] = max(groups.get(key, -1), sol.counts[0])

@@ -31,9 +31,8 @@ HAPPY_COUNT_WEIGHTS = LabelWeights(1, 0, 0, 0)
 def _beam_groups(solver, bag, beam):
     groups = {}
     for sol in beam:
-        key = tuple(
-            (sol.colours[v] << 1) | (1 if sol.labels[v] == HAPPY else 0) for v in bag
-        )
+        colours, labels = solver.arrays(sol)
+        key = tuple((colours[v] << 1) | (1 if labels[v] == HAPPY else 0) for v in bag)
         held = groups.get(key, -1)
         if sol.counts[0] > held:
             groups[key] = sol.counts[0]

@@ -76,6 +76,18 @@ def test_exact_requires_all_colours():
         solve_exact(g, PartialColouring(2, {0: 1}), _nice_for(g))
 
 
+@pytest.mark.parametrize("graph_n, nice_n", [(4, 6), (6, 4)], ids=["fewer-vertices", "more-vertices"])
+def test_exact_rejects_a_decomposition_of_another_graph(graph_n, nice_n):
+    """A decomposition of a path with another vertex count is turned down
+    before the DP indexes a vertex that one of the two does not have."""
+
+    def path(n):
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+    with pytest.raises(InputError, match="^decomposition does not match the graph$"):
+        solve_exact(path(graph_n), PartialColouring(2, {0: 1, 3: 2}), _nice_for(path(nice_n)))
+
+
 def test_exact_state_cap():
     inst = fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0]
     with pytest.raises(ResourceLimitError):

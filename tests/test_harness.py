@@ -341,6 +341,7 @@ _BAD_INPUT_CASES = [
     ["bench", "{dir}", "--out", "{tmp}/o.csv"],
     ["bench", "{bin}", "--out", "{tmp}/o.csv"],
     ["bench", "{m}", "--out", "{dir}"],
+    ["bench", "{m}", "--out", "{tmp}/o.csv", "--workers", "0"],
     ["exact", "{g}", "{c}", "--state-cap", "-1"],
     ["exact", "{g}", "{c}", "--state-cap", "0"],
     ["brute", "{g}", "{c}", "--cap", "-1"],
@@ -371,7 +372,7 @@ def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("input error: "), err
     if "{bin}" in raw_argv:
         assert str(binary) in err[0], err
-    for flag in ("--cap", "--state-cap"):
+    for flag in ("--cap", "--state-cap", "--workers"):
         if flag in raw_argv:
             assert f"input error: {flag} must be at least 1, got " in err[0], err
 
@@ -417,6 +418,7 @@ _GOOD_ALGORITHMS = [{"algorithm": "greedy"}]
         pytest.param({"algorithms": ["greedy"]}, id="string-entry"),
         pytest.param({"repetitions": "x"}, id="repetitions-string"),
         pytest.param({"repetitions": 0}, id="repetitions-zero"),
+        pytest.param({"workers": 0}, id="workers-zero"),
         pytest.param({"algorithms": [{"algorithm": "heuristic", "width": 0}]}, id="width-zero"),
         pytest.param({"algorithms": [{"algorithm": "heuristic", "width": "8"}]}, id="width-string"),
         pytest.param({"algorithms": [{"algorithm": "heuristic", "weights": [1, 2]}]}, id="weights-short"),
@@ -500,9 +502,10 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 1
     monkeypatch.setenv(WORKERS_ENV_VAR, "4")
     assert default_workers() == 4
-    monkeypatch.setenv(WORKERS_ENV_VAR, "zebra")
-    with pytest.raises(InputError):
-        default_workers()
+    for raw in ("zebra", "0", "-2"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+        with pytest.raises(InputError):
+            default_workers()
 
 
 def test_empty_graph_end_to_end():

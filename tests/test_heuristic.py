@@ -43,9 +43,14 @@ def _introduce_idx(solver, vertex):
     )
 
 
-def _sol(solver, colours, labels):
-    counts = solver._recount(bytes(labels))
-    return PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts))
+def _states(solver, beam, v):
+    """The (colour, label) pairs the entries of ``beam`` give vertex ``v``."""
+    return {(colours[v], labels[v]) for colours, labels in map(solver.arrays, beam)}
+
+
+def _derived_counts(solver, sol):
+    """The label counts of ``sol`` as the solver derives them from its arrays."""
+    return solver.entry(*solver.arrays(sol)).counts
 
 
 # -- evaluation ------------------------------------------------------------
@@ -106,8 +111,9 @@ def test_handle_leaf_single_empty_solution():
     sol = beam.best()
     assert sol.score == 0
     assert sol.counts == (0, 0, 0, 0)
-    assert set(sol.colours) == {0}
-    assert set(sol.labels) == {UNKNOWN}
+    colours, labels = solver.arrays(sol)
+    assert set(colours) == {0}
+    assert set(labels) == {UNKNOWN}
 
 
 # -- introduce --------------------------------------------------------------
@@ -118,7 +124,7 @@ def test_introduce_isolated_vertex_all_colour_label_pairs():
     solver = _solver(g, PartialColouring(2), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    states = {(s.colours[0], s.labels[0]) for s in beam}
+    states = _states(solver, beam, 0)
     assert states == {(1, HAPPY), (1, ASSUMED_UNHAPPY), (2, HAPPY), (2, ASSUMED_UNHAPPY)}
 
 
@@ -127,7 +133,7 @@ def test_introduce_precoloured_vertex_restricted_to_its_colour():
     solver = _solver(g, PartialColouring(2, {0: 1}), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    states = {(s.colours[0], s.labels[0]) for s in beam}
+    states = _states(solver, beam, 0)
     assert states == {(1, HAPPY), (1, ASSUMED_UNHAPPY)}
 
 
@@ -137,7 +143,7 @@ def test_introduce_with_conflicting_precoloured_neighbours_is_unhappy():
     solver = _solver(g, PartialColouring(2, {1: 1, 2: 2}), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    assert {(s.colours[0], s.labels[0]) for s in beam} == {(1, UNHAPPY), (2, UNHAPPY)}
+    assert _states(solver, beam, 0) == {(1, UNHAPPY), (2, UNHAPPY)}
 
 
 def test_introduce_backup_demotes_conflicting_happy_neighbours():
@@ -146,36 +152,33 @@ def test_introduce_backup_demotes_conflicting_happy_neighbours():
     idx = _introduce_idx(solver, 2)
     # Child state: 0 and 1 committed to different colours, both designated happy.
     child = Beam(67)
-    child.insert(_sol(solver, [1, 2, 0], [HAPPY, HAPPY, UNHAPPY]), solver.rng)
+    child.insert(solver.entry([1, 2, 0], [HAPPY, HAPPY, UNHAPPY]), solver.rng)
     beam = solver.handle_introduce(idx, child)
     assert len(beam) == 2  # one backup per colour
-    for sol in beam:
-        assert sol.labels[2] == UNHAPPY
-        demoted = [v for v in (0, 1) if sol.labels[v] == UNHAPPY]
-        kept = [v for v in (0, 1) if sol.labels[v] == HAPPY]
+    for colours, labels in map(solver.arrays, beam):
+        assert labels[2] == UNHAPPY
+        demoted = [v for v in (0, 1) if labels[v] == UNHAPPY]
+        kept = [v for v in (0, 1) if labels[v] == HAPPY]
         assert len(demoted) == 1 and len(kept) == 1
-        assert sol.colours[kept[0]] == sol.colours[2]
+        assert colours[kept[0]] == colours[2]
 
 
 class _SurvivorSolver(HeuristicSolver):
-    """Counts the entries each introduce builds arrays for."""
+    """Checks that each introduce builds exactly the entries it returns;
+    ``built`` collects the entries made since the introduce began."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.built: int | None = None
+        self.built: list[PartialSolution] = []
         self.introduces = 0
 
-    def _materialise(self, beam, vtx):
-        assert self.built is None, "materialised twice in one introduce"
-        pending = [sol for sol in beam if sol.counts is None]
-        beam = super()._materialise(beam, vtx)
-        self.built = sum(1 for sol in pending if type(sol.colours) is bytes)
-        return beam
-
     def handle_introduce(self, idx, child_beam):
-        self.built = None
+        self.built.clear()
         beam = super().handle_introduce(idx, child_beam)
-        assert self.built == len(beam), f"node {idx}: built {self.built} of {len(beam)}"
+        same = set(map(id, self.built)) == set(map(id, beam))
+        assert same and len(self.built) == len(beam), (
+            f"node {idx}: built {len(self.built)} entries, returned {len(beam)}"
+        )
         self.introduces += 1
         return beam
 
@@ -189,13 +192,22 @@ class _SurvivorSolver(HeuristicSolver):
     ],
     ids=["hard-n34-W4", "hard-n34-W67", "tree-n80-W67"],
 )
-def test_introduce_builds_arrays_only_for_survivors(make, width):
+def test_introduce_builds_arrays_only_for_survivors(make, width, monkeypatch):
     """Every introduce builds arrays for exactly the entries it returns."""
     inst = make()
     g, col = inst.graph, inst.colouring
     nice = make_nice(min_fill_decompose(g, seed=0), g)
     config = HeuristicConfig(width=width, check_invariants=True)
     solver = _SurvivorSolver(g, col, nice, config)
+
+    class Recorded(PartialSolution):
+        __slots__ = ()
+
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            solver.built.append(self)
+
+    monkeypatch.setattr("mhv.heuristic.PartialSolution", Recorded)
     solver.solve()
     assert solver.introduces == sum(1 for node in nice.nodes if node.kind == NodeKind.INTRODUCE)
 
@@ -205,7 +217,7 @@ def test_verify_rejects_an_unbuilt_introduce_entry(monkeypatch):
     g = Graph(3, [(0, 1), (1, 2)])
     solver = _solver(g, PartialColouring(2, {0: 1}), width=4, check_invariants=True)
     monkeypatch.setattr(solver, "_materialise", lambda beam, vtx: beam)
-    with pytest.raises(AssertionError, match="pending entry"):
+    with pytest.raises(AssertionError, match="unbuilt entry"):
         solver.solve()
 
 
@@ -215,15 +227,15 @@ def test_introduce_maybe_happy_matching_colour_offers_happy():
     solver = _solver(g, PartialColouring(2), width=67)
     idx = _introduce_idx(solver, 1)
     child = Beam(67)
-    child.insert(_sol(solver, [1, 0], [ASSUMED_UNHAPPY, MAYBE_HAPPY]), solver.rng)
+    child.insert(solver.entry([1, 0], [ASSUMED_UNHAPPY, MAYBE_HAPPY]), solver.rng)
     beam = solver.handle_introduce(idx, child)
-    states = {(s.colours[1], s.labels[1]) for s in beam}
+    states = _states(solver, beam, 1)
     assert (1, HAPPY) in states
     assert (1, ASSUMED_UNHAPPY) in states
     assert (2, UNHAPPY) in states
     # Colouring 1 differently demotes the consistent neighbour.
-    mismatch = next(s for s in beam if s.colours[1] == 2)
-    assert mismatch.labels[0] == UNHAPPY
+    mismatch = next(labels for colours, labels in map(solver.arrays, beam) if colours[1] == 2)
+    assert mismatch[0] == UNHAPPY
 
 
 def test_naive_count_trap_instance():
@@ -253,11 +265,12 @@ def test_naive_count_trap_instance():
             target = list(beam)
     assert target is not None
     best = max(target, key=lambda s: s.score)
+    best_colours, best_labels = solver.arrays(best)
     # The winner colours the triangle side and leans on potential happiness.
-    assert best.colours[2] == 2
-    assert best.labels[0] == HAPPY
+    assert best_colours[2] == 2
+    assert best_labels[0] == HAPPY
     assert best.counts[2] >= 1, "the winning branch counts a MAYBE_HAPPY vertex"
-    pendant_branch = [s for s in target if s.colours[2] == 1]
+    pendant_branch = [s for s in target if solver.arrays(s)[0][2] == 1]
     assert pendant_branch, "the trap branch is still represented"
     assert all(s.score < best.score for s in pendant_branch)
 
@@ -277,12 +290,12 @@ def test_forget_keeps_best_of_equal_bag_states():
     vtx = solver.nice.nodes[forget_idx].vertex
     # Two solutions agreeing on the remaining bag vertex (colour 1, HAPPY)
     # but with different scores for the forgotten one.
-    strong = _sol(solver, [1, 1], [HAPPY, HAPPY])
+    strong = solver.entry([1, 1], [HAPPY, HAPPY])
     weak_labels = [HAPPY, HAPPY]
     weak_colours = [1, 1]
     weak_colours[vtx] = 2
     weak_labels[vtx] = UNHAPPY
-    weak = _sol(solver, weak_colours, weak_labels)
+    weak = solver.entry(weak_colours, weak_labels)
     child = Beam(67)
     child.insert(weak, solver.rng)
     child.insert(strong, solver.rng)
@@ -301,12 +314,12 @@ def test_forget_promotes_assumed_unhappy():
     labels = [HAPPY, HAPPY]
     labels[vtx] = ASSUMED_UNHAPPY
     child = Beam(67)
-    sol = _sol(solver, [1, 1], labels)
+    sol = solver.entry([1, 1], labels)
     child.insert(sol, solver.rng)
     before = sol.score
     beam = solver.handle_forget(forget_idx, child)
     after = beam.best()
-    assert after.labels[vtx] == HAPPY
+    assert solver.arrays(after)[1][vtx] == HAPPY
     assert after.counts == (2, 0, 0, 0)
     assert after.score - before == TUNED.happy - TUNED.assumed_unhappy
 
@@ -318,8 +331,8 @@ def _distance_fixture():
     # 0-1 in the bag; 2 hangs off 1; 3 isolated.
     g = Graph(4, [(0, 1), (1, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
-    a = _sol(solver, [1, 1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
-    b = _sol(solver, [1, 2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
+    a = solver.entry([1, 1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
+    b = solver.entry([1, 2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
     return solver, a, b
 
 
@@ -338,7 +351,7 @@ def test_distance_all_ones_counts_colour_and_label():
     )
     # vertex 1 differs in colour only; labels agree.
     assert solver.tuple_distance((0, 1), a, b) == 1
-    c = PartialSolution(b.colours, bytes([ASSUMED_UNHAPPY, UNHAPPY, HAPPY, UNKNOWN]), b.counts, b.score)
+    c = solver.entry(solver.arrays(b)[0], [ASSUMED_UNHAPPY, UNHAPPY, HAPPY, UNKNOWN])
     assert solver.tuple_distance((0, 1), a, c) == 2
 
 
@@ -351,9 +364,7 @@ def test_distance_blind_when_no_external_neighbour():
         HeuristicConfig(width=8, join_distance_weighting="has_external_neighbour"),
     )
     # Vertex 0 has no neighbour outside the bag {0, 1}: weight 0.
-    c = PartialSolution(
-        bytes([2, 1, 1, 0]), bytes([UNHAPPY, HAPPY, HAPPY, UNKNOWN]), a.counts, a.score
-    )
+    c = solver.entry([2, 1, 1, 0], [UNHAPPY, HAPPY, HAPPY, UNKNOWN])
     assert solver.tuple_distance((0, 1), a, c) == 0
     # Vertex 1 has external neighbour 2: weight 1 per differing dimension.
     assert solver.tuple_distance((0, 1), a, b) == 1
@@ -366,13 +377,11 @@ def _merge_fixture():
     edges = [(3, 4), (3, 5), (5, 6), (4, 7), (7, 8), (0, 1), (1, 2)]
     g = Graph(9, edges)
     solver = _solver(g, PartialColouring(2), width=16)
-    outer = _sol(
-        solver,
+    outer = solver.entry(
         [0, 0, 0, 1, 2, 1, 1, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, HAPPY, HAPPY, MAYBE_HAPPY, UNKNOWN],
     )
-    inner = _sol(
-        solver,
+    inner = solver.entry(
         [0, 0, 0, 1, 2, 0, 0, 2, 2],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY],
     )
@@ -382,24 +391,24 @@ def _merge_fixture():
 def test_merge_exact_two_sided():
     solver, outer, inner = _merge_fixture()
     merged = solver.merge_exact(outer, inner, frozenset({3, 4}))
-    assert merged.colours == bytes([0, 0, 0, 1, 2, 1, 1, 2, 2])
-    assert merged.labels[0] == UNKNOWN
-    assert merged.labels[1] == UNKNOWN
-    assert merged.labels[2] == UNKNOWN
+    colours, labels = solver.arrays(merged)
+    assert colours == bytes([0, 0, 0, 1, 2, 1, 1, 2, 2])
+    assert labels[0] == UNKNOWN
+    assert labels[1] == UNKNOWN
+    assert labels[2] == UNKNOWN
     assert merged.counts == (4, 2, 0, 0)
-    assert merged.counts == solver._recount(merged.labels)
+    assert merged.counts == _derived_counts(solver, merged)
     assert merged.score == evaluate(solver.weights, merged.counts)
 
 
 def test_merge_exact_with_bag_only_inner_keeps_outer_counts():
     solver, outer, _ = _merge_fixture()
-    bag_only = _sol(
-        solver,
+    bag_only = solver.entry(
         [0, 0, 0, 1, 2, 0, 0, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, MAYBE_HAPPY, UNKNOWN],
     )
     merged = solver.merge_exact(outer, bag_only, frozenset({3, 4}))
-    assert merged.colours == outer.colours
+    assert solver.arrays(merged)[0] == solver.arrays(outer)[0]
     assert merged.counts == outer.counts
 
 
@@ -407,12 +416,12 @@ def test_merge_exact_unhappy_dominates_assumed_unhappy():
     g = Graph(3, [(0, 1), (0, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
     # Bag = {0}; side a saw a conflict with its interior 1, side b did not.
-    a = _sol(solver, [1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY])
-    b = _sol(solver, [1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
+    a = solver.entry([1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY])
+    b = solver.entry([1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
     merged = solver.merge_exact(b, a, frozenset({0}))
-    assert merged.labels[0] == UNHAPPY
+    assert solver.arrays(merged)[1][0] == UNHAPPY
     merged2 = solver.merge_exact(a, b, frozenset({0}))
-    assert merged2.labels[0] == UNHAPPY
+    assert solver.arrays(merged2)[1][0] == UNHAPPY
 
 
 def test_merge_copy_flips_conflicting_labels():
@@ -425,26 +434,28 @@ def test_merge_copy_flips_conflicting_labels():
     )
     # Bag {0}: outer colours it 1 with interior 1 happy; inner colours it 2
     # with interior 2 happy.
-    outer = _sol(solver, [1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
-    inner = _sol(solver, [2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
+    outer = solver.entry([1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
+    inner = solver.entry([2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
     merged = solver._merge_copy(outer, inner, frozenset({0}))
-    assert merged.colours == bytes([1, 1, 2])
-    assert merged.labels[1] == HAPPY
-    assert merged.labels[2] == UNHAPPY  # flipped: neighbour 0 is colour 1
-    assert merged.labels[0] == UNHAPPY  # bag vertex now has a conflict too
-    assert merged.counts == solver._recount(merged.labels)
+    colours, labels = solver.arrays(merged)
+    assert colours == bytes([1, 1, 2])
+    assert labels[1] == HAPPY
+    assert labels[2] == UNHAPPY  # flipped: neighbour 0 is colour 1
+    assert labels[0] == UNHAPPY  # bag vertex now has a conflict too
+    assert merged.counts == _derived_counts(solver, merged)
 
 
 def test_merge_copy_upgrades_vanished_conflicts():
     g = Graph(3, [(0, 1), (0, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
-    outer = _sol(solver, [2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
+    outer = solver.entry([2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
     # Inner committed 0 to colour 1, so its interior 2 (colour 2) was unhappy.
-    inner = _sol(solver, [1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY])
+    inner = solver.entry([1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY])
     merged = solver._merge_copy(outer, inner, frozenset({0}))
     # With the outer's bag colour the conflict is gone: 2 is genuinely happy.
-    assert merged.colours == bytes([2, 2, 2])
-    assert merged.labels[2] == HAPPY
+    colours, labels = solver.arrays(merged)
+    assert colours == bytes([2, 2, 2])
+    assert labels[2] == HAPPY
 
 
 def test_merge_methods_degenerate_to_exact_on_identical_bags():
@@ -454,24 +465,24 @@ def test_merge_methods_degenerate_to_exact_on_identical_bags():
     copy2 = solver._merge_copy(inner, outer, frozenset({3, 4}))
     greedy = solver._merge_greedy(outer, inner, (3, 4), frozenset({3, 4}))
     for merged in (copy1, copy2, greedy):
-        assert merged.colours == exact.colours
+        assert solver.arrays(merged)[0] == solver.arrays(exact)[0]
         assert merged.counts == exact.counts
 
 
 def test_merge_greedy_invariants_on_mismatched_tuples():
     solver, outer, inner = _merge_fixture()
-    flipped = _sol(
-        solver,
+    flipped = solver.entry(
         bytes([0, 0, 0, 2, 1, 0, 0, 1, 1]),
         bytes([UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY]),
     )
     merged = solver._merge_greedy(outer, flipped, (3, 4), frozenset({3, 4}))
-    assert merged.counts == solver._recount(merged.labels)
+    assert merged.counts == _derived_counts(solver, merged)
+    colours, labels = solver.arrays(merged)
     for v in range(9):
-        if merged.labels[v] == HAPPY:
-            cv = merged.colours[v]
+        if labels[v] == HAPPY:
+            cv = colours[v]
             for u in solver.adj[v]:
-                assert merged.colours[u] in (0, cv)
+                assert colours[u] in (0, cv)
 
 
 def _labelled(solver, colours):
@@ -479,7 +490,7 @@ def _labelled(solver, colours):
     labels the colouring implies."""
     border = bytes(colours)
     labels = [HAPPY if c else solver._border_label(v, border) for v, c in enumerate(colours)]
-    return _sol(solver, colours, labels)
+    return solver.entry(colours, labels)
 
 
 def test_verify_enforces_labels_only_next_to_the_bag():
@@ -533,20 +544,16 @@ def test_join_with_bag_only_side_preserves_other_side():
     left = beams[node.children[0]]
     bag = solver._bags[join_idx]
     crafted = Beam(67)
-    for sol in left:
+    for sol_colours, sol_labels in map(solver.arrays, left):
         colours = bytearray(solver.n)
         labels = bytearray(solver.n)
         for v in bag:
-            colours[v] = sol.colours[v]
-            labels[v] = sol.labels[v]
+            colours[v] = sol_colours[v]
+            labels[v] = sol_labels[v]
         for v in range(solver.n):
             if not colours[v]:
                 labels[v] = solver._border_label(v, colours)
-        counts = solver._recount(labels)
-        crafted.insert(
-            PartialSolution(bytes(colours), bytes(labels), counts, evaluate(solver.weights, counts)),
-            solver.rng,
-        )
+        crafted.insert(solver.entry(colours, labels), solver.rng)
     out = solver.handle_join(join_idx, left, crafted)
     assert len(out) == len(left)
     assert sorted(s.counts for s in out) == sorted(s.counts for s in left)
@@ -554,13 +561,11 @@ def test_join_with_bag_only_side_preserves_other_side():
 
 def test_join_mismatch_only_lists_use_backup():
     solver, join_idx = _join_solver()
-    a = _sol(
-        solver,
+    a = solver.entry(
         [1, 1, 1, 0],
         [HAPPY, ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY],
     )
-    b = _sol(
-        solver,
+    b = solver.entry(
         [2, 2, 0, 2],
         [HAPPY, ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY],
     )
@@ -571,7 +576,7 @@ def test_join_mismatch_only_lists_use_backup():
     out = solver.handle_join(join_idx, left, right)
     assert len(out) == 2  # copy_bag yields both role assignments
     for sol in out:
-        assert sol.counts == solver._recount(sol.labels)
+        assert sol.counts == _derived_counts(solver, sol)
 
 
 # -- beam ---------------------------------------------------------------------
@@ -605,23 +610,20 @@ def test_beam_eviction_among_worst_is_seeded_random():
     for seed in range(30):
         rng = random.Random(seed)
         beam = Beam(2)
-        first = PartialSolution(b"a", b"", (0, 0, 0, 0), 3)
-        second = PartialSolution(b"b", b"", (0, 0, 0, 0), 3)
-        newcomer = PartialSolution(b"c", b"", (0, 0, 0, 0), 3)
-        beam.insert(first, rng)
-        beam.insert(second, rng)
-        beam.insert(newcomer, rng)
-        seen.add(tuple(s.colours for s in beam))
+        sols = [PartialSolution(b"", b"", (0, 0, 0, 0), 3) for _ in range(3)]
+        for sol in sols:  # first, second, newcomer
+            beam.insert(sol, rng)
+        seen.add(tuple(map(sols.index, beam)))
     assert len(seen) > 1  # different victims across seeds
 
 
 def test_beam_equal_scores_keep_insertion_order():
     rng = random.Random(1)
     beam = Beam(10)
-    sols = [PartialSolution(bytes([i]), b"", (0, 0, 0, 0), 4) for i in range(4)]
+    sols = [PartialSolution(b"", b"", (0, 0, 0, 0), 4) for _ in range(4)]
     for sol in sols:
         beam.insert(sol, rng)
-    assert [s.colours for s in beam] == [bytes([i]) for i in range(4)]
+    assert list(beam) == sols
 
 
 # -- solver surface ------------------------------------------------------------

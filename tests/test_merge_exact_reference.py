@@ -23,9 +23,8 @@ class _CheckedSolver(HeuristicSolver):
     def merge_exact(self, a, b, bag_set):
         got = super().merge_exact(a, b, bag_set)
         want = reference_merge_exact(self, a, b)
-        assert (got.colours, got.labels, got.counts, got.score) == (
-            want.colours,
-            want.labels,
+        assert (*self.arrays(got), got.counts, got.score) == (
+            *self.arrays(want),
             want.counts,
             want.score,
         )
