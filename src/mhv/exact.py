@@ -27,7 +27,7 @@ from itertools import product
 from .errors import InputError, ResourceLimitError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
-from .treedec import NiceTreeDecomposition
+from .treedec import NiceTreeDecomposition, check_decomposes
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -103,8 +103,7 @@ def solve_exact(
     returned colouring extends the input and its happy count is the proven
     optimum.
     """
-    if nice.n != g.n:
-        raise InputError("decomposition does not match the graph")
+    check_decomposes(g, nice)
     start = time.perf_counter()
     aug = build_sstar_td(g, colouring, nice)
     k = colouring.k

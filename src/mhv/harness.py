@@ -16,7 +16,9 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 from .baselines import greedy_mhv, growth_mhv
@@ -278,54 +280,55 @@ class BenchRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class _RunTask:
-    instance_id: str
-    instance: Instance
-    nice: NiceTreeDecomposition
-    decompose_ms: float
-    spec: AlgorithmSpec
-    seed: int
-    include_decomposition_time: bool
-
-
-def _execute(task: _RunTask) -> BenchRecord:
-    g = task.instance.graph
-    spec = task.spec
-    row = SOLVERS[spec.algorithm]
-    stats = td_stats(task.nice)
-    try:
-        result = row.run(task.instance, task.nice, spec, task.seed)
-    except MhvError as exc:
-        return BenchRecord(
-            instance_id=task.instance_id,
-            algorithm=spec.algorithm,
-            config=spec.label(),
-            n=g.n,
-            happy=-1,
-            percent_happy=0.0,
-            provably_optimal=False,
-            time_ms=0.0,
-            td_width=stats.width,
-            td_nodes=stats.node_count,
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    time_ms = result.time_ms
-    if task.include_decomposition_time and row.needs_decomposition:
-        time_ms += task.decompose_ms
-    return BenchRecord(
-        instance_id=task.instance_id,
-        algorithm=spec.algorithm,
-        config=spec.label(),
-        n=g.n,
-        happy=result.happy,
-        percent_happy=result.percent_happy,
-        provably_optimal=result.provably_optimal,
-        time_ms=time_ms,
-        td_width=stats.width,
-        td_nodes=stats.node_count,
-    )
+def _run_instance(
+    item: tuple[str, Instance],
+    algorithms: list[AlgorithmSpec],
+    repetitions: int,
+    include_timing: bool,
+    include_decomposition_time: bool,
+    td_seed: int,
+) -> list[BenchRecord]:
+    """Decompose one instance and return its records in (spec, repetition) order."""
+    instance_id, instance = item
+    t0 = time.perf_counter()
+    nice = make_nice(min_fill_decompose(instance.graph, seed=td_seed), instance.graph)
+    decompose_ms = (time.perf_counter() - t0) * 1000.0
+    stats = td_stats(nice)
+    records = []
+    for spec in algorithms:
+        row = SOLVERS[spec.algorithm]
+        extra_ms = decompose_ms if include_decomposition_time and row.needs_decomposition else 0.0
+        for rep in range(repetitions):
+            try:
+                result = row.run(instance, nice, spec, spec.seed + rep)
+            except MhvError as exc:
+                outcome = dict(
+                    happy=-1,
+                    percent_happy=0.0,
+                    provably_optimal=False,
+                    time_ms=0.0,
+                    status="error",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            else:
+                outcome = dict(
+                    happy=result.happy,
+                    percent_happy=result.percent_happy,
+                    provably_optimal=result.provably_optimal,
+                    time_ms=result.time_ms + extra_ms if include_timing else 0.0,
+                )
+            records.append(
+                BenchRecord(
+                    instance_id=instance_id,
+                    algorithm=spec.algorithm,
+                    config=spec.label(),
+                    n=instance.graph.n,
+                    td_width=stats.width,
+                    td_nodes=stats.node_count,
+                    **outcome,
+                )
+            )
+    return records
 
 
 def default_workers() -> int:
@@ -350,45 +353,40 @@ def bench_run(
 ) -> Iterator[BenchRecord]:
     """Run every (instance, algorithm, repetition) combination.
 
-    Each instance is decomposed once and the decomposition shared across its
-    runs.  Repetition r uses per-run seed ``spec.seed + r``, bound to the run
-    rather than the worker, so results do not depend on the worker count.
-    Failed runs yield error records and the sweep continues.
+    Each instance is one task: the process that runs it decomposes it once,
+    shares the decomposition across its runs and returns its records in
+    (spec, repetition) order.  ``workers`` processes run the tasks (the
+    calling process when it is 1), and records come out per finished
+    instance in input order.  Repetition r uses per-run seed
+    ``spec.seed + r``, bound to the run rather than the worker, so results
+    do not depend on the worker count.  Failed runs yield error records and
+    the sweep continues.  The arguments are checked before this returns.
     """
     if repetitions < 1:
         raise InputError("repetitions must be at least 1")
-    algorithms = list(algorithms)
     if workers is None:
         workers = default_workers()
     elif workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
+    run = partial(
+        _run_instance,
+        algorithms=list(algorithms),
+        repetitions=repetitions,
+        include_timing=include_timing,
+        include_decomposition_time=include_decomposition_time,
+        td_seed=td_seed,
+    )
+    return _records(run, instances, workers)
 
-    def tasks() -> Iterator[_RunTask]:
-        for instance_id, instance in instances:
-            t0 = time.perf_counter()
-            td = min_fill_decompose(instance.graph, seed=td_seed)
-            nice = make_nice(td, instance.graph)
-            decompose_ms = (time.perf_counter() - t0) * 1000.0
-            for spec in algorithms:
-                for rep in range(repetitions):
-                    yield _RunTask(
-                        instance_id=instance_id,
-                        instance=instance,
-                        nice=nice,
-                        decompose_ms=decompose_ms,
-                        spec=spec,
-                        seed=spec.seed + rep,
-                        include_decomposition_time=include_decomposition_time,
-                    )
 
-    if workers <= 1:
-        for task in tasks():
-            record = _execute(task)
-            yield record if include_timing else replace(record, time_ms=0.0)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_execute, tasks()):
-                yield record if include_timing else replace(record, time_ms=0.0)
+def _records(
+    run: Callable[[tuple[str, Instance]], list[BenchRecord]],
+    instances: Iterable[tuple[str, Instance]],
+    workers: int,
+) -> Iterator[BenchRecord]:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for records in (pool.map if pool else map)(run, instances):
+            yield from records
 
 
 def write_csv_header(out: TextIO) -> None:
@@ -430,9 +428,7 @@ def bench_to_csv(
     Records are flushed as they arrive so partially completed sweeps leave a
     usable file behind.
     """
-    write_csv_header(out)
-    written = 0
-    for record in bench_run(
+    records = bench_run(
         instances,
         algorithms,
         repetitions=repetitions,
@@ -440,7 +436,10 @@ def bench_to_csv(
         include_decomposition_time=include_decomposition_time,
         workers=workers,
         td_seed=td_seed,
-    ):
+    )
+    write_csv_header(out)
+    written = 0
+    for record in records:
         write_csv_record(out, record, include_timing=include_timing)
         out.flush()
         written += 1

@@ -65,7 +65,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
-from .treedec import NiceTreeDecomposition, NodeKind
+from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
 
 class Label(IntEnum):
@@ -302,8 +302,7 @@ class HeuristicSolver:
         nice: NiceTreeDecomposition,
         config: HeuristicConfig | None = None,
     ) -> None:
-        if nice.n != g.n:
-            raise InputError("decomposition does not match the graph")
+        check_decomposes(g, nice)
         self.g = g
         self.n = g.n
         self.k = colouring.k

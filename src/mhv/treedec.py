@@ -386,6 +386,32 @@ def td_stats(nice: NiceTreeDecomposition) -> TdStats:
     )
 
 
+def check_decomposes(g: Graph, nice: NiceTreeDecomposition) -> None:
+    """Raise InputError unless ``nice`` is a decomposition of ``g``."""
+    if not _decomposes(g, nice):
+        raise InputError("decomposition does not match the graph")
+
+
+def _decomposes(g: Graph, nice: NiceTreeDecomposition) -> bool:
+    """Same vertex count, every vertex forgotten and every edge in some bag.
+
+    Trusts the nice structure and takes O(n + m): an edge whose end u is
+    forgotten first lies in a bag exactly when its other end is in the bag
+    that u is forgotten from.
+    """
+    if nice.n != g.n:
+        return False
+    forgotten = bytearray(g.n)
+    for node in nice.nodes:
+        if node.kind == NodeKind.FORGET:
+            u = node.vertex
+            child_bag = nice.nodes[node.children[0]].bag
+            if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
+                return False
+            forgotten[u] = 1
+    return all(forgotten)
+
+
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Convert a valid decomposition into nice form of no larger width.
 

@@ -8,6 +8,7 @@ from mhv.errors import InputError, ResourceLimitError
 from mhv.exact import AugKind, build_sstar_td, solve_exact
 from mhv.graph import Graph, PartialColouring, count_happy
 from mhv.harness import generate, hardest_regime
+from mhv.heuristic import HeuristicConfig, solve_heuristic
 from mhv.oracle import brute_force
 from mhv.treedec import make_nice, min_fill_decompose
 
@@ -86,6 +87,35 @@ def test_exact_rejects_a_decomposition_of_another_graph(graph_n, nice_n):
 
     with pytest.raises(InputError, match="^decomposition does not match the graph$"):
         solve_exact(path(graph_n), PartialColouring(2, {0: 1, 3: 2}), _nice_for(path(nice_n)))
+
+
+# Random graphs (edge probability 0.4) on the vertices of a path, each with an
+# edge that the path's decomposition leaves in no bag.  Without the check the
+# beam DP raised KeyError on the first and returned a wrong happy count
+# flagged provably optimal on the other two, and solve_exact failed an
+# assertion on all three.
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (8, [(0, 3), (0, 7), (1, 6), (2, 4), (3, 5), (4, 7)]),
+        (6, [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (2, 4), (3, 5)]),
+        (8, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 5), (2, 5), (2, 6), (2, 7), (3, 4),
+             (3, 7), (4, 5), (5, 6), (5, 7), (6, 7)]),
+    ],
+    ids=["key-error", "wrong-certified-n6", "wrong-certified-n8"],
+)
+def test_solvers_reject_a_decomposition_of_another_graph_on_the_same_vertices(n, edges):
+    g = Graph(n, edges)
+    col = PartialColouring(2, {0: 1, n - 1: 2})
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    nice = _nice_for(path)
+    with pytest.raises(InputError, match="^decomposition does not match the graph$"):
+        solve_exact(g, col, nice)
+    with pytest.raises(InputError, match="^decomposition does not match the graph$"):
+        solve_heuristic(g, col, nice, HeuristicConfig(width=10**4))
+    # A subgraph of the path is decomposed by the path's decomposition.
+    sub = Graph(n, [(1, 2)])
+    assert solve_exact(sub, col, nice).happy == brute_force(sub, col).happy
 
 
 def test_exact_state_cap():

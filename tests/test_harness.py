@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,12 +209,44 @@ def test_bench_repetitions_vary_seed():
 
 
 def test_bench_parallel_matches_sequential():
-    specs = [AlgorithmSpec("greedy"), AlgorithmSpec("heuristic", width=8, seed=5)]
+    specs = [
+        AlgorithmSpec("greedy"),
+        AlgorithmSpec("heuristic", width=8, seed=5),
+        AlgorithmSpec("brute", brute_cap=1),
+    ]
     seq = io.StringIO()
     par = io.StringIO()
-    bench_to_csv(seq, _bench_instances(), specs, include_timing=False, workers=1)
-    bench_to_csv(par, _bench_instances(), specs, include_timing=False, workers=2)
+    for out, workers in ((seq, 1), (par, 2)):
+        bench_to_csv(
+            out, _bench_instances(), specs, repetitions=2, include_timing=False, workers=workers
+        )
     assert seq.getvalue() == par.getvalue()
+    assert seq.getvalue().count(",error,") == 4
+
+
+@pytest.mark.parametrize("options", [{"workers": 0}, {"repetitions": 0}])
+def test_bench_to_csv_checks_arguments_before_writing(options):
+    out = io.StringIO()
+    with pytest.raises(InputError):
+        bench_to_csv(out, _bench_instances(), [AlgorithmSpec("greedy")], **options)
+    assert out.getvalue() == ""
+
+
+def test_bench_include_decomposition_time(monkeypatch):
+    import mhv.harness
+
+    def slow_make_nice(*args, **kwargs):
+        time.sleep(0.05)
+        return make_nice(*args, **kwargs)
+
+    monkeypatch.setattr(mhv.harness, "make_nice", slow_make_nice)
+    specs = [AlgorithmSpec("greedy"), AlgorithmSpec("heuristic", width=4), AlgorithmSpec("exact")]
+    records = list(
+        bench_run(_bench_instances()[:1], specs, include_decomposition_time=True, workers=1)
+    )
+    time_ms = {r.algorithm: r.time_ms for r in records}
+    assert time_ms["heuristic"] >= 50.0 and time_ms["exact"] >= 50.0
+    assert time_ms["greedy"] < 50.0
 
 
 # -- CLI ------------------------------------------------------------------
