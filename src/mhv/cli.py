@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 resource cap hit.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -56,6 +58,23 @@ def _read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not a UTF-8 text file: {exc}") from None
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Fail before any work on an output path that cannot be written: its
+    parent is missing or not a directory, or it is a directory itself.  The
+    error is the one the write would raise."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.exists():
+            code, exc = errno.ENOENT, FileNotFoundError
+        elif not parent.is_dir():
+            code, exc = errno.ENOTDIR, NotADirectoryError
+        elif Path(path).is_dir():
+            code, exc = errno.EISDIR, IsADirectoryError
+        else:
+            continue
+        raise exc(code, os.strerror(code), path)
 
 
 def _load_instance(graph_path: str, colouring_path: str) -> Instance:
@@ -179,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_outputs(args.out_graph, args.out_colouring)
     if args.hardest:
         params = hardest_regime(args.n, args.k, seed=args.seed)
     else:
@@ -196,6 +216,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     g = parse_graph(_read_text(args.graph))
     if args.td:
         td = parse_td(_read_text(args.td), g)
@@ -238,6 +259,7 @@ _FLAG_SPELLINGS = {"brute_cap": "--cap", "state_cap": "--state-cap"}
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """Run the solver subcommand's row of the solver table on one instance."""
+    _check_outputs(args.out)
     values = {f.name: getattr(args, f.name) for f in fields(AlgorithmSpec) if f.name in args}
     if "weights" in values:
         try:

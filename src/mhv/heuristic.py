@@ -4,7 +4,10 @@ Partial solutions are built bottom-up.  At every decomposition node a list of
 at most ``width`` candidates survives, ranked by a weighted count of vertex
 labels; with a large enough width the procedure degenerates into the exact
 bounded-treewidth algorithm and the solver reports the result as provably
-optimal.
+optimal.  Each node picks its survivors in one selection (``Beam.extend``):
+its candidates are sorted stably by score and the ``width`` best are kept.
+Only when the cut splits a run of equal scores does the RNG pick, by one
+``rng.sample``, which entries of that run stay.
 
 Each partial solution stores the colouring of the processed subgraph and a
 label per vertex:
@@ -30,10 +33,10 @@ equals ``_border_label``.  The introduce works in three phases.  One scan of
 the neighbours per child solution scores the changes: as if every neighbour
 whose label can change turned UNHAPPY, plus per colour a correction for the
 ones that agree with it.  The emissions are collected by score alone, each
-pointing at its child solution, colour and watched neighbours, and offered to
-the beam in one ``Beam.extend`` pass; every handler offers its candidates in
-bulk that way.  Last, a finished entry is built for each offer that survives
-the node, its arrays once per (child solution, colour) for both labels.
+pointing at its child solution, colour and watched neighbours, and selected
+from once per list.  Last, a finished entry is built for each offer that
+survives the node, its arrays once per (child solution, colour) for both
+labels.
 
 The solver owns the entry format.  Entries are made from full arrays by
 ``HeuristicSolver.entry`` and read by ``HeuristicSolver.arrays``; only the node
@@ -57,9 +60,10 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -215,6 +219,10 @@ def _rank(sol: PartialSolution) -> tuple[int, int]:
     return sol.score, sol.counts[0]
 
 
+# The score of a (score, entry) offer.
+_score_of = itemgetter(0)
+
+
 def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
     """Weighted label-count score of a partial solution."""
     return (
@@ -228,13 +236,12 @@ def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
 class Beam:
     """Score-sorted list capped at ``capacity`` entries.
 
-    The one rule lives in ``extend``.  Entries are kept in ascending score
-    order; entries with equal score stay in insertion order.  On overflow one
-    entry with the worst score is discarded uniformly at random among the
-    worst (the incoming entry included); an offer below the worst score of a
-    full beam is turned down without an RNG draw.  ``scores`` mirrors
-    ``entries``, so placing an entry and counting the worst ties are
-    bisections.  Entries are ``PartialSolution``s, except inside an
+    The one rule lives in ``extend``, a selection: the held entries and the
+    offers, held first, are sorted stably by score and the ``capacity`` best
+    are kept, in ascending score order with equal scores in that pool order.
+    Only when the cut splits a run of equal scores is there an RNG draw: one
+    ``rng.sample`` picks which entries of the run stay.  ``scores`` mirrors
+    ``entries``.  Entries are ``PartialSolution``s, except inside an
     introduce, whose beams hold (group, label) pairs until it materialises.
     """
 
@@ -248,35 +255,29 @@ class Beam:
         self.scores: list[int] = []
 
     def insert(self, sol: PartialSolution, rng: random.Random) -> bool:
-        return self.extend(((sol.score, sol),), rng) == 1
+        """Offer one entry; return whether it is held afterwards."""
+        self.extend(((sol.score, sol),), rng)
+        return sol in self.entries
 
-    def extend(self, offers: Iterable[tuple[int, Any]], rng: random.Random) -> int:
-        """Offer each (score, entry) pair in order; return how many were
-        accepted (an accepted entry may be evicted by a later offer)."""
-        entries = self.entries
-        scores = self.scores
-        room = self.capacity - len(scores)
-        accepted = 0
-        for score, entry in offers:
-            if room:
-                room -= 1
-            else:
-                worst = scores[0]
-                if score < worst:
-                    continue
-                ties = bisect_right(scores, worst)
-                if score == worst:
-                    pick = rng.randrange(ties + 1)
-                    if pick == ties:
-                        continue
-                else:
-                    pick = rng.randrange(ties)
-                del entries[pick], scores[pick]
-            at = bisect_right(scores, score)
-            entries.insert(at, entry)
-            scores.insert(at, score)
-            accepted += 1
-        return accepted
+    def extend(self, offers: Iterable[tuple[int, Any]], rng: random.Random) -> None:
+        """Keep the ``capacity`` best of the held entries and the offered
+        (score, entry) pairs, by one selection (see the class docstring)."""
+        pool = list(zip(self.scores, self.entries))
+        pool += offers
+        pool.sort(key=_score_of)
+        scores = [score for score, _ in pool]
+        cut = len(pool) - self.capacity
+        if cut > 0:
+            worst = scores[cut]
+            lo = bisect_left(scores, worst, 0, cut)
+            if lo < cut:
+                # The cut splits the run [lo, hi) of the worst kept score.
+                hi = bisect_right(scores, worst, cut)
+                picked = sorted(rng.sample(range(lo, hi), hi - cut))
+                pool[cut:hi] = [pool[i] for i in picked]
+            del pool[:cut], scores[:cut]
+        self.scores = scores
+        self.entries = [entry for _, entry in pool]
 
     @property
     def at_capacity(self) -> bool:
@@ -445,10 +446,11 @@ class HeuristicSolver:
         those that agree with any).  Every emission's score is then a sum of
         three terms and one label weight, equal to ``evaluate`` of its counts.
         The emissions are collected in order as (score, (group, label))
-        offers, the two labels of one colour sharing one group, and offered in
-        one ``Beam.extend`` call per list: the backup list first, since every
-        backup offer precedes every main offer.  Last, ``_materialise`` builds
-        a finished entry for each offer that survives in the returned list.
+        offers, the two labels of one colour sharing one group.  Each list is
+        then one ``Beam.extend`` selection, the backup list first: the
+        ``width`` best offers survive, and only a cut through equal scores
+        draws from the RNG.  Last, ``_materialise`` builds a finished entry
+        for each offer that survives in the returned list.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -603,7 +605,8 @@ class HeuristicSolver:
         Exact bag matches merge losslessly; while no exact merge has happened
         yet, each unmatched outer solution is heuristically merged with its
         nearest inner solution into a backup list, returned only if the main
-        list ends empty.
+        list ends empty.  The returned list is the one offered to the node's
+        beam, in one selection.
         """
         bag = self._bags[idx]
         bag_set = self._bag_sets[idx]
@@ -617,7 +620,7 @@ class HeuristicSolver:
         for inner_sol in inner_entries:
             partners.setdefault(self._match_key(bag, inner_sol), inner_sol)
         exact: list[tuple[int, PartialSolution]] = []
-        backup = Beam(self.config.width)
+        backup: list[tuple[int, PartialSolution]] = []
         weights: tuple[int, ...] | None = None
         per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
@@ -633,14 +636,12 @@ class HeuristicSolver:
                     inner_entries,
                     key=lambda s: self.tuple_distance(bag, outer_sol, s, weights),
                 )
-                # One insert per merge: ``_merge_greedy`` draws in between.
                 for merged in self.merge_heuristic(outer_sol, nearest, bag, bag_set):
-                    backup.insert(merged, self.rng)
-        # ``merge_exact`` draws nothing and every backup merge precedes the
-        # first exact one, so offering the exact merges last keeps the draws.
-        main = Beam(self.config.width)
-        main.extend(exact, self.rng)
-        return main if exact else backup
+                    backup.append((merged.score, merged))
+        # One selection, of the list the node returns.
+        beam = Beam(self.config.width)
+        beam.extend(exact or backup, self.rng)
+        return beam
 
     # -- join helpers -----------------------------------------------------
 

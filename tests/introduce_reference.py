@@ -1,12 +1,13 @@
 """Array-first reference for ``HeuristicSolver.handle_introduce`` and ``Beam``.
 
 The introduce handler as first written: per child entry and colour it copies
-both arrays, recomputes every uncoloured neighbour's label through
-``_border_label`` and offers every emission to the beam, which keeps its order
-with ``insort_right`` on the score and counts the worst-score ties in a loop.
-It assumes nothing about which neighbour labels can change, so it checks the
-solver's introduce, which scores each emission from the label changes of a
-watch list and builds arrays only for the entries that survive the node.
+both arrays and recomputes every uncoloured neighbour's label through
+``_border_label``.  It assumes nothing about which neighbour labels can
+change, so it checks the solver's introduce, which scores each emission from
+the label changes of a watch list and builds arrays only for the entries that
+survive the node.  It collects its emissions per list and selects once per
+list, the backup list first, through ``ReferenceBeam``: the beam's selection
+rule in its plainest form, an ``insort_right`` per entry and a cut.
 """
 
 from __future__ import annotations
@@ -30,35 +31,40 @@ def _score_key(sol: PartialSolution) -> int:
 
 
 class ReferenceBeam:
-    """``Beam`` as first written; ``rejected`` counts entries turned down
-    without an RNG draw."""
+    """``Beam``'s rule written out.  ``extend`` places the held entries, then
+    each offer, with ``insort_right``, so equal scores stay in that order, and
+    keeps the ``capacity`` best.  When the cut splits the run of equal scores
+    at the worst kept score, one ``rng.sample`` over the run picks its
+    survivors, which keep their run order.  ``dropped`` counts the entries
+    left out and ``samples`` the ``rng.sample`` calls."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.entries: list[PartialSolution] = []
-        self.rejected = 0
+        self.dropped = 0
+        self.samples = 0
+
+    def extend(self, sols, rng: random.Random) -> None:
+        pool: list[PartialSolution] = []
+        for sol in [*self.entries, *sols]:
+            insort_right(pool, sol, key=_score_key)
+        if len(pool) <= self.capacity:
+            self.entries = pool
+            return
+        self.dropped += len(pool) - self.capacity
+        worst = pool[-self.capacity].score
+        above = [sol for sol in pool if sol.score > worst]
+        run = [sol for sol in pool if sol.score == worst]
+        room = self.capacity - len(above)
+        if room < len(run):
+            self.samples += 1
+            chosen = {id(sol) for sol in rng.sample(run, room)}
+            run = [sol for sol in run if id(sol) in chosen]
+        self.entries = run + above
 
     def insert(self, sol: PartialSolution, rng: random.Random) -> bool:
-        entries = self.entries
-        if len(entries) < self.capacity:
-            insort_right(entries, sol, key=_score_key)
-            return True
-        worst = entries[0].score
-        if sol.score < worst:
-            self.rejected += 1
-            return False
-        ties = 1
-        while ties < len(entries) and entries[ties].score == worst:
-            ties += 1
-        if sol.score == worst:
-            pick = rng.randrange(ties + 1)
-            if pick == ties:
-                return False
-            entries.pop(pick)
-        else:
-            entries.pop(rng.randrange(ties))
-        insort_right(entries, sol, key=_score_key)
-        return True
+        self.extend([sol], rng)
+        return any(held is sol for held in self.entries)
 
 
 def _set_label(labels: bytearray, counts: list[int], v: int, new: int) -> None:
@@ -81,7 +87,7 @@ def _evidence_colour(solver: HeuristicSolver, v: int, colours: bytes) -> int:
     return 0
 
 
-def _emit(solver, beam, sol, vtx, colour, labels_for_vertex, rng) -> None:
+def _emit(solver, emitted, sol, vtx, colour, labels_for_vertex) -> None:
     sol_colours, sol_labels = solver.arrays(sol)
     colours = bytearray(sol_colours)
     colours[vtx] = colour
@@ -100,17 +106,17 @@ def _emit(solver, beam, sol, vtx, colour, labels_for_vertex, rng) -> None:
         out_labels = bytearray(labels)
         out_counts = list(counts)
         _set_label(out_labels, out_counts, vtx, lab)
-        beam.insert(solver.entry(frozen_colours, out_labels, out_counts), rng)
+        emitted.append(solver.entry(frozen_colours, out_labels, out_counts))
 
 
-def _emit_backup(solver, beam, sol, vtx, colour, rng) -> None:
+def _emit_backup(solver, emitted, sol, vtx, colour) -> None:
     colours, sol_labels = solver.arrays(sol)
     labels = bytearray(sol_labels)
     counts = list(sol.counts)
     for u in solver.adj[vtx]:
         if colours[u] and colours[u] != colour and labels[u] == HAPPY:
             _set_label(labels, counts, u, UNHAPPY)
-    _emit(solver, beam, solver.entry(colours, labels, counts), vtx, colour, (UNHAPPY,), rng)
+    _emit(solver, emitted, solver.entry(colours, labels, counts), vtx, colour, (UNHAPPY,))
 
 
 def reference_introduce(
@@ -125,23 +131,28 @@ def reference_introduce(
     adj_v = solver.adj[vtx]
     base = solver.base
     allowed = (base[vtx],) if base[vtx] else tuple(range(1, solver.k + 1))
-    main = ReferenceBeam(solver.config.width)
-    backup = ReferenceBeam(solver.config.width)
+    main_emitted: list[PartialSolution] = []
+    backup_emitted: list[PartialSolution] = []
     for sol in child_entries:
         col_c, lab_c = solver.arrays(sol)
         v_label = lab_c[vtx]
         for i in allowed:
             if v_label == UNKNOWN:
                 conflict = any(base[u] and base[u] != i for u in adj_v)
-                _emit(solver, main, sol, vtx, i, (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY), rng)
+                labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
+                _emit(solver, main_emitted, sol, vtx, i, labs)
                 continue
             blocked = any(col_c[u] and col_c[u] != i and lab_c[u] == HAPPY for u in adj_v)
             if blocked:
-                if not main.entries:
-                    _emit_backup(solver, backup, sol, vtx, i, rng)
+                if not main_emitted:
+                    _emit_backup(solver, backup_emitted, sol, vtx, i)
                 continue
             if v_label == MAYBE_HAPPY and _evidence_colour(solver, vtx, col_c) == i:
-                _emit(solver, main, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY), rng)
+                _emit(solver, main_emitted, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY))
             else:
-                _emit(solver, main, sol, vtx, i, (UNHAPPY,), rng)
+                _emit(solver, main_emitted, sol, vtx, i, (UNHAPPY,))
+    backup = ReferenceBeam(solver.config.width)
+    backup.extend(backup_emitted, rng)
+    main = ReferenceBeam(solver.config.width)
+    main.extend(main_emitted, rng)
     return (main if main.entries else backup), main

@@ -141,8 +141,24 @@ def digests(name: str) -> dict[str, dict]:
     return {case: digest(run()) for case, run in solves(name)}
 
 
+def moved(old: dict[str, dict], new: dict[str, dict]) -> tuple[int, int]:
+    """How many of ``old``'s digests differ in ``new`` (or are gone), and how
+    many of those were ``provably_optimal``."""
+    changed = [digest for case, digest in old.items() if new.get(case) != digest]
+    return len(changed), sum(digest["provably_optimal"] for digest in changed)
+
+
 def main() -> int:
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     golden = {name: digests(name) for name in INSTANCES}
+    totals = [0, 0]
+    for name, cases in golden.items():
+        count, certified = moved(old.get(name, {}), cases)
+        totals[0] += count
+        totals[1] += certified
+        print(f"{name}: {count} of {len(old.get(name, {}))} digests moved, {certified} certified")
+    certified_total = sum(d["provably_optimal"] for cases in old.values() for d in cases.values())
+    print(f"moved {totals[0]} digests, {totals[1]} of the {certified_total} certified ones")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     total = sum(len(cases) for cases in golden.values())
     print(f"wrote {total} digests for {len(golden)} instances to {GOLDEN_PATH}")

@@ -342,16 +342,22 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 # Every subcommand once with a directory and once with a binary file where a
-# path is expected, plus caps below 1.  {dir} is a directory, {bin} a file of
-# undecodable bytes, {g}/{c}/{m} a valid graph, colouring and bench manifest.
+# path is expected, plus caps below 1, plus output paths whose parent is
+# missing or a file.  {dir} is a directory, {bin} a file of undecodable bytes,
+# {g}/{c}/{m} a valid graph, colouring and bench manifest.
+_GEN = ["gen", "--n", "30", "--k", "2", "--hardest"]
 _BAD_INPUT_CASES = [
-    ["gen", "--n", "30", "--k", "2", "--hardest", "--out-graph", "{dir}", "--out-colouring", "{tmp}/o.col"],
-    ["gen", "--n", "30", "--k", "2", "--hardest", "--out-graph", "{tmp}/o.gr", "--out-colouring", "{dir}"],
+    [*_GEN, "--out-graph", "{dir}", "--out-colouring", "{tmp}/o.col"],
+    [*_GEN, "--out-graph", "{tmp}/o.gr", "--out-colouring", "{dir}"],
+    [*_GEN, "--out-graph", "{tmp}/missing/o.gr", "--out-colouring", "{tmp}/o.col"],
+    [*_GEN, "--out-graph", "{tmp}/o.gr", "--out-colouring", "{tmp}/missing/o.col"],
+    [*_GEN, "--out-graph", "{tmp}/o.gr", "--out-colouring", "{g}/o.col"],
     ["decompose", "{dir}"],
     ["decompose", "{bin}"],
     ["decompose", "{g}", "--td", "{dir}"],
     ["decompose", "{g}", "--td", "{bin}"],
     ["decompose", "{g}", "--out", "{dir}"],
+    ["decompose", "{g}", "--out", "{tmp}/missing/o.td"],
     ["validate", "{dir}", "{c}"],
     ["validate", "{g}", "{bin}"],
     ["solve", "{dir}", "{c}"],
@@ -359,18 +365,25 @@ _BAD_INPUT_CASES = [
     ["solve", "{g}", "{c}", "--td", "{dir}"],
     ["solve", "{g}", "{c}", "--td", "{bin}"],
     ["solve", "{g}", "{c}", "--out", "{dir}"],
+    ["solve", "{g}", "{c}", "--out", "{tmp}/missing/o.col"],
+    ["solve", "{g}", "{c}", "--out", "{g}/o.col"],
     ["exact", "{g}", "{dir}"],
     ["exact", "{bin}", "{c}"],
     ["exact", "{g}", "{c}", "--td", "{dir}"],
     ["exact", "{g}", "{c}", "--out", "{dir}"],
+    ["exact", "{g}", "{c}", "--out", "{tmp}/missing/o.col"],
     ["greedy", "{dir}", "{c}"],
     ["greedy", "{g}", "{bin}"],
     ["greedy", "{g}", "{c}", "--out", "{dir}"],
+    ["greedy", "{g}", "{c}", "--out", "{tmp}/missing/o.col"],
     ["growth", "{g}", "{dir}"],
     ["growth", "{bin}", "{c}"],
+    ["growth", "{g}", "{c}", "--out", "{dir}"],
+    ["growth", "{g}", "{c}", "--out", "{tmp}/missing/o.col"],
     ["brute", "{dir}", "{c}"],
     ["brute", "{g}", "{bin}"],
     ["brute", "{g}", "{c}", "--out", "{dir}"],
+    ["brute", "{g}", "{c}", "--out", "{tmp}/missing/o.col"],
     ["bench", "{dir}", "--out", "{tmp}/o.csv"],
     ["bench", "{bin}", "--out", "{tmp}/o.csv"],
     ["bench", "{m}", "--out", "{dir}"],
@@ -400,14 +413,41 @@ def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
     )
     names = {"dir": directory, "bin": binary, "g": graph_path, "c": colouring_path, "m": manifest}
     raw_argv, argv = argv, [arg.format(tmp=tmp_path, **names) for arg in argv]
+    made = set(tmp_path.iterdir())
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error: "), err
+    # No output is written, not even the good half of a pair.
+    assert set(tmp_path.iterdir()) == made
     if "{bin}" in raw_argv:
         assert str(binary) in err[0], err
     for flag in ("--cap", "--state-cap", "--workers"):
         if flag in raw_argv:
             assert f"input error: {flag} must be at least 1, got " in err[0], err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_GEN, "--out-graph", "{tmp}/o.gr", "--out-colouring", "{tmp}/missing/o.col"],
+        ["decompose", "{tmp}/g.gr", "--out", "{tmp}/missing/o.td"],
+        *([cmd, "{tmp}/g.gr", "{tmp}/g.col", "--out", "{tmp}/missing/o.col"]
+          for cmd in ("solve", "exact", "greedy", "growth", "brute")),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_checks_output_paths_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """A bad output path fails before any input is read or generated."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("hardest_regime", "generate", "_read_text"):
+        monkeypatch.setattr(f"mhv.cli.{name}", no_work)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    missing = argv[-1].format(tmp=tmp_path)
+    assert err == [f"input error: [Errno 2] No such file or directory: {missing!r}"], err
 
 
 def test_cli_usage_exit_code_subprocess():

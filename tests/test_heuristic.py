@@ -626,6 +626,113 @@ def test_beam_equal_scores_keep_insertion_order():
     assert list(beam) == sols
 
 
+# Properties of the selection rule, over tie-heavy random scores and several
+# ``extend`` calls per beam.  Each entry's happy count is its offer number, and
+# the held entries were offered before any new offer, so insertion order (held
+# entries first) can be read back from the beam.
+
+SELECTION_CAPACITIES = [1, 2, 3, 4, 5, 67]
+
+
+class _SampleCountingRandom(random.Random):
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.samples = 0
+
+    def sample(self, *args, **kwargs):
+        self.samples += 1
+        return super().sample(*args, **kwargs)
+
+
+def _selection_calls(capacity, seed):
+    """Yield (beam, rng, offers) for a few successive ``extend`` calls on one
+    beam; the caller makes each call."""
+    draw = random.Random(seed)
+    rng = _SampleCountingRandom(seed)
+    beam = Beam(capacity)
+    spread = draw.choice((0, 1, 3, 10))
+    made = 0
+    for _ in range(draw.randint(1, 6)):
+        offers = []
+        for _ in range(draw.randint(0, 2 * capacity + 5)):
+            score = draw.randint(-spread, spread)
+            offers.append((score, PartialSolution(b"", b"", (made, 0, 0, 0), score)))
+            made += 1
+        yield beam, rng, offers
+
+
+def _check_each_selection(capacity, check):
+    """Run ``check(beam, rng, held, offers, state, samples)`` after every
+    call, with the beam's (score, entry) pairs, the RNG state and the sample
+    count as they were before it."""
+    for seed in range(40):
+        for beam, rng, offers in _selection_calls(capacity, seed):
+            held = list(zip(beam.scores, beam.entries))
+            state, samples = rng.getstate(), rng.samples
+            beam.extend(offers, rng)
+            check(beam, rng, held, offers, state, samples)
+
+
+@pytest.mark.parametrize("capacity", SELECTION_CAPACITIES)
+def test_selection_keeps_the_top_scores(capacity):
+    def check(beam, rng, held, offers, state, samples):
+        pooled = sorted(score for score, _ in held + offers)
+        assert beam.scores == pooled[-capacity:]
+        assert [sol.score for sol in beam] == beam.scores
+        # Every entry above the worst kept score survives.
+        if beam.scores:
+            kept = {id(sol) for sol in beam}
+            assert all(id(sol) in kept for score, sol in held + offers if score > beam.scores[0])
+
+    _check_each_selection(capacity, check)
+
+
+@pytest.mark.parametrize("capacity", SELECTION_CAPACITIES)
+def test_selection_draws_once_exactly_when_the_cut_splits_a_tie(capacity):
+    splits = 0
+
+    def check(beam, rng, held, offers, state, samples):
+        nonlocal splits
+        ranked = sorted(score for score, _ in held + offers)
+        cut = len(ranked) - capacity
+        if not (cut > 0 and ranked[cut - 1] == ranked[cut]):
+            assert rng.getstate() == state and rng.samples == samples
+            return
+        splits += 1
+        assert rng.samples == samples + 1
+        # That one sample picks the kept entries of the run at the cut, and
+        # makes no other draw.
+        worst = ranked[cut]
+        twin = random.Random()
+        twin.setstate(state)
+        twin.sample(range(ranked.count(worst)), beam.scores.count(worst))
+        assert rng.getstate() == twin.getstate()
+
+    _check_each_selection(capacity, check)
+    assert splits > 0
+
+
+@pytest.mark.parametrize("capacity", SELECTION_CAPACITIES)
+def test_selection_keeps_equal_scores_in_insertion_order(capacity):
+    def check(beam, rng, held, offers, state, samples):
+        order = [(sol.score, sol.counts[0]) for sol in beam]
+        assert order == sorted(order)
+
+    _check_each_selection(capacity, check)
+
+
+@pytest.mark.parametrize("capacity", SELECTION_CAPACITIES)
+def test_empty_extend_is_a_no_op(capacity):
+    for seed in range(20):
+        for beam, rng, offers in _selection_calls(capacity, seed):
+            entries, scores = list(beam.entries), list(beam.scores)
+            state, samples = rng.getstate(), rng.samples
+            beam.extend([], rng)
+            assert beam.entries == entries and beam.scores == scores
+            assert rng.getstate() == state and rng.samples == samples
+            beam.extend(offers, rng)
+
+
 # -- solver surface ------------------------------------------------------------
 
 
