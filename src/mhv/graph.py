@@ -13,9 +13,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Sequence
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResourceLimitError
 
 MAX_COLOURS = 255  # colours are stored in byte arrays internally
+# The most vertices a .gr header may declare.  A graph holds a list per
+# vertex, so the check comes before any is built: a file of a few bytes
+# cannot make the parser allocate gigabytes.
+MAX_VERTICES = 1_000_000
 
 
 class Graph:
@@ -174,7 +178,9 @@ def parse_graph(text: str | bytes) -> Graph:
 
     Format: comment lines start with ``c``; one header ``p tw <n> <m>``;
     then exactly m lines ``<u> <v>`` with 1-indexed endpoints.  Duplicate
-    edges are collapsed with a warning; self-loops are rejected.
+    edges are collapsed with a warning; self-loops are rejected.  A header
+    declaring more than ``MAX_VERTICES`` vertices raises
+    ``ResourceLimitError``.
     """
     if isinstance(text, bytes):
         text = text.decode()
@@ -199,6 +205,10 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise ParseError(f"line {ln}: non-integer counts in header") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {ln}: negative counts in header")
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {ln}: header declares {n} vertices, above the limit of {MAX_VERTICES}"
+                )
         else:
             if n < 0:
                 raise ParseError(f"line {ln}: edge line before 'p tw' header")

@@ -9,7 +9,7 @@ its candidates are sorted stably by score and the ``width`` best are kept.
 Only when the cut splits a run of equal scores does the RNG pick, by one
 ``rng.sample``, which entries of that run stay.
 
-Each partial solution stores the colouring of the processed subgraph and a
+A partial solution stands for a colouring of the processed subgraph and a
 label per vertex:
 
 * HAPPY           coloured and committed to end happy
@@ -38,20 +38,34 @@ from once per list.  Last, a finished entry is built for each offer that
 survives the node, its arrays once per (child solution, colour) for both
 labels.
 
+An entry stores only what can still change: the colours and labels of its
+node's closed neighbourhood N[bag] (its ``Layout``), its four label counts
+over all vertices, its score, and the colours of the vertices forgotten
+below, as a chain of (vertex, colour) forget records shared with the
+entries it was built from.  A layout keeps its child's order while N[bag]
+stays the same set, so most nodes carry a child's arrays over as they are;
+it lists where the bag sits.  Everything else is settled: a forgotten
+vertex's colour is fixed, and once no bag vertex is its neighbour its label
+is a function of the colouring, HAPPY exactly when no neighbour has another
+colour.  ``check_invariants`` asserts both halves of that premise.  So
+``solve`` rebuilds the colouring from the best root entry's forget records,
+by an iterative walk, and derives the final labels from it.
+
 The solver owns the entry format.  Entries are made from full arrays by
-``HeuristicSolver.entry`` and read by ``HeuristicSolver.arrays``; only the node
-handlers and their join helpers touch an entry's arrays directly.
+``HeuristicSolver.entry`` and read as full arrays, rebuilt the same way, by
+``HeuristicSolver.arrays``; only the node handlers and their join helpers
+touch an entry's own arrays.  A handler given an entry laid out for another
+node (one made by ``entry``) first lays it out on its own.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
 vertex with a label other than UNKNOWN is a neighbour of the bag, and the
-coloured territories of a join's two children meet only on the bag
-(``check_invariants`` asserts the first).  Two solutions of the two children
-can therefore differ in what they say about a vertex only inside the closed
-neighbourhood N[bag].  Per join node the solver indexes the inner list by
-match key once and computes the bag-only distance weights at most once;
-N(bag) is computed once per distinct bag.  Each exact merge is then a
-whole-array OR plus Python-level work on N[bag] alone.  Distances are
+coloured territories of a join's two children meet only on the bag.  Two
+solutions of the two children can therefore differ in what they say about a
+vertex only inside N[bag], which both store.  A merge works on N[bag] alone;
+its counts are each side's counts away from N[bag] plus those of the merged
+labels.  Per join node the solver indexes the inner list by match key
+once and computes the bag-only distance weights at most once.  Distances are
 computed only for an outer solution without an exact partner while the main
 list is empty, the one case that uses the nearest partner.
 """
@@ -64,7 +78,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
@@ -80,11 +94,15 @@ class Label(IntEnum):
     ASSUMED_UNHAPPY = 4
 
 
-UNKNOWN = Label.UNKNOWN
-HAPPY = Label.HAPPY
-UNHAPPY = Label.UNHAPPY
-MAYBE_HAPPY = Label.MAYBE_HAPPY
-ASSUMED_UNHAPPY = Label.ASSUMED_UNHAPPY
+# The labels as plain ints: the DP compares labels and indexes by them in its
+# innermost loops, and CPython's fast paths for both skip int subclasses.
+UNKNOWN, HAPPY, UNHAPPY, MAYBE_HAPPY, ASSUMED_UNHAPPY = map(int, Label)
+
+# Byte value -> that one byte.
+_BYTE = tuple(bytes((i,)) for i in range(256))
+
+# Label -> the designation a join matches on: HAPPY, or UNHAPPY for the rest.
+_DESIGNATION = bytes(HAPPY if lab == HAPPY else UNHAPPY for lab in range(256))
 
 
 @dataclass(frozen=True)
@@ -120,16 +138,18 @@ _FIRST_IS_OUTER = {
 }
 
 
-def _external(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
+# Neighbour tests of the distance weightings, given the neighbour, the bag and
+# the outer solution's colour and label of the neighbour.
+def _external(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
     return u not in bag_set
 
 
-def _in_border(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
-    return sol.colours[u] == 0 and sol.labels[u] != UNKNOWN
+def _in_border(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
+    return colour == 0 and label != UNKNOWN
 
 
-def _nonborder_external(u: int, bag_set: set[int], sol: PartialSolution) -> bool:
-    return u not in bag_set and not _in_border(u, bag_set, sol)
+def _nonborder_external(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
+    return u not in bag_set and not _in_border(u, bag_set, colour, label)
 
 
 # Distance weighting -> (neighbour test, capped at 1).  A bag vertex weighs
@@ -186,17 +206,62 @@ def exactness_width_bound(k: int, width: int) -> int:
     return (2 * k) ** (width + 1)
 
 
+class Layout:
+    """The vertices an entry stores, in the order it stores them, and which
+    of them form the bag.  ``index`` maps each vertex to its position and
+    ``bag_at`` gives the position of each vertex of ``bag`` in that order;
+    the other positions hold the ring.
+
+    ``bag`` is given in order, or as a set, listed ascending when first read
+    and interned in ``bags``: most node layouts never have it read.
+    """
+
+    __slots__ = ("vertices", "index", "bag", "bag_at", "_bag_set", "_bags")
+
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        bag: tuple[int, ...] | frozenset[int],
+        index: dict[int, int] | None = None,
+        bags: dict[tuple[int, ...], tuple[int, ...]] | None = None,
+    ) -> None:
+        self.vertices = vertices
+        if index is None:
+            index = {v: i for i, v in enumerate(vertices)}
+        self.index = index
+        if isinstance(bag, tuple):
+            self._list_bag(bag)
+        else:
+            self._bag_set = bag
+            self._bags = bags
+
+    def _list_bag(self, bag: tuple[int, ...]) -> None:
+        self.bag = bag
+        self.bag_at = tuple(map(self.index.__getitem__, bag))
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in ("bag", "bag_at"):
+            raise AttributeError(name)
+        bag = tuple(sorted(self._bag_set))
+        self._list_bag(self._bags.setdefault(bag, bag))
+        return getattr(self, name)
+
+
 class PartialSolution:
     """One beam entry.
 
-    ``colours`` and ``labels`` are byte strings over all vertices (0 means
-    uncoloured / UNKNOWN); ``counts`` holds the totals for the four scored
-    labels in enum order.  At the node that holds it, the coloured vertices
-    are exactly those of the bags below, and every uncoloured vertex whose
-    label is not UNKNOWN is a neighbour of the node's bag.
+    ``colours`` and ``labels`` are byte strings over ``layout.vertices`` (0
+    means uncoloured / UNKNOWN); ``counts`` holds the totals over all
+    vertices for the four scored labels in enum order.  ``forgotten`` holds
+    the colour of every vertex forgotten below: ``None``, a ``(vertex,
+    colour, rest)`` record per forget, and a ``(left, right)`` pair per
+    join, each shared with the entries it was built from.  At the node that
+    holds it, the coloured vertices are exactly those of the bags below.
+    ``layout`` and ``forgotten`` may be left out for an entry that is only
+    ranked, never read.
     """
 
-    __slots__ = ("colours", "labels", "counts", "score")
+    __slots__ = ("colours", "labels", "counts", "score", "layout", "forgotten")
 
     def __init__(
         self,
@@ -204,11 +269,15 @@ class PartialSolution:
         labels: bytes,
         counts: tuple[int, int, int, int],
         score: int,
+        layout: Layout | None = None,
+        forgotten: tuple | None = None,
     ) -> None:
         self.colours = colours
         self.labels = labels
         self.counts = counts
         self.score = score
+        self.layout = layout
+        self.forgotten = forgotten
 
     def __repr__(self) -> str:
         return f"PartialSolution(score={self.score}, counts={self.counts})"
@@ -233,6 +302,98 @@ def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
     )
 
 
+def _tally(labels: bytes | bytearray) -> tuple[int, int, int, int]:
+    """The four scored label counts of ``labels``, in enum order."""
+    return (
+        labels.count(HAPPY),
+        labels.count(UNHAPPY),
+        labels.count(MAYBE_HAPPY),
+        labels.count(ASSUMED_UNHAPPY),
+    )
+
+
+def _joined(left: tuple | None, right: tuple | None) -> tuple | None:
+    """The forget records of a join's two sides, which never share a vertex."""
+    if left is None or right is None:
+        return left or right
+    return (left, right)
+
+
+def _records(forgotten: tuple | None) -> Iterator[tuple[int, int]]:
+    """The (vertex, colour) of every forget record in ``forgotten``, by an
+    iterative walk."""
+    stack = [forgotten]
+    while stack:
+        record = stack.pop()
+        while record is not None:
+            if len(record) == 3:
+                v, c, record = record
+                yield v, c
+            else:
+                left, record = record
+                stack.append(left)
+
+
+def _key_getter(positions: Sequence[int], size: int) -> Callable[[bytes], Any]:
+    """A function of the colours followed by the labels of a layout of
+    ``size`` vertices: the values at ``positions``, colours first."""
+    if not positions:
+        return lambda both: ()
+    return itemgetter(*positions, *(size + i for i in positions))
+
+
+def _union_counts(
+    a: PartialSolution, b: PartialSolution, labels: bytearray
+) -> tuple[int, int, int, int]:
+    """The counts of a join's merge of ``a`` and ``b`` whose N[bag] labels
+    are ``labels``: each side's counts away from N[bag], where the two sides
+    never overlap, plus the merged labels' own."""
+    ta, tb, tn = _tally(a.labels), _tally(b.labels), _tally(labels)
+    return (
+        a.counts[0] + b.counts[0] - ta[0] - tb[0] + tn[0],
+        a.counts[1] + b.counts[1] - ta[1] - tb[1] + tn[1],
+        a.counts[2] + b.counts[2] - ta[2] - tb[2] + tn[2],
+        a.counts[3] + b.counts[3] - ta[3] - tb[3] + tn[3],
+    )
+
+
+def _relayout(src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
+    """A function that lays an array over ``src`` out over ``dst``, with 0
+    for the vertices ``src`` lacks.  A node's layout keeps its child's order
+    (``_node_layouts``), so between the two it splices a few runs of the
+    array with C-level slices; any other pair, such as the two children of
+    a join, takes one C-level gather."""
+    index = src.index
+    kept = len(src.vertices)
+    # Per position of dst, its position in src followed by zero padding.
+    sources = []
+    missing = 0
+    for v in dst.vertices:
+        i = index.get(v)
+        if i is None:
+            i = kept + missing
+            missing += 1
+        sources.append(i)
+    pad = bytes(missing)
+    if sources == list(range(len(sources))):
+        if not pad and len(sources) == kept:
+            return bytes
+        return (lambda array: array + pad) if pad else (lambda array: array[: len(sources)])
+    runs = []
+    start = 0
+    for j in range(1, len(sources) + 1):
+        if j == len(sources) or sources[j] != sources[j - 1] + 1:
+            runs.append(slice(sources[start], sources[j - 1] + 1))
+            start = j
+    if len(runs) > 3:
+        gather = itemgetter(*sources)
+        return lambda array: bytes(gather(array + pad))
+    take = itemgetter(*runs)
+    if len(runs) == 1:
+        return lambda array: take(array + pad)
+    return lambda array: b"".join(take(array + pad))
+
+
 class Beam:
     """Score-sorted list capped at ``capacity`` entries.
 
@@ -242,7 +403,8 @@ class Beam:
     Only when the cut splits a run of equal scores is there an RNG draw: one
     ``rng.sample`` picks which entries of the run stay.  ``scores`` mirrors
     ``entries``.  Entries are ``PartialSolution``s, except inside an
-    introduce, whose beams hold (group, label) pairs until it materialises.
+    introduce or a forget, whose beams hold offers until it builds the
+    survivors.
     """
 
     __slots__ = ("capacity", "entries", "scores")
@@ -318,9 +480,13 @@ class HeuristicSolver:
         self._label_weight = (0, w.happy, w.unhappy, w.maybe_happy, w.assumed_unhappy)
         self.rng = random.Random(self.config.seed)
         self.all_below_capacity = True
-        self._bags = tuple(tuple(sorted(node.bag)) for node in nice.nodes)
-        self._bag_sets = tuple(frozenset(b) for b in self._bags)
-        self._rings: dict[frozenset[int], tuple[int, ...]] = {}
+        self._layouts = self._node_layouts()
+        self._bag_layouts: dict[frozenset[int], Layout] = {}
+        self._relayouts: dict[tuple[Layout, Layout], Callable[[bytes], bytes]] = {}
+        self._pairings: dict[tuple[Layout, Layout], Any] = {}
+        self._rings: dict[Layout, tuple] = {}
+        # The layout of an entry made from full arrays.
+        self._everything = Layout(tuple(range(self.n)), ())
         # Per vertex, the colour its precoloured neighbours agree on: 0 for
         # none, -1 when they disagree.
         self._evidence = tuple(
@@ -328,23 +494,152 @@ class HeuristicSolver:
             for seen in ({self.base[u] for u in self.adj[v]} - {0} for v in range(self.n))
         )
 
-    # -- label bookkeeping ------------------------------------------------
+    # -- entry format -----------------------------------------------------
 
     def entry(
         self, colours: Iterable[int], labels: Iterable[int], counts: Sequence[int] | None = None
     ) -> PartialSolution:
         """A beam entry over full arrays, stored as bytes and scored from its
-        four label counts, which are recounted from ``labels`` if not given."""
+        four label counts, which are counted from ``labels`` if not given."""
         labels = bytes(labels)
-        counts_t = self._recount(labels) if counts is None else tuple(counts)
-        return PartialSolution(bytes(colours), labels, counts_t, evaluate(self.weights, counts_t))
+        counts_t = _tally(labels) if counts is None else tuple(counts)
+        return PartialSolution(
+            bytes(colours), labels, counts_t, evaluate(self.weights, counts_t), self._everything
+        )
 
     def arrays(self, sol: PartialSolution) -> tuple[bytes, bytes]:
-        """An entry's colours and labels over all vertices."""
-        return sol.colours, sol.labels
+        """An entry's colours and labels over all vertices, rebuilt by
+        traceback (see the module docstring)."""
+        colours = self._colouring(sol)
+        labels = self._settled_labels(colours)
+        for v, lab in zip(sol.layout.vertices, sol.labels):
+            labels[v] = lab
+        return bytes(colours), bytes(labels)
+
+    def _node_layouts(self) -> list[Layout]:
+        """The layout of every node's entries: N[bag] in its child's order,
+        so that an entry keeps its arrays as they are while N[bag] stays the
+        same set.  An introduce appends the vertex and its neighbours that
+        are new to N[bag]; a forget drops each vertex that no longer touches
+        the bag.  A join takes its first child's layout.  Every layout lists
+        its bag ascending."""
+        adj = self.adj
+        leaf, introduce, join = NodeKind.LEAF, NodeKind.INTRODUCE, NodeKind.JOIN
+        empty = Layout((), ())
+        layouts: list[Layout] = []
+        # One tuple per distinct bag, so that layouts compare bags by identity.
+        bags: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for node in self.nice.nodes:
+            kind = node.kind
+            if kind == leaf:
+                layouts.append(empty)
+                continue
+            child = layouts[node.children[0]]
+            if kind == join:
+                layouts.append(child)
+                continue
+            vertices, at = child.vertices, child.index
+            v = node.vertex
+            if kind == introduce:
+                new = [u for u in adj[v] if u not in at]
+                if v not in at:
+                    new.insert(0, v)
+                if new:
+                    at = at.copy()
+                    at.update(zip(new, range(len(vertices), len(vertices) + len(new))))
+                    vertices += tuple(new)
+            else:
+                inside = node.bag
+                gone = [x for x in adj[v] if x not in inside and inside.isdisjoint(adj[x])]
+                if inside.isdisjoint(adj[v]):
+                    gone.insert(0, v)
+                if gone:
+                    vertices = tuple(u for u in vertices if u not in gone)
+                    at = {u: i for i, u in enumerate(vertices)}
+            # Unchanged vertices share their child's tuple and index.
+            layouts.append(Layout(vertices, node.bag, at, bags))
+        return layouts
+
+    def _layout(self, bag: Iterable[int]) -> Layout:
+        """A layout of N[bag], the bag first in the given order, for entries
+        made from full arrays."""
+        bag = tuple(bag)
+        bag_set = frozenset(bag)
+        layout = self._bag_layouts.get(bag_set)
+        if layout is None or layout.bag != bag:
+            adj = self.adj
+            ring = tuple(sorted({u for v in bag for u in adj[v]} - bag_set))
+            layout = self._bag_layouts[bag_set] = Layout(bag + ring, bag)
+        return layout
+
+    def _relayout(self, src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
+        pair = (src, dst)
+        relay = self._relayouts.get(pair)
+        if relay is None:
+            relay = self._relayouts[pair] = _relayout(src, dst)
+        return relay
+
+    def _laid_out(self, sol: PartialSolution, layout: Layout) -> PartialSolution:
+        """``sol`` laid out on ``layout``: itself, or a copy, whose forget
+        records take the coloured vertices ``layout`` lacks (for an entry
+        made from full arrays)."""
+        if sol.layout is layout:
+            return sol
+        relay = self._relayout(sol.layout, layout)
+        forgotten = sol.forgotten
+        for v, c in zip(sol.layout.vertices, sol.colours):
+            if c and v not in layout.index:
+                forgotten = (v, c, forgotten)
+        return PartialSolution(
+            relay(sol.colours), relay(sol.labels), sol.counts, sol.score, layout, forgotten
+        )
+
+    def _colouring(self, sol: PartialSolution) -> bytearray:
+        """The colouring of the subtree below ``sol``: its layout's coloured
+        vertices and its forget records."""
+        colours = bytearray(self.n)
+        for v, c in _records(sol.forgotten):
+            colours[v] = c
+        for v, c in zip(sol.layout.vertices, sol.colours):
+            if c:
+                colours[v] = c
+        return colours
+
+    def _settled_labels(self, colours: bytes | bytearray) -> bytearray:
+        """Per coloured vertex HAPPY exactly when no neighbour has another
+        colour, else UNHAPPY; UNKNOWN for uncoloured ones."""
+        labels = bytearray(self.n)
+        adj = self.adj
+        for v, cv in enumerate(colours):
+            if cv:
+                labels[v] = HAPPY
+                for u in adj[v]:
+                    if colours[u] and colours[u] != cv:
+                        labels[v] = UNHAPPY
+                        break
+        return labels
+
+    def _conflicts_away(
+        self, side: PartialSolution, v: int, colour: int, index: dict[int, int]
+    ) -> bool:
+        """Whether ``v`` has a neighbour outside ``index`` that ``side``'s
+        forget records colour other than ``colour``: a vertex outside N[bag]
+        next to a coloured ring vertex has been forgotten."""
+        away = {u for u in self.adj[v] if u not in index}
+        if not away:
+            return False
+        for u, c in _records(side.forgotten):
+            if u in away:
+                if c != colour:
+                    return True
+                away.discard(u)
+                if not away:
+                    break
+        return False
 
     def _border_label(self, v: int, colours: bytes | bytearray) -> int:
-        """Label of an uncoloured vertex given committed colours.
+        """Label of an uncoloured vertex given committed colours over all
+        vertices.
 
         UNKNOWN without a committed neighbour; otherwise MAYBE_HAPPY when the
         committed and precoloured neighbour colours agree on one colour, and
@@ -372,50 +667,61 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    @staticmethod
-    def _recount(labels: bytes | bytearray) -> tuple[int, int, int, int]:
-        return (
-            labels.count(HAPPY),
-            labels.count(UNHAPPY),
-            labels.count(MAYBE_HAPPY),
-            labels.count(ASSUMED_UNHAPPY),
-        )
-
-    def _ring(self, bag_set: frozenset[int]) -> tuple[int, ...]:
-        """N(bag) minus the bag, looked up once per distinct bag of a solve."""
-        ring = self._rings.get(bag_set)
+    def _ring(self, layout: Layout) -> tuple[tuple[int, int, tuple, frozenset[int]], ...]:
+        """Per ring vertex of ``layout``, looked up once per layout: its
+        position, the vertex, its neighbours in the layout as (position,
+        input colour), and the input colours of its other neighbours."""
+        ring = self._rings.get(layout)
         if ring is None:
-            adj = self.adj
-            ring = tuple(sorted({u for v in bag_set for u in adj[v]} - bag_set))
-            self._rings[bag_set] = ring
+            base, index = self.base, layout.index
+            in_bag = set(layout.bag_at)
+            ring = self._rings[layout] = tuple(
+                (
+                    i,
+                    v,
+                    tuple((index[u], base[u]) for u in self.adj[v] if u in index),
+                    frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
+                )
+                for i, v in enumerate(layout.vertices)
+                if i not in in_bag
+            )
         return ring
 
-    def _bag_key(self, bag: tuple[int, ...], sol: PartialSolution) -> bytes:
-        colours = sol.colours
-        labels = sol.labels
-        return bytes([colours[v] for v in bag] + [labels[v] for v in bag])
-
-    def _match_key(self, bag: tuple[int, ...], sol: PartialSolution) -> bytes:
-        """Join matching key: colours plus happiness designation.
-
-        UNHAPPY and ASSUMED_UNHAPPY both designate an unhappy vertex and are
-        interchangeable across the two sides of a join; treating them as
-        distinct would miss combinations the exact recurrence includes.
-        """
-        colours = sol.colours
-        labels = sol.labels
-        return bytes(
-            [colours[v] for v in bag]
-            + [HAPPY if labels[v] == HAPPY else UNHAPPY for v in bag]
-        )
+    @staticmethod
+    def _ring_label(colours: bytearray, near: tuple, far: frozenset[int]) -> int:
+        """``_border_label`` of an uncoloured ring vertex, from ``_ring``'s
+        view of its neighbours: UNKNOWN without a committed one, UNHAPPY
+        when the committed and input colours around it differ, else
+        MAYBE_HAPPY."""
+        first = 0
+        clash = False
+        committed = False
+        for j, b in near:
+            c = colours[j]
+            if c:
+                committed = True
+            elif b:
+                c = b
+            else:
+                continue
+            if not first:
+                first = c
+            elif c != first:
+                clash = True
+                if committed:
+                    return UNHAPPY
+        if not committed:
+            return UNKNOWN
+        if clash or far - {first}:
+            return UNHAPPY
+        return MAYBE_HAPPY
 
     # -- node handlers ----------------------------------------------------
 
     def handle_leaf(self, idx: int) -> Beam:
         """The unique empty partial solution: nothing coloured, all UNKNOWN."""
         beam = Beam(self.config.width)
-        empty = PartialSolution(bytes(self.n), bytes(self.n), (0, 0, 0, 0), 0)
-        beam.insert(empty, self.rng)
+        beam.insert(PartialSolution(b"", b"", (0, 0, 0, 0), 0, self._layouts[idx]), self.rng)
         return beam
 
     def handle_introduce(self, idx: int, child_beam: Beam) -> Beam:
@@ -443,14 +749,16 @@ class HeuristicSolver:
         child solution collects those whose label can change (its watch list)
         and scores the change twice over: as if every one turned UNHAPPY, and
         per colour the correction for those that agree with it (slot 0 for
-        those that agree with any).  Every emission's score is then a sum of
-        three terms and one label weight, equal to ``evaluate`` of its counts.
-        The emissions are collected in order as (score, (group, label))
-        offers, the two labels of one colour sharing one group.  Each list is
-        then one ``Beam.extend`` selection, the backup list first: the
-        ``width`` best offers survive, and only a cut through equal scores
-        draws from the RNG.  Last, ``_materialise`` builds a finished entry
-        for each offer that survives in the returned list.
+        those that agree with any).  Neighbours outside the child's N[bag]
+        are UNKNOWN in every child solution, so their share is taken once per
+        node.  Every emission's score is then a sum of three terms and one
+        label weight, equal to ``evaluate`` of its counts.  The emissions are
+        collected in order as (score, (group, label)) offers, the two labels
+        of one colour sharing one group.  Each list is then one
+        ``Beam.extend`` selection, the backup list first: the ``width`` best
+        offers survive, and only a cut through equal scores draws from the
+        RNG.  Last, ``_materialise`` builds a finished entry for each offer
+        that survives in the returned list.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -458,57 +766,79 @@ class HeuristicSolver:
         adj = self.adj
         adj_v = adj[vtx]
         evidence = self._evidence
+        child_bag = self.nice.nodes[node.children[0]].bag
+        child_layout = self._layouts[node.children[0]]
+        held = child_layout.index
+        index = self._layouts[idx].index
         # Every committed neighbour of an uncoloured vertex lies in the child
         # bag, and every child-bag vertex is coloured.  So a MAYBE_HAPPY vertex
         # without precoloured neighbours is bound to the colour of any one of
-        # its child-bag neighbours: its anchor.
-        child_bag = self._bag_sets[node.children[0]]
+        # its child-bag neighbours: its anchor, by position in the child.
         anchor = {
-            x: u for x in (vtx, *adj_v) if not evidence[x] for u in adj[x] if u in child_bag
+            x: held[u] for x in (vtx, *adj_v) if not evidence[x] for u in adj[x] if u in child_bag
         }
         base_v = self.base[vtx]
         allowed = (base_v,) if base_v else tuple(range(1, self.k + 1))
         weight = self._label_weight
         w_happy, w_unhappy, w_maybe, w_assumed = weight[1:]
         slots = self.k + 1
+        # Neighbours by (vertex, position in the child, position here), and the
+        # watch entries, drop and agreement of those the child does not store.
+        stored = [(u, held[u], index[u]) for u in adj_v if u in held]
+        fresh_watch = []
+        fresh_drop = 0
+        fresh_agree = [0] * slots
+        for u in adj_v:
+            if u not in held:
+                ev = evidence[u]
+                fresh_watch.append((index[u], UNKNOWN, MAYBE_HAPPY, ev))
+                fresh_drop += w_unhappy
+                if ev >= 0:
+                    fresh_agree[ev] += w_maybe - w_unhappy
+        v_held = held.get(vtx)
         # (score, (group, label)) offers; a group's last slot takes its arrays.
         main_offers: list[tuple[int, tuple[list, int]]] = []
         backup_offers: list[tuple[int, tuple[list, int]]] = []
         for sol in child_beam:
+            if sol.layout is not child_layout:
+                sol = self._laid_out(sol, child_layout)
             col_c = sol.colours
             lab_c = sol.labels
-            # Neighbours whose label can change, as (vertex, label, label on
-            # agreement, the colour agreed with or 0 for any); the coloured
-            # HAPPY ones change only in the backup.
-            watch: list[tuple[int, int, int, int]] = []
+            # The child entry and, once an offer of it survives, its arrays
+            # padded to the node's layout; shared by its groups.
+            shared = [sol, None]
+            # Neighbours whose label can change, as (position here, label,
+            # label on agreement, the colour agreed with or 0 for any); the
+            # coloured HAPPY ones change only in the backup.
+            watch: list[tuple[int, int, int, int]] = fresh_watch.copy()
             happy: list[tuple[int, int, int, int]] = []
             # The score change if every watched neighbour turned UNHAPPY, and
             # per colour what agreeing with it gives back.
-            drop = 0
-            agree = [0] * slots
-            for u in adj_v:
-                cu = col_c[u]
-                lu = lab_c[u]
+            drop = fresh_drop
+            agree = fresh_agree.copy()
+            for u, i, p in stored:
+                cu = col_c[i]
+                lu = lab_c[i]
                 if cu:
                     if lu == HAPPY:
-                        happy.append((u, lu, lu, cu))
+                        happy.append((p, lu, lu, cu))
                     elif lu == ASSUMED_UNHAPPY:
-                        watch.append((u, lu, lu, cu))
+                        watch.append((p, lu, lu, cu))
                         drop += w_unhappy - w_assumed
                         agree[cu] += w_assumed - w_unhappy
                 elif lu == UNKNOWN:
                     ev = evidence[u]
-                    watch.append((u, lu, MAYBE_HAPPY, ev))
+                    watch.append((p, lu, MAYBE_HAPPY, ev))
                     drop += w_unhappy
                     if ev >= 0:
                         agree[ev] += w_maybe - w_unhappy
                 elif lu == MAYBE_HAPPY:
                     bound_u = evidence[u] or col_c[anchor[u]]
-                    watch.append((u, lu, lu, bound_u))
+                    watch.append((p, lu, lu, bound_u))
                     drop += w_unhappy - w_maybe
                     agree[bound_u] += w_maybe - w_unhappy
             happy_colours = {entry[3] for entry in happy} if happy else None
-            v_label = lab_c[vtx]
+            v_label = UNKNOWN if v_held is None else lab_c[v_held]
             # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
             bound = (evidence[vtx] or col_c[anchor[vtx]]) if v_label == MAYBE_HAPPY else 0
             # The score with every watched neighbour UNHAPPY, those agreeing
@@ -524,48 +854,65 @@ class HeuristicSolver:
                         score = floor + agree[i] + w_unhappy + sum(
                             w_unhappy - w_happy for entry in happy if entry[3] != i
                         )
-                        backup_offers.append((score, ([sol, i, watch + happy, None], UNHAPPY)))
+                        group = [shared, i, watch + happy, None]
+                        backup_offers.append((score, (group, UNHAPPY)))
                     continue
                 elif bound == i:
                     labs = (HAPPY, ASSUMED_UNHAPPY)
                 else:
                     labs = (UNHAPPY,)
                 at_colour = floor + agree[i]
-                group = [sol, i, watch, None]
+                group = [shared, i, watch, None]
                 for lab in labs:
                     main_offers.append((at_colour + weight[lab], (group, lab)))
         backup = Beam(self.config.width)
         backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
-        return self._materialise(main if main_offers else backup, vtx)
+        return self._materialise(main if main_offers else backup, idx)
 
-    def _materialise(self, beam: Beam, vtx: int) -> Beam:
-        """Replace each (group, label) offer in an introduce's result by its
-        finished entry.  Each group's colours and relabelled neighbours are
-        built once, for whichever of its labels survived."""
+    def _materialise(self, beam: Beam, idx: int) -> Beam:
+        """Replace each (group, label) offer in introduce node ``idx``'s
+        result by its finished entry.  Each group's colours and relabelled
+        neighbours are built once, for whichever of its labels survived.
+        The node's layout is its child's with the vertices new to N[bag]
+        appended, so a child's arrays carry over as they are, padded."""
+        node = self.nice.nodes[idx]
+        vtx = node.vertex
+        layout = self._layouts[idx]
+        child_layout = self._layouts[node.children[0]]
+        pad = bytes(len(layout.vertices) - len(child_layout.vertices))
+        at = layout.index[vtx]
         entries = []
         for (group, lab), score in zip(beam.entries, beam.scores):
-            sol, colour, watch, made = group
+            shared, colour, watch, made = group
             if made is None:
-                coloured = bytearray(sol.colours)
-                coloured[vtx] = colour
-                relabelled = bytearray(sol.labels)
+                sol, padded = shared
+                if padded is None:
+                    # The child's arrays padded, once per child entry.
+                    padded = shared[1] = (bytearray(sol.colours + pad), sol.labels + pad)
+                base_colours, base_labels = padded
+                base_colours[at] = colour
+                coloured = bytes(base_colours)
+                relabelled = bytearray(base_labels)
                 # Label totals indexed by label; slot 0 (UNKNOWN) is not scored.
                 tally = [0, *sol.counts]
-                for u, old, agreed, agrees_with in watch:
+                for p, old, agreed, agrees_with in watch:
                     new = agreed if agrees_with == colour or not agrees_with else UNHAPPY
                     if new != old:
-                        relabelled[u] = new
+                        relabelled[p] = new
                         tally[old] -= 1
                         tally[new] += 1
-                tally[sol.labels[vtx]] -= 1
-                made = group[3] = (bytes(coloured), relabelled, tally)
-            colours, labels, tally = made
-            labels[vtx] = lab
+                tally[base_labels[at]] -= 1
+                made = group[3] = (coloured, relabelled, tally, sol.forgotten)
+            colours, labels, tally, forgotten = made
+            labels[at] = lab
             tally[lab] += 1
-            entries.append(PartialSolution(colours, bytes(labels), tuple(tally[1:]), score))
+            counts = (tally[1], tally[2], tally[3], tally[4])
             tally[lab] -= 1
+            entries.append(
+                PartialSolution(colours, bytes(labels), counts, score, layout, forgotten)
+            )
         beam.entries = entries
         return beam
 
@@ -575,28 +922,60 @@ class HeuristicSolver:
         An ASSUMED_UNHAPPY vertex is promoted to HAPPY: all its neighbours
         are now committed and none conflicts, so it ends happy whatever
         happens above.  Solutions agreeing on bag colours and labels collapse
-        to the best-scoring representative.
+        to the best-scoring representative, keyed and ranked before any is
+        built; only the survivors of the node are laid out on it.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        bag = self._bags[idx]
-        groups: dict[bytes, PartialSolution] = {}
+        child_layout = self._layouts[node.children[0]]
+        layout = self._layouts[idx]
+        p = child_layout.index[vtx]
+        # The colours and labels of the bag without the forgotten vertex.
+        key_of = _key_getter(
+            [child_layout.index[v] for v in layout.bag], len(child_layout.vertices)
+        )
+        weights = self.weights
+        # Key -> (rank, child entry, counts, promoted).
+        groups: dict[tuple, tuple[tuple[int, int], PartialSolution, tuple, bool]] = {}
         for sol in child_beam:
-            if sol.labels[vtx] == ASSUMED_UNHAPPY:
-                labels = bytearray(sol.labels)
-                labels[vtx] = HAPPY
+            if sol.layout is not child_layout:
+                sol = self._laid_out(sol, child_layout)
+            col = sol.colours
+            lab = sol.labels
+            promoted = lab[p] == ASSUMED_UNHAPPY
+            if promoted:
                 happy, unhappy, maybe, assumed = sol.counts
-                sol = self.entry(sol.colours, labels, (happy + 1, unhappy, maybe, assumed - 1))
-            key = self._bag_key(bag, sol)
+                counts = (happy + 1, unhappy, maybe, assumed - 1)
+                rank = (evaluate(weights, counts), counts[0])
+            else:
+                counts = sol.counts
+                rank = (sol.score, counts[0])
+            key = key_of(col + lab)
             held = groups.get(key)
             # The happy count breaks score ties; equal weights for happy and
             # unhappy labels would otherwise let a worse completion shadow a
             # better one while the optimality flag stays set.
-            if held is None or _rank(sol) > _rank(held):
-                groups[key] = sol
+            if held is None or rank > held[0]:
+                groups[key] = (rank, sol, counts, promoted)
         beam = Beam(self.config.width)
-        beam.extend([(sol.score, sol) for sol in groups.values()], self.rng)
+        beam.extend([(group[0][0], group) for group in groups.values()], self.rng)
+        relay = self._relayout(child_layout, layout)
+        # The forgotten vertex stays in the ring while a bag vertex is its
+        # neighbour.
+        at = layout.index.get(vtx)
+        entries = []
+        for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
+            colours = sol.colours
+            labels = relay(sol.labels)
+            if promoted and at is not None:
+                labels = labels[:at] + _BYTE[HAPPY] + labels[at + 1 :]
+            # The forgotten vertex's colour is settled: record it.
+            forgotten = (vtx, colours[p], sol.forgotten)
+            entries.append(
+                PartialSolution(relay(colours), labels, counts, score, layout, forgotten)
+            )
+        beam.entries = entries
         return beam
 
     def handle_join(self, idx: int, first: Beam, second: Beam) -> Beam:
@@ -607,36 +986,81 @@ class HeuristicSolver:
         nearest inner solution into a backup list, returned only if the main
         list ends empty.  The returned list is the one offered to the node's
         beam, in one selection.
+
+        Both children list the same bag in the same order, so keys and
+        distances read each entry in its own layout.  The node takes its first
+        child's layout: an exact merge reads the second child's side through
+        a position map, and an entry of the second child is laid out on it
+        only for a heuristic merge.
         """
-        bag = self._bags[idx]
-        bag_set = self._bag_sets[idx]
+        node = self.nice.nodes[idx]
+        bag_set = node.bag
+        layout = self._layouts[idx]
+        bag = layout.bag
         first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
         outer, inner = (first, second) if first_is_outer else (second, first)
+        outer_layout, inner_layout = (self._layouts[c] for c in node.children)
+        if not first_is_outer:
+            outer_layout, inner_layout = inner_layout, outer_layout
+        # Match key: bag colours plus happiness designation.  UNHAPPY and
+        # ASSUMED_UNHAPPY both designate an unhappy vertex and are
+        # interchangeable across the two sides of a join; treating them as
+        # distinct would miss combinations the exact recurrence includes.
+        inner_key = _key_getter(inner_layout.bag_at, len(inner_layout.vertices))
+        outer_key = _key_getter(outer_layout.bag_at, len(outer_layout.vertices))
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
-        inner_entries = sorted(inner.entries, key=_rank, reverse=True)
-        partners: dict[bytes, PartialSolution] = {}
+        inner_entries = sorted(
+            (s if s.layout is inner_layout else self._laid_out(s, inner_layout) for s in inner),
+            key=_rank,
+            reverse=True,
+        )
+        partners: dict[tuple, PartialSolution] = {}
         for inner_sol in inner_entries:
-            partners.setdefault(self._match_key(bag, inner_sol), inner_sol)
+            key = inner_key(inner_sol.colours + inner_sol.labels.translate(_DESIGNATION))
+            partners.setdefault(key, inner_sol)
+        # Entries of the second child laid out on the node, by identity.
+        aligned: dict[int, PartialSolution] = {}
+
+        def on_node(sol: PartialSolution) -> PartialSolution:
+            if sol.layout is layout:
+                return sol
+            made = aligned.get(id(sol))
+            if made is None:
+                made = aligned[id(sol)] = self._laid_out(sol, layout)
+            return made
+
         exact: list[tuple[int, PartialSolution]] = []
         backup: list[tuple[int, PartialSolution]] = []
         weights: tuple[int, ...] | None = None
+        candidates: list[PartialSolution] | None = None
         per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
-            partner = partners.get(self._match_key(bag, outer_sol))
+            if outer_sol.layout is not outer_layout:
+                outer_sol = self._laid_out(outer_sol, outer_layout)
+            key = outer_key(outer_sol.colours + outer_sol.labels.translate(_DESIGNATION))
+            partner = partners.get(key)
             if partner is not None:
-                merged = self.merge_exact(outer_sol, partner, bag_set)
+                # The union does not depend on the order of its sides; the
+                # first child's side first gives it the node's layout.
+                pair = (outer_sol, partner) if first_is_outer else (partner, outer_sol)
+                merged = self.merge_exact(*pair, bag_set)
                 exact.append((merged.score, merged))
             elif not exact:
                 if weights is None or per_outer:
                     weights = self.distance_weights(bag, outer_sol)
+                if candidates is None:
+                    # The inner list laid out as the outer side, so that each
+                    # distance reads both sides at the same positions.
+                    candidates = [self._laid_out(s, outer_layout) for s in inner_entries]
                 # The first nearest in best-first order.
                 nearest = min(
-                    inner_entries,
+                    candidates,
                     key=lambda s: self.tuple_distance(bag, outer_sol, s, weights),
                 )
-                for merged in self.merge_heuristic(outer_sol, nearest, bag, bag_set):
+                pair = on_node(outer_sol), on_node(nearest)
+                for merged in self.merge_heuristic(*pair, bag, bag_set):
                     backup.append((merged.score, merged))
         # One selection, of the list the node returns.
         beam = Beam(self.config.width)
@@ -644,6 +1068,25 @@ class HeuristicSolver:
         return beam
 
     # -- join helpers -----------------------------------------------------
+
+    def _on_bag(
+        self, bag: tuple[int, ...], *sols: PartialSolution
+    ) -> tuple[Layout, tuple[PartialSolution, ...]]:
+        """The layout of ``bag`` and ``sols`` laid out on it."""
+        layout = sols[0].layout
+        if layout.bag is not bag:
+            layout = self._layout(bag)
+        return layout, tuple(s if s.layout is layout else self._laid_out(s, layout) for s in sols)
+
+    def _on_join(
+        self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
+    ) -> tuple[Layout, PartialSolution, PartialSolution]:
+        """The layout a merge of ``a`` and ``b`` works on, theirs as the join
+        aligned them, and both laid out on it."""
+        layout = a.layout
+        if layout is self._everything or len(layout.bag) != len(bag_set):
+            layout = self._layout(sorted(bag_set))
+        return layout, self._laid_out(a, layout), self._laid_out(b, layout)
 
     def tuple_distance(
         self,
@@ -661,10 +1104,13 @@ class HeuristicSolver:
         """
         if weights is None:
             weights = self.distance_weights(bag, a)
+        layout = a.layout
+        if b.layout is not layout or layout.bag is not bag:
+            layout, (a, b) = self._on_bag(bag, a, b)
         a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
         total = 0
-        for v, w in zip(bag, weights):
-            total += w * ((a_col[v] != b_col[v]) + (a_lab[v] != b_lab[v]))
+        for w, i in zip(weights, layout.bag_at):
+            total += w * ((a_col[i] != b_col[i]) + (a_lab[i] != b_lab[i]))
         return total
 
     def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
@@ -673,18 +1119,21 @@ class HeuristicSolver:
         Only the border modes read ``outer``; the modes in
         ``BAG_ONLY_WEIGHTINGS`` give the same weights for every solution.
         """
-        mode = self.config.join_distance_weighting
-        bag_set = set(bag)
-        return tuple(self._distance_weight(mode, v, bag_set, outer) for v in bag)
-
-    def _distance_weight(
-        self, mode: str, v: int, bag_set: set[int], outer: PartialSolution
-    ) -> int:
-        test, capped = _DISTANCE_RULES[mode]
+        test, capped = _DISTANCE_RULES[self.config.join_distance_weighting]
         if test is None:
-            return 1
-        count = sum(1 for u in self.adj[v] if test(u, bag_set, outer))
-        return min(count, 1) if capped else count
+            return (1,) * len(bag)
+        layout, (outer,) = self._on_bag(bag, outer)
+        bag_set = frozenset(bag)
+        index = layout.index
+        colours, labels = outer.colours, outer.labels
+        weights = []
+        for v in bag:
+            count = 0
+            for u in self.adj[v]:
+                i = index[u]
+                count += test(u, bag_set, colours[i], labels[i])
+            weights.append(min(count, 1) if capped else count)
+        return tuple(weights)
 
     def merge_exact(
         self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
@@ -695,28 +1144,75 @@ class HeuristicSolver:
         Colours and settled labels come from each side's own territory.  The
         territories meet only on the bag, and an uncoloured vertex with a
         label is a neighbour of the bag (the premise in the module
-        docstring), so outside N[bag] at most one side has a non-zero colour
-        or label and the union is a bytewise OR of the two arrays.  Only
-        N[bag] is looked at vertex by vertex.  On the bag an UNHAPPY label on
-        either side wins over ASSUMED_UNHAPPY: the conflict that justified it
-        persists in the union.  On the rest of N[bag] a vertex coloured on
-        one side keeps that side's label; an uncoloured one has committed
+        docstring), so only N[bag] is looked at.  On the bag an UNHAPPY label
+        on either side wins over ASSUMED_UNHAPPY: the conflict that justified
+        it persists in the union.  On the ring a vertex coloured on one side
+        keeps that side's colour and label; an uncoloured one has committed
         neighbours only in the bag, whose colours both sides share, so both
         sides already give it the label the union does.
         """
-        n = self.n
-        colours = _or_bytes(a.colours, b.colours, n)
-        labels = bytearray(_or_bytes(a.labels, b.labels, n))
-        a_colours, a_labels = a.colours, a.labels
+        layout = a.layout
+        pairing = None
+        if layout is not self._everything and len(layout.bag) == len(bag_set):
+            pairing = self._pairing(layout, b.layout)
+        if pairing is None:
+            layout, a, b = self._on_join(a, b, bag_set)
+            pairing = self._pairing(layout, layout)
         b_colours, b_labels = b.colours, b.labels
-        for v in bag_set:
-            labels[v] = UNHAPPY if b_labels[v] == UNHAPPY else a_labels[v]
-        for v in self._ring(bag_set):
-            if a_colours[v]:
-                labels[v] = a_labels[v]
-            elif b_colours[v]:
-                labels[v] = b_labels[v]
-        return self.entry(colours, labels)
+        colours = bytearray(a.colours)
+        labels = bytearray(a.labels)
+        # Label totals moved off a's labels, indexed by label.
+        moved = [0, 0, 0, 0, 0]
+        bag_pairs, ring_pairs = pairing
+        for i, j in bag_pairs:
+            if b_labels[j] == UNHAPPY and labels[i] != UNHAPPY:
+                moved[labels[i]] -= 1
+                moved[UNHAPPY] += 1
+                labels[i] = UNHAPPY
+        for i, j in ring_pairs:
+            c = b_colours[j]
+            if c and not colours[i]:
+                colours[i] = c
+                new = b_labels[j]
+                moved[labels[i]] -= 1
+                moved[new] += 1
+                labels[i] = new
+        # a's counts, b's away from N[bag], and the moves on N[bag].
+        ca, cb, tb = a.counts, b.counts, _tally(b_labels)
+        counts = (
+            ca[0] + cb[0] - tb[0] + moved[1],
+            ca[1] + cb[1] - tb[1] + moved[2],
+            ca[2] + cb[2] - tb[2] + moved[3],
+            ca[3] + cb[3] - tb[3] + moved[4],
+        )
+        return PartialSolution(
+            bytes(colours),
+            bytes(labels),
+            counts,
+            evaluate(self.weights, counts),
+            layout,
+            _joined(a.forgotten, b.forgotten),
+        )
+
+    def _pairing(
+        self, a_layout: Layout, b_layout: Layout
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] | None:
+        """Per bag vertex, then per ring vertex, of ``a_layout``: its position
+        there and in ``b_layout``; ``None`` unless both lay out the same
+        vertices with the same bag."""
+        pair = (a_layout, b_layout)
+        if pair in self._pairings:
+            return self._pairings[pair]
+        index = b_layout.index
+        pairing = None
+        if set(a_layout.vertices) == index.keys() and a_layout.bag == b_layout.bag:
+            vertices = a_layout.vertices
+            pairing = (
+                tuple((i, index[vertices[i]]) for i in a_layout.bag_at),
+                tuple((ring[0], index[ring[1]]) for ring in self._ring(a_layout)),
+            )
+        self._pairings[pair] = pairing
+        return pairing
 
     def merge_heuristic(
         self,
@@ -741,34 +1237,46 @@ class HeuristicSolver:
     def _merge_copy(
         self, primary: PartialSolution, secondary: PartialSolution, bag_set: frozenset[int]
     ) -> PartialSolution:
+        layout, primary, secondary = self._on_join(primary, secondary, bag_set)
+        vertices, index, ring = layout.vertices, layout.index, self._ring(layout)
         colours = bytearray(primary.colours)
         labels = bytearray(primary.labels)
-        p_colours = primary.colours
         s_colours = secondary.colours
         s_labels = secondary.labels
-        moved: list[int] = []
-        for v in range(self.n):
-            if s_colours[v] and not p_colours[v]:
-                colours[v] = s_colours[v]
-                labels[v] = s_labels[v]
-                moved.append(v)
+        # Secondary's territory off the bag moves over.  Away from N[bag] its
+        # colours and labels stay as they are: every neighbour there moves
+        # with it.
+        moved = [r for r in ring if s_colours[r[0]] and not colours[r[0]]]
+        for i, _, _, _ in moved:
+            colours[i] = s_colours[i]
+            labels[i] = s_labels[i]
         # The only possible clashes run between the bag (primary's decisions)
         # and the moved vertices; settle both endpoints of each clash.
-        for v in moved:
-            cv = colours[v]
+        for i, v, near, _ in moved:
+            cv = colours[i]
             conflict = False
-            for u in self.adj[v]:
-                cu = colours[u]
+            for j, _ in near:
+                cu = colours[j]
                 if cu and cu != cv:
                     conflict = True
-                    if u in bag_set and labels[u] in (HAPPY, ASSUMED_UNHAPPY):
-                        labels[u] = UNHAPPY
-            labels[v] = UNHAPPY if conflict else HAPPY
-        # Uncoloured vertices outside N[bag] stay UNKNOWN.
-        for v in self._ring(bag_set):
-            if not colours[v]:
-                labels[v] = self._border_label(v, colours)
-        return self.entry(colours, labels)
+                    if vertices[j] in bag_set and labels[j] in (HAPPY, ASSUMED_UNHAPPY):
+                        labels[j] = UNHAPPY
+            # A HAPPY label rules out a clash away from N[bag] as well.
+            if not conflict and labels[i] != HAPPY:
+                conflict = self._conflicts_away(secondary, v, cv, index)
+            labels[i] = UNHAPPY if conflict else HAPPY
+        for i, _, near, far in ring:
+            if not colours[i]:
+                labels[i] = self._ring_label(colours, near, far)
+        counts = _union_counts(primary, secondary, labels)
+        return PartialSolution(
+            bytes(colours),
+            bytes(labels),
+            counts,
+            evaluate(self.weights, counts),
+            layout,
+            _joined(primary.forgotten, secondary.forgotten),
+        )
 
     def _merge_greedy(
         self,
@@ -777,31 +1285,35 @@ class HeuristicSolver:
         bag: tuple[int, ...],
         bag_set: frozenset[int],
     ) -> PartialSolution:
-        n = self.n
-        colours = bytearray(n)
-        labels = bytearray(n)
+        layout, a, b = self._on_join(a, b, bag_set)
+        size = len(layout.vertices)
+        vertices, index, ring = layout.vertices, layout.index, self._ring(layout)
+        colours = bytearray(size)
+        labels = bytearray(size)
         a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
-        for v in range(n):
-            if v in bag_set:
-                continue
-            if a_col[v]:
-                colours[v] = a_col[v]
-                labels[v] = a_lab[v]
-            elif b_col[v]:
-                colours[v] = b_col[v]
-                labels[v] = b_lab[v]
+        for i, _, _, _ in ring:
+            if a_col[i]:
+                colours[i] = a_col[i]
+                labels[i] = a_lab[i]
+            elif b_col[i]:
+                colours[i] = b_col[i]
+                labels[i] = b_lab[i]
+        # Bag positions in the order of ``bag``, which the adoption and the
+        # RNG draws follow.
+        order = [index[v] for v in bag]
         matched = set()
-        for v in bag:
-            if a_col[v] == b_col[v]:
-                colours[v] = a_col[v]
-                matched.add(v)
+        for i in order:
+            if a_col[i] == b_col[i]:
+                colours[i] = a_col[i]
+                matched.add(i)
 
+        adj = self.adj
         base = self.base
 
-        def consistent(v: int) -> bool:
-            cv = colours[v]
-            for u in self.adj[v]:
-                cu = colours[u]
+        def consistent(i: int) -> bool:
+            cv = colours[i]
+            for u in adj[vertices[i]]:
+                cu = colours[index[u]]
                 if cu:
                     if cu != cv:
                         return False
@@ -809,45 +1321,57 @@ class HeuristicSolver:
                     return False
             return True
 
-        def adopt(v: int, lab: int) -> None:
-            labels[v] = lab
+        def adopt(i: int, lab: int) -> None:
+            labels[i] = lab
             if lab in (HAPPY, ASSUMED_UNHAPPY):
-                for u in self.adj[v]:
-                    if u in bag_set and colours[u] == 0:
-                        colours[u] = colours[v]
+                for u in adj[vertices[i]]:
+                    j = index[u]
+                    if u in bag_set and colours[j] == 0:
+                        colours[j] = colours[i]
 
         changed = True
         while changed:
             changed = False
-            for v in bag:
-                if colours[v] == 0 or labels[v] != UNKNOWN:
+            for i in order:
+                if colours[i] == 0 or labels[i] != UNKNOWN:
                     continue
-                offered = {a_lab[v], b_lab[v]} if v in matched else {HAPPY}
-                if HAPPY in offered and consistent(v):
-                    adopt(v, HAPPY)
-                elif ASSUMED_UNHAPPY in offered and consistent(v):
-                    adopt(v, ASSUMED_UNHAPPY)
+                offered = {a_lab[i], b_lab[i]} if i in matched else {HAPPY}
+                if HAPPY in offered and consistent(i):
+                    adopt(i, HAPPY)
+                elif ASSUMED_UNHAPPY in offered and consistent(i):
+                    adopt(i, ASSUMED_UNHAPPY)
                 else:
-                    labels[v] = UNHAPPY
+                    labels[i] = UNHAPPY
                 changed = True
         # Vertices in components of the bag untouched by any label choice.
-        for v in bag:
-            if colours[v] == 0:
-                colours[v] = a_col[v] if self.rng.random() < 0.5 else b_col[v]
-        for v in bag:
-            if labels[v] == UNKNOWN:
-                labels[v] = HAPPY if consistent(v) else UNHAPPY
-        # Interior labels must reflect the possibly re-decided bag colours.
-        for v in range(n):
-            if colours[v] and v not in bag_set:
-                cv = colours[v]
-                conflict = any(colours[u] and colours[u] != cv for u in self.adj[v])
-                labels[v] = UNHAPPY if conflict else HAPPY
-        # Uncoloured vertices outside N[bag] stay UNKNOWN.
-        for v in self._ring(bag_set):
-            if not colours[v]:
-                labels[v] = self._border_label(v, colours)
-        return self.entry(colours, labels)
+        for i in order:
+            if colours[i] == 0:
+                colours[i] = a_col[i] if self.rng.random() < 0.5 else b_col[i]
+        for i in order:
+            if labels[i] == UNKNOWN:
+                labels[i] = HAPPY if consistent(i) else UNHAPPY
+        # Ring labels must reflect the possibly re-decided bag colours; away
+        # from N[bag] nothing a vertex sees has changed.
+        for i, v, near, far in ring:
+            cv = colours[i]
+            if not cv:
+                labels[i] = self._ring_label(colours, near, far)
+                continue
+            conflict = any(colours[j] not in (0, cv) for j, _ in near)
+            # A HAPPY label rules out a clash away from N[bag] as well.
+            if not conflict and labels[i] != HAPPY:
+                side = a if a_col[i] else b
+                conflict = self._conflicts_away(side, v, cv, index)
+            labels[i] = UNHAPPY if conflict else HAPPY
+        counts = _union_counts(a, b, labels)
+        return PartialSolution(
+            bytes(colours),
+            bytes(labels),
+            counts,
+            evaluate(self.weights, counts),
+            layout,
+            _joined(a.forgotten, b.forgotten),
+        )
 
     # -- full solve ---------------------------------------------------------
 
@@ -876,6 +1400,7 @@ class HeuristicSolver:
             pass  # the root comes last
         assert len(root_beam)
         best = max(root_beam.entries, key=_rank)
+        # The root's bag and ring are empty: every label is a settled one.
         colours, labels = self.arrays(best)
         full = FullColouring(self.k, tuple(colours))
         happy = count_happy(self.g, full)
@@ -895,19 +1420,26 @@ class HeuristicSolver:
 
     def _covered(self, idx: int, *below: frozenset[int]) -> frozenset[int]:
         """The vertices of the bags in the subtree of node ``idx``."""
-        return self._bag_sets[idx].union(*below)
+        return self.nice.nodes[idx].bag.union(*below)
 
     def _verify(self, idx: int, beam: Beam, covered: frozenset[int]) -> None:
-        bag_set = self._bag_sets[idx]
+        node = self.nice.nodes[idx]
+        bag_set = node.bag
+        layout = self._layouts[idx]
         near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         assert len(beam) <= self.config.width
+        assert set(layout.bag) == bag_set, f"node {idx}: layout bag differs"
+        assert set(layout.vertices) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
-            colours, labels = self.arrays(sol)
+            # Laid out on N[bag], or over every vertex when made from arrays.
+            assert sol.layout in (layout, self._everything), f"node {idx}: foreign layout"
+            colours, labels = sol.colours, sol.labels
             assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
-            assert len(colours) == len(labels) == self.n
-            assert self._recount(labels) == sol.counts
+            assert len(colours) == len(labels) == len(sol.layout.vertices)
+            colours, labels = self.arrays(sol)
+            assert _tally(labels) == sol.counts, f"node {idx}: counts differ from the labels"
             assert evaluate(self.weights, sol.counts) == sol.score
             coloured = {v for v in range(self.n) if colours[v]}
             assert coloured == covered, f"node {idx}: colour domain mismatch"
@@ -925,6 +1457,12 @@ class HeuristicSolver:
                             assert cu in (0, cv), (
                                 f"{Label(lab).name} vertex {v} has a conflicting neighbour"
                             )
+                    elif v not in bag_set and v not in near_bag:
+                        # Away from the bag a label is final, and the
+                        # traceback derives it from the colouring alone.
+                        assert any(colours[u] not in (0, cv) for u in self.adj[v]), (
+                            f"node {idx}: UNHAPPY vertex {v} outside N[bag] has no conflict"
+                        )
                 else:
                     # The premise the joins rely on (module docstring).
                     assert lab == UNKNOWN or v in near_bag, (
@@ -934,11 +1472,6 @@ class HeuristicSolver:
                     assert lab == self._border_label(v, colours)
         # Entries in ascending score order, mirrored by ``scores``.
         assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
-
-
-def _or_bytes(x: bytes, y: bytes, n: int) -> bytes:
-    """Bytewise OR of two length-n byte strings, in one C-level pass each way."""
-    return (int.from_bytes(x, "little") | int.from_bytes(y, "little")).to_bytes(n, "little")
 
 
 def solve_heuristic(

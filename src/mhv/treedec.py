@@ -282,10 +282,14 @@ def parse_td(text: str | bytes, g: Graph) -> TreeDecomposition:
             edges.add(e)
     if nb_bags < 0:
         raise ParseError("missing 's td' header")
+    # A tree has one edge fewer than bags; checked before the bags are built,
+    # so the file's own edge lines bound what the header may declare.
+    if len(edges) != nb_bags - 1:
+        raise ParseError("bag-tree edges do not form a tree")
     bags = tuple(bag_lines.get(i, frozenset()) for i in range(1, nb_bags + 1))
 
     td = TreeDecomposition(g.n, bags, frozenset(edges))
-    if len(edges) != nb_bags - 1 or len(reachable(td.neighbour_map(), 0)) != nb_bags:
+    if len(reachable(td.neighbour_map(), 0)) != nb_bags:
         raise ParseError("bag-tree edges do not form a tree")
     actual = td.width + 1
     if actual != declared_width_plus1:

@@ -19,6 +19,11 @@ Regenerate only when a change of behaviour is intended, and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/make_golden.py
+
+To see which digests a change moves without writing anything (exit 1 if
+any moved):
+
+    PYTHONPATH=src python tests/make_golden.py --check
 """
 
 from __future__ import annotations
@@ -148,7 +153,12 @@ def moved(old: dict[str, dict], new: dict[str, dict]) -> tuple[int, int]:
     return len(changed), sum(digest["provably_optimal"] for digest in changed)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args not in ([], ["--check"]):
+        print("usage: make_golden.py [--check]", file=sys.stderr)
+        return 2
+    check = args == ["--check"]
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     golden = {name: digests(name) for name in INSTANCES}
     totals = [0, 0]
@@ -159,6 +169,11 @@ def main() -> int:
         print(f"{name}: {count} of {len(old.get(name, {}))} digests moved, {certified} certified")
     certified_total = sum(d["provably_optimal"] for cases in old.values() for d in cases.values())
     print(f"moved {totals[0]} digests, {totals[1]} of the {certified_total} certified ones")
+    if check:
+        added = sum(len(cases.keys() - old.get(name, {}).keys()) for name, cases in golden.items())
+        if added:
+            print(f"{added} digests are new")
+        return 1 if totals[0] or added else 0
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     total = sum(len(cases) for cases in golden.values())
     print(f"wrote {total} digests for {len(golden)} instances to {GOLDEN_PATH}")

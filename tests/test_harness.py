@@ -458,6 +458,49 @@ def test_cli_usage_exit_code_subprocess():
     assert proc.returncode == 1
 
 
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """``mhv`` in a subprocess whose address space is capped at 1 GiB, so
+    that a parser that trusts a header count fails fast instead of taking
+    the machine's memory."""
+    import resource
+
+    import mhv
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(mhv.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "mhv.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+
+
+def test_cli_graph_header_above_vertex_limit_exits_3(tmp_path):
+    graph_path = tmp_path / "huge.gr"
+    graph_path.write_text("p tw 99999999999 0\n")
+    proc = _run_capped(["decompose", str(graph_path)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "resource limit: line 1: header declares 99999999999 vertices, "
+        "above the limit of 1000000"
+    ]
+
+
+def test_cli_td_header_bag_count_checked_against_edges_first(tmp_path):
+    graph_path = tmp_path / "g.gr"
+    graph_path.write_text("p tw 2 1\n1 2\n")
+    td_path = tmp_path / "huge.td"
+    td_path.write_text("s td 99999999999 2 2\nb 1 1 2\n")
+    proc = _run_capped(["decompose", str(graph_path), "--td", str(td_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["input error: bag-tree edges do not form a tree"]
+
+
 def test_cli_bench_manifest(tmp_path, capsys):
     graph_path, colouring_path = _write_instance(tmp_path)
     manifest = {

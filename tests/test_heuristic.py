@@ -147,8 +147,12 @@ def test_introduce_with_conflicting_precoloured_neighbours_is_unhappy():
 
 
 def test_introduce_backup_demotes_conflicting_happy_neighbours():
+    from mhv.treedec import TreeDecomposition
+
     g = Graph(3, [(0, 2), (1, 2)])
-    solver = _solver(g, PartialColouring(2), width=67)
+    # One bag, so that 2 is introduced onto the bag {0, 1}.
+    td = TreeDecomposition(3, (frozenset({0, 1, 2}),), frozenset())
+    solver = HeuristicSolver(g, PartialColouring(2), make_nice(td, g), HeuristicConfig(width=67))
     idx = _introduce_idx(solver, 2)
     # Child state: 0 and 1 committed to different colours, both designated happy.
     child = Beam(67)
@@ -542,7 +546,7 @@ def test_join_with_bag_only_side_preserves_other_side():
             break
     node = solver.nice.nodes[join_idx]
     left = beams[node.children[0]]
-    bag = solver._bags[join_idx]
+    bag = sorted(node.bag)
     crafted = Beam(67)
     for sol_colours, sol_labels in map(solver.arrays, left):
         colours = bytearray(solver.n)
