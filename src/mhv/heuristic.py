@@ -40,22 +40,28 @@ labels.
 
 An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] (its ``Layout``), its four label counts
-over all vertices, its score, and the colours of the vertices forgotten
-below, as a chain of (vertex, colour) forget records shared with the
-entries it was built from.  A layout keeps its child's order while N[bag]
-stays the same set, so most nodes carry a child's arrays over as they are;
-it lists where the bag sits.  Everything else is settled: a forgotten
-vertex's colour is fixed, and once no bag vertex is its neighbour its label
-is a function of the colouring, HAPPY exactly when no neighbour has another
-colour.  ``check_invariants`` asserts both halves of that premise.  So
-``solve`` rebuilds the colouring from the best root entry's forget records,
-by an iterative walk, and derives the final labels from it.
+over all vertices, its score, and the number of its newest forget record.
+The solver keeps the records in one table of ints: a (vertex, colour) per
+forget, and a pair of older records per join, so that entries built from
+one child entry share its records.  A node's layout keeps its child's order
+while N[bag] stays the same set, so most nodes carry a child's arrays over as
+they are; it is worked out when the node is handled and let go of once its
+parent has used it.  Everything else is settled: a forgotten vertex's colour
+is fixed, and once no bag vertex is its neighbour its label is a function of
+the colouring, HAPPY exactly when no neighbour has another colour.  A forget
+asserts that premise, under ``check_invariants``, for each vertex it drops.
+A coloured ring vertex with a conflicting neighbour that has left N[bag] is
+labelled FAR_UNHAPPY, which counts as UNHAPPY, so that a merge knows of that
+conflict without the records.  ``solve`` rebuilds the colouring from the best
+root entry's records, by an iterative walk, and derives the final labels
+from it.
 
 The solver owns the entry format.  Entries are made from full arrays by
-``HeuristicSolver.entry`` and read as full arrays, rebuilt the same way, by
-``HeuristicSolver.arrays``; only the node handlers and their join helpers
-touch an entry's own arrays.  A handler given an entry laid out for another
-node (one made by ``entry``) first lays it out on its own.
+``HeuristicSolver.entry``, laid out on a given node or over every vertex,
+and read as full arrays, rebuilt the same way, by ``HeuristicSolver.arrays``.
+Only the node handlers and their join helpers touch an entry's own arrays;
+a handler reads entries laid out on its children's layouts, the join
+helpers read any layout that lists N[bag].
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -98,8 +104,15 @@ class Label(IntEnum):
 # innermost loops, and CPython's fast paths for both skip int subclasses.
 UNKNOWN, HAPPY, UNHAPPY, MAYBE_HAPPY, ASSUMED_UNHAPPY = map(int, Label)
 
+# A coloured ring vertex's label when it has a conflicting neighbour outside
+# N[bag]; it counts, and reads out, as UNHAPPY (see ``handle_forget``).
+FAR_UNHAPPY = 5
+
 # Byte value -> that one byte.
 _BYTE = tuple(bytes((i,)) for i in range(256))
+
+# Label -> the label ``HeuristicSolver.arrays`` reads out.
+_PUBLIC = bytes(UNHAPPY if lab == FAR_UNHAPPY else lab for lab in range(256))
 
 # Label -> the designation a join matches on: HAPPY, or UNHAPPY for the rest.
 _DESIGNATION = bytes(HAPPY if lab == HAPPY else UNHAPPY for lab in range(256))
@@ -207,44 +220,17 @@ def exactness_width_bound(k: int, width: int) -> int:
 
 
 class Layout:
-    """The vertices an entry stores, in the order it stores them, and which
-    of them form the bag.  ``index`` maps each vertex to its position and
-    ``bag_at`` gives the position of each vertex of ``bag`` in that order;
-    the other positions hold the ring.
+    """The vertices an entry stores, in the order it stores them; ``index``
+    maps each vertex to its position."""
 
-    ``bag`` is given in order, or as a set, listed ascending when first read
-    and interned in ``bags``: most node layouts never have it read.
-    """
+    __slots__ = ("vertices", "index")
 
-    __slots__ = ("vertices", "index", "bag", "bag_at", "_bag_set", "_bags")
-
-    def __init__(
-        self,
-        vertices: tuple[int, ...],
-        bag: tuple[int, ...] | frozenset[int],
-        index: dict[int, int] | None = None,
-        bags: dict[tuple[int, ...], tuple[int, ...]] | None = None,
-    ) -> None:
+    def __init__(self, vertices: tuple[int, ...], index: dict[int, int] | None = None) -> None:
         self.vertices = vertices
-        if index is None:
-            index = {v: i for i, v in enumerate(vertices)}
-        self.index = index
-        if isinstance(bag, tuple):
-            self._list_bag(bag)
-        else:
-            self._bag_set = bag
-            self._bags = bags
+        self.index = {v: i for i, v in enumerate(vertices)} if index is None else index
 
-    def _list_bag(self, bag: tuple[int, ...]) -> None:
-        self.bag = bag
-        self.bag_at = tuple(map(self.index.__getitem__, bag))
 
-    def __getattr__(self, name: str) -> Any:
-        if name not in ("bag", "bag_at"):
-            raise AttributeError(name)
-        bag = tuple(sorted(self._bag_set))
-        self._list_bag(self._bags.setdefault(bag, bag))
-        return getattr(self, name)
+_EMPTY = Layout(())
 
 
 class PartialSolution:
@@ -252,13 +238,11 @@ class PartialSolution:
 
     ``colours`` and ``labels`` are byte strings over ``layout.vertices`` (0
     means uncoloured / UNKNOWN); ``counts`` holds the totals over all
-    vertices for the four scored labels in enum order.  ``forgotten`` holds
-    the colour of every vertex forgotten below: ``None``, a ``(vertex,
-    colour, rest)`` record per forget, and a ``(left, right)`` pair per
-    join, each shared with the entries it was built from.  At the node that
-    holds it, the coloured vertices are exactly those of the bags below.
-    ``layout`` and ``forgotten`` may be left out for an entry that is only
-    ranked, never read.
+    vertices for the four scored labels in enum order.  ``forgotten`` is the
+    newest of the solver's forget records that hold the colours of the
+    vertices forgotten below, -1 for none.  At the node that holds it, the
+    coloured vertices are exactly those of the bags below.  ``layout`` may be
+    left out for an entry that is only ranked, never read.
     """
 
     __slots__ = ("colours", "labels", "counts", "score", "layout", "forgotten")
@@ -270,7 +254,7 @@ class PartialSolution:
         counts: tuple[int, int, int, int],
         score: int,
         layout: Layout | None = None,
-        forgotten: tuple | None = None,
+        forgotten: int = -1,
     ) -> None:
         self.colours = colours
         self.labels = labels
@@ -306,32 +290,10 @@ def _tally(labels: bytes | bytearray) -> tuple[int, int, int, int]:
     """The four scored label counts of ``labels``, in enum order."""
     return (
         labels.count(HAPPY),
-        labels.count(UNHAPPY),
+        labels.count(UNHAPPY) + labels.count(FAR_UNHAPPY),
         labels.count(MAYBE_HAPPY),
         labels.count(ASSUMED_UNHAPPY),
     )
-
-
-def _joined(left: tuple | None, right: tuple | None) -> tuple | None:
-    """The forget records of a join's two sides, which never share a vertex."""
-    if left is None or right is None:
-        return left or right
-    return (left, right)
-
-
-def _records(forgotten: tuple | None) -> Iterator[tuple[int, int]]:
-    """The (vertex, colour) of every forget record in ``forgotten``, by an
-    iterative walk."""
-    stack = [forgotten]
-    while stack:
-        record = stack.pop()
-        while record is not None:
-            if len(record) == 3:
-                v, c, record = record
-                yield v, c
-            else:
-                left, record = record
-                stack.append(left)
 
 
 def _key_getter(positions: Sequence[int], size: int) -> Callable[[bytes], Any]:
@@ -357,41 +319,46 @@ def _union_counts(
     )
 
 
-def _relayout(src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
-    """A function that lays an array over ``src`` out over ``dst``, with 0
-    for the vertices ``src`` lacks.  A node's layout keeps its child's order
-    (``_node_layouts``), so between the two it splices a few runs of the
-    array with C-level slices; any other pair, such as the two children of
-    a join, takes one C-level gather."""
-    index = src.index
-    kept = len(src.vertices)
-    # Per position of dst, its position in src followed by zero padding.
-    sources = []
-    missing = 0
-    for v in dst.vertices:
-        i = index.get(v)
-        if i is None:
-            i = kept + missing
-            missing += 1
-        sources.append(i)
-    pad = bytes(missing)
-    if sources == list(range(len(sources))):
-        if not pad and len(sources) == kept:
-            return bytes
-        return (lambda array: array + pad) if pad else (lambda array: array[: len(sources)])
+def _dropper(src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
+    """A function that lays an array over ``src`` out over ``dst``, which
+    lists some of ``src``'s vertices in the same order: a few C-level
+    slices, joined."""
+    index = dst.index
     runs = []
-    start = 0
-    for j in range(1, len(sources) + 1):
-        if j == len(sources) or sources[j] != sources[j - 1] + 1:
-            runs.append(slice(sources[start], sources[j - 1] + 1))
-            start = j
-    if len(runs) > 3:
-        gather = itemgetter(*sources)
-        return lambda array: bytes(gather(array + pad))
-    take = itemgetter(*runs)
+    start = None
+    for i, v in enumerate(src.vertices):
+        if v in index:
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append(slice(start, i))
+            start = None
+    if start is not None:
+        runs.append(slice(start, len(src.vertices)))
+    if not runs:
+        return lambda array: b""
     if len(runs) == 1:
-        return lambda array: take(array + pad)
-    return lambda array: b"".join(take(array + pad))
+        run = runs[0]
+        return lambda array: array[run]
+    take = itemgetter(*runs)
+    return lambda array: b"".join(take(array))
+
+
+def _relayer(src: Layout, dst: Layout) -> Callable[[PartialSolution], PartialSolution]:
+    """A function that lays an entry over ``src`` out over ``dst``, which
+    lists the same vertices in another order: one C-level gather per
+    array."""
+    if src is dst:
+        return lambda sol: sol
+    positions = [src.index[v] for v in dst.vertices]
+    if len(positions) < 2:
+        gather: Callable[[bytes], bytes] = lambda array: bytes(array[i] for i in positions)
+    else:
+        take = itemgetter(*positions)
+        gather = lambda array: bytes(take(array))  # noqa: E731
+    return lambda sol: PartialSolution(
+        gather(sol.colours), gather(sol.labels), sol.counts, sol.score, dst, sol.forgotten
+    )
 
 
 class Beam:
@@ -480,13 +447,19 @@ class HeuristicSolver:
         self._label_weight = (0, w.happy, w.unhappy, w.maybe_happy, w.assumed_unhappy)
         self.rng = random.Random(self.config.seed)
         self.all_below_capacity = True
-        self._layouts = self._node_layouts()
-        self._bag_layouts: dict[frozenset[int], Layout] = {}
-        self._relayouts: dict[tuple[Layout, Layout], Callable[[bytes], bytes]] = {}
-        self._pairings: dict[tuple[Layout, Layout], Any] = {}
-        self._rings: dict[Layout, tuple] = {}
-        # The layout of an entry made from full arrays.
-        self._everything = Layout(tuple(range(self.n)), ())
+        self._colours = tuple(range(1, self.k + 1))
+        # Per node, its entries' layout while its parent is still to come.
+        self._layouts: list[Layout | None] = [None] * len(nice.nodes)
+        # Forget records, three ints each: (vertex, colour, older record) per
+        # forget, and (-1, one side's newest, the other's) per join; -1
+        # ends a chain.
+        self._records: list[int] = []
+        self._everything: Layout | None = None
+        # The last pairing, ring table and bag positions the join helpers
+        # worked out, with what they were worked out for.
+        self._pairing_for: tuple = (None, None, None, None)
+        self._ring_for: tuple = (None, None, None)
+        self._bag_at_for: tuple = (None, None, None)
         # Per vertex, the colour its precoloured neighbours agree on: 0 for
         # none, -1 when they disagree.
         self._evidence = tuple(
@@ -497,14 +470,38 @@ class HeuristicSolver:
     # -- entry format -----------------------------------------------------
 
     def entry(
-        self, colours: Iterable[int], labels: Iterable[int], counts: Sequence[int] | None = None
+        self,
+        colours: Iterable[int],
+        labels: Iterable[int],
+        counts: Sequence[int] | None = None,
+        node: int | None = None,
     ) -> PartialSolution:
-        """A beam entry over full arrays, stored as bytes and scored from its
-        four label counts, which are counted from ``labels`` if not given."""
-        labels = bytes(labels)
+        """A beam entry made from full arrays, scored from its four label
+        counts, which are counted from ``labels`` if not given.  It is laid
+        out on node ``node``'s layout, its other coloured vertices taken as
+        forgotten, or over every vertex if no node is given.  A node handler
+        reads only entries laid out on its children's layouts; the join
+        helpers and ``arrays`` read any."""
+        colours, labels = bytes(colours), bytes(labels)
         counts_t = _tally(labels) if counts is None else tuple(counts)
+        if node is None:
+            layout = self._everything
+            if layout is None:
+                layout = self._everything = Layout(tuple(range(self.n)))
+        else:
+            layout = self.node_layout(node)
+        forgotten = -1
+        for v, c in enumerate(colours):
+            if c and v not in layout.index:
+                forgotten = self._record(v, c, forgotten)
+        vertices = layout.vertices
         return PartialSolution(
-            bytes(colours), labels, counts_t, evaluate(self.weights, counts_t), self._everything
+            bytes(colours[v] for v in vertices),
+            bytes(labels[v] for v in vertices),
+            counts_t,
+            evaluate(self.weights, counts_t),
+            layout,
+            forgotten,
         )
 
     def arrays(self, sol: PartialSolution) -> tuple[bytes, bytes]:
@@ -512,94 +509,89 @@ class HeuristicSolver:
         traceback (see the module docstring)."""
         colours = self._colouring(sol)
         labels = self._settled_labels(colours)
-        for v, lab in zip(sol.layout.vertices, sol.labels):
+        for v, lab in zip(sol.layout.vertices, sol.labels.translate(_PUBLIC)):
             labels[v] = lab
         return bytes(colours), bytes(labels)
 
-    def _node_layouts(self) -> list[Layout]:
-        """The layout of every node's entries: N[bag] in its child's order,
+    def node_layout(self, idx: int) -> Layout:
+        """The layout of node ``idx``'s entries: N[bag] in its child's order,
         so that an entry keeps its arrays as they are while N[bag] stays the
         same set.  An introduce appends the vertex and its neighbours that
         are new to N[bag]; a forget drops each vertex that no longer touches
-        the bag.  A join takes its first child's layout.  Every layout lists
-        its bag ascending."""
+        the bag; a join takes its first child's layout.  Worked out from the
+        nearest known layout below, iteratively; a handler lets go of its
+        children's layouts once it has used them."""
+        layouts = self._layouts
+        if layouts[idx] is not None:
+            return layouts[idx]
+        nodes = self.nice.nodes
+        path = []
+        j = idx
+        while layouts[j] is None:
+            path.append(j)
+            if not nodes[j].children:
+                break
+            j = nodes[j].children[0]
+        for j in reversed(path):
+            layouts[j] = self._derived_layout(j)
+        return layouts[idx]
+
+    def _derived_layout(self, idx: int) -> Layout:
+        """Node ``idx``'s layout from its first child's (see ``node_layout``)."""
+        node = self.nice.nodes[idx]
+        if node.kind == NodeKind.LEAF:
+            return _EMPTY
+        child = self._layouts[node.children[0]]
+        if node.kind == NodeKind.JOIN:
+            return child
+        vertices, at = child.vertices, child.index
+        v = node.vertex
         adj = self.adj
-        leaf, introduce, join = NodeKind.LEAF, NodeKind.INTRODUCE, NodeKind.JOIN
-        empty = Layout((), ())
-        layouts: list[Layout] = []
-        # One tuple per distinct bag, so that layouts compare bags by identity.
-        bags: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for node in self.nice.nodes:
-            kind = node.kind
-            if kind == leaf:
-                layouts.append(empty)
-                continue
-            child = layouts[node.children[0]]
-            if kind == join:
-                layouts.append(child)
-                continue
-            vertices, at = child.vertices, child.index
-            v = node.vertex
-            if kind == introduce:
-                new = [u for u in adj[v] if u not in at]
-                if v not in at:
-                    new.insert(0, v)
-                if new:
-                    at = at.copy()
-                    at.update(zip(new, range(len(vertices), len(vertices) + len(new))))
-                    vertices += tuple(new)
-            else:
-                inside = node.bag
-                gone = [x for x in adj[v] if x not in inside and inside.isdisjoint(adj[x])]
-                if inside.isdisjoint(adj[v]):
-                    gone.insert(0, v)
-                if gone:
-                    vertices = tuple(u for u in vertices if u not in gone)
-                    at = {u: i for i, u in enumerate(vertices)}
-            # Unchanged vertices share their child's tuple and index.
-            layouts.append(Layout(vertices, node.bag, at, bags))
-        return layouts
+        if node.kind == NodeKind.INTRODUCE:
+            new = [u for u in adj[v] if u not in at]
+            if v not in at:
+                new.insert(0, v)
+            if not new:
+                return child
+            at = at.copy()
+            at.update(zip(new, range(len(vertices), len(vertices) + len(new))))
+            return Layout(vertices + tuple(new), at)
+        inside = node.bag
+        gone = {x for x in adj[v] if x not in inside and inside.isdisjoint(adj[x])}
+        if inside.isdisjoint(adj[v]):
+            gone.add(v)
+        if not gone:
+            return child
+        return Layout(tuple(u for u in vertices if u not in gone))
 
-    def _layout(self, bag: Iterable[int]) -> Layout:
-        """A layout of N[bag], the bag first in the given order, for entries
-        made from full arrays."""
-        bag = tuple(bag)
-        bag_set = frozenset(bag)
-        layout = self._bag_layouts.get(bag_set)
-        if layout is None or layout.bag != bag:
-            adj = self.adj
-            ring = tuple(sorted({u for v in bag for u in adj[v]} - bag_set))
-            layout = self._bag_layouts[bag_set] = Layout(bag + ring, bag)
-        return layout
+    def _record(self, vertex: int, colour: int, older: int) -> int:
+        """A new forget record; its number."""
+        records = self._records
+        at = len(records)
+        records += (vertex, colour, older)
+        return at
 
-    def _relayout(self, src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
-        pair = (src, dst)
-        relay = self._relayouts.get(pair)
-        if relay is None:
-            relay = self._relayouts[pair] = _relayout(src, dst)
-        return relay
-
-    def _laid_out(self, sol: PartialSolution, layout: Layout) -> PartialSolution:
-        """``sol`` laid out on ``layout``: itself, or a copy, whose forget
-        records take the coloured vertices ``layout`` lacks (for an entry
-        made from full arrays)."""
-        if sol.layout is layout:
-            return sol
-        relay = self._relayout(sol.layout, layout)
-        forgotten = sol.forgotten
-        for v, c in zip(sol.layout.vertices, sol.colours):
-            if c and v not in layout.index:
-                forgotten = (v, c, forgotten)
-        return PartialSolution(
-            relay(sol.colours), relay(sol.labels), sol.counts, sol.score, layout, forgotten
-        )
+    def _joined(self, a: PartialSolution, b: PartialSolution) -> int:
+        """The forget records of a join's two sides, which never share a
+        vertex."""
+        if a.forgotten < 0 or b.forgotten < 0:
+            return max(a.forgotten, b.forgotten)
+        return self._record(-1, a.forgotten, b.forgotten)
 
     def _colouring(self, sol: PartialSolution) -> bytearray:
         """The colouring of the subtree below ``sol``: its layout's coloured
-        vertices and its forget records."""
+        vertices and its forget records, by an iterative walk."""
         colours = bytearray(self.n)
-        for v, c in _records(sol.forgotten):
-            colours[v] = c
+        records = self._records
+        stack = [sol.forgotten]
+        while stack:
+            at = stack.pop()
+            while at >= 0:
+                v, c, at = records[at : at + 3]
+                if v < 0:
+                    stack.append(c)
+                else:
+                    colours[v] = c
         for v, c in zip(sol.layout.vertices, sol.colours):
             if c:
                 colours[v] = c
@@ -618,24 +610,6 @@ class HeuristicSolver:
                         labels[v] = UNHAPPY
                         break
         return labels
-
-    def _conflicts_away(
-        self, side: PartialSolution, v: int, colour: int, index: dict[int, int]
-    ) -> bool:
-        """Whether ``v`` has a neighbour outside ``index`` that ``side``'s
-        forget records colour other than ``colour``: a vertex outside N[bag]
-        next to a coloured ring vertex has been forgotten."""
-        away = {u for u in self.adj[v] if u not in index}
-        if not away:
-            return False
-        for u, c in _records(side.forgotten):
-            if u in away:
-                if c != colour:
-                    return True
-                away.discard(u)
-                if not away:
-                    break
-        return False
 
     def _border_label(self, v: int, colours: bytes | bytearray) -> int:
         """Label of an uncoloured vertex given committed colours over all
@@ -667,24 +641,27 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _ring(self, layout: Layout) -> tuple[tuple[int, int, tuple, frozenset[int]], ...]:
-        """Per ring vertex of ``layout``, looked up once per layout: its
-        position, the vertex, its neighbours in the layout as (position,
-        input colour), and the input colours of its other neighbours."""
-        ring = self._rings.get(layout)
-        if ring is None:
-            base, index = self.base, layout.index
-            in_bag = set(layout.bag_at)
-            ring = self._rings[layout] = tuple(
-                (
-                    i,
-                    v,
-                    tuple((index[u], base[u]) for u in self.adj[v] if u in index),
-                    frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
-                )
-                for i, v in enumerate(layout.vertices)
-                if i not in in_bag
+    def _ring(
+        self, layout: Layout, bag_set: frozenset[int]
+    ) -> tuple[tuple[int, int, tuple, frozenset[int]], ...]:
+        """Per vertex of ``layout`` outside ``bag_set``: its position, the
+        vertex, its neighbours in the layout as (position, input colour), and
+        the input colours of its other neighbours.  The last table is kept."""
+        held_layout, held_bag, ring = self._ring_for
+        if held_layout is layout and held_bag is bag_set:
+            return ring
+        base, index = self.base, layout.index
+        ring = tuple(
+            (
+                i,
+                v,
+                tuple((index[u], base[u]) for u in self.adj[v] if u in index),
+                frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
             )
+            for i, v in enumerate(layout.vertices)
+            if v not in bag_set
+        )
+        self._ring_for = (layout, bag_set, ring)
         return ring
 
     @staticmethod
@@ -721,7 +698,7 @@ class HeuristicSolver:
     def handle_leaf(self, idx: int) -> Beam:
         """The unique empty partial solution: nothing coloured, all UNKNOWN."""
         beam = Beam(self.config.width)
-        beam.insert(PartialSolution(b"", b"", (0, 0, 0, 0), 0, self._layouts[idx]), self.rng)
+        beam.insert(PartialSolution(b"", b"", (0, 0, 0, 0), 0, self.node_layout(idx)), self.rng)
         return beam
 
     def handle_introduce(self, idx: int, child_beam: Beam) -> Beam:
@@ -766,10 +743,10 @@ class HeuristicSolver:
         adj = self.adj
         adj_v = adj[vtx]
         evidence = self._evidence
-        child_bag = self.nice.nodes[node.children[0]].bag
-        child_layout = self._layouts[node.children[0]]
-        held = child_layout.index
-        index = self._layouts[idx].index
+        child = node.children[0]
+        index = self.node_layout(idx).index
+        held = self.node_layout(child).index
+        child_bag = self.nice.nodes[child].bag
         # Every committed neighbour of an uncoloured vertex lies in the child
         # bag, and every child-bag vertex is coloured.  So a MAYBE_HAPPY vertex
         # without precoloured neighbours is bound to the colour of any one of
@@ -778,7 +755,7 @@ class HeuristicSolver:
             x: held[u] for x in (vtx, *adj_v) if not evidence[x] for u in adj[x] if u in child_bag
         }
         base_v = self.base[vtx]
-        allowed = (base_v,) if base_v else tuple(range(1, self.k + 1))
+        allowed = (base_v,) if base_v else self._colours
         weight = self._label_weight
         w_happy, w_unhappy, w_maybe, w_assumed = weight[1:]
         slots = self.k + 1
@@ -800,8 +777,6 @@ class HeuristicSolver:
         main_offers: list[tuple[int, tuple[list, int]]] = []
         backup_offers: list[tuple[int, tuple[list, int]]] = []
         for sol in child_beam:
-            if sol.layout is not child_layout:
-                sol = self._laid_out(sol, child_layout)
             col_c = sol.colours
             lab_c = sol.labels
             # The child entry and, once an offer of it survives, its arrays
@@ -866,10 +841,13 @@ class HeuristicSolver:
                 for lab in labs:
                     main_offers.append((at_colour + weight[lab], (group, lab)))
         backup = Beam(self.config.width)
-        backup.extend(backup_offers, self.rng)
+        if backup_offers:
+            backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
-        return self._materialise(main if main_offers else backup, idx)
+        beam = self._materialise(main if main_offers else backup, idx)
+        self._layouts[child] = None
+        return beam
 
     def _materialise(self, beam: Beam, idx: int) -> Beam:
         """Replace each (group, label) offer in introduce node ``idx``'s
@@ -879,9 +857,8 @@ class HeuristicSolver:
         appended, so a child's arrays carry over as they are, padded."""
         node = self.nice.nodes[idx]
         vtx = node.vertex
-        layout = self._layouts[idx]
-        child_layout = self._layouts[node.children[0]]
-        pad = bytes(len(layout.vertices) - len(child_layout.vertices))
+        layout = self.node_layout(idx)
+        pad = bytes(len(layout.vertices) - len(self.node_layout(node.children[0]).vertices))
         at = layout.index[vtx]
         entries = []
         for (group, lab), score in zip(beam.entries, beam.scores):
@@ -923,24 +900,27 @@ class HeuristicSolver:
         are now committed and none conflicts, so it ends happy whatever
         happens above.  Solutions agreeing on bag colours and labels collapse
         to the best-scoring representative, keyed and ranked before any is
-        built; only the survivors of the node are laid out on it.
+        built; only the survivors of the node are laid out on it.  Each
+        survivor records the forgotten vertex's colour.  A vertex that leaves
+        N[bag] takes its label along: it is settled, a function of the
+        colouring.  A coloured ring vertex next to one that leaves with
+        another colour is marked FAR_UNHAPPY, so that a merge above knows of
+        the conflict without the vertex that caused it.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        child_layout = self._layouts[node.children[0]]
-        layout = self._layouts[idx]
-        p = child_layout.index[vtx]
+        child = node.children[0]
+        layout = self.node_layout(idx)
+        child_layout = self.node_layout(child)
+        held = child_layout.index
+        p = held[vtx]
         # The colours and labels of the bag without the forgotten vertex.
-        key_of = _key_getter(
-            [child_layout.index[v] for v in layout.bag], len(child_layout.vertices)
-        )
+        key_of = _key_getter([held[v] for v in sorted(node.bag)], len(child_layout.vertices))
         weights = self.weights
         # Key -> (rank, child entry, counts, promoted).
         groups: dict[tuple, tuple[tuple[int, int], PartialSolution, tuple, bool]] = {}
         for sol in child_beam:
-            if sol.layout is not child_layout:
-                sol = self._laid_out(sol, child_layout)
             col = sol.colours
             lab = sol.labels
             promoted = lab[p] == ASSUMED_UNHAPPY
@@ -952,30 +932,46 @@ class HeuristicSolver:
                 counts = sol.counts
                 rank = (sol.score, counts[0])
             key = key_of(col + lab)
-            held = groups.get(key)
+            held_group = groups.get(key)
             # The happy count breaks score ties; equal weights for happy and
             # unhappy labels would otherwise let a worse completion shadow a
             # better one while the optimality flag stays set.
-            if held is None or rank > held[0]:
+            if held_group is None or rank > held_group[0]:
                 groups[key] = (rank, sol, counts, promoted)
         beam = Beam(self.config.width)
         beam.extend([(group[0][0], group) for group in groups.values()], self.rng)
-        relay = self._relayout(child_layout, layout)
+        index = layout.index
+        gone = [u for u in child_layout.vertices if u not in index]
+        drop = _dropper(child_layout, layout) if gone else None
+        # (its position in the child, here, and the leaving neighbour's in the
+        # child) per ring vertex next to one that leaves.
+        marks = [(held[v], index[v], held[u]) for u in gone for v in self.adj[u] if v in index]
         # The forgotten vertex stays in the ring while a bag vertex is its
         # neighbour.
-        at = layout.index.get(vtx)
+        at = index.get(vtx)
+        check = self.config.check_invariants
+        records = self._records
         entries = []
         for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
+            if check:
+                self._check_settled(sol, gone, vtx if promoted else -1)
             colours = sol.colours
-            labels = relay(sol.labels)
+            labels = sol.labels
+            if drop is not None:
+                labels = drop(labels)
             if promoted and at is not None:
                 labels = labels[:at] + _BYTE[HAPPY] + labels[at + 1 :]
+            for i, j, k in marks:
+                if colours[i] != colours[k]:
+                    labels = labels[:j] + _BYTE[FAR_UNHAPPY] + labels[j + 1 :]
             # The forgotten vertex's colour is settled: record it.
-            forgotten = (vtx, colours[p], sol.forgotten)
-            entries.append(
-                PartialSolution(relay(colours), labels, counts, score, layout, forgotten)
-            )
+            forgotten = len(records)
+            records += (vtx, colours[p], sol.forgotten)
+            if drop is not None:
+                colours = drop(colours)
+            entries.append(PartialSolution(colours, labels, counts, score, layout, forgotten))
         beam.entries = entries
+        self._layouts[child] = None
         return beam
 
     def handle_join(self, idx: int, first: Beam, second: Beam) -> Beam:
@@ -987,58 +983,48 @@ class HeuristicSolver:
         list ends empty.  The returned list is the one offered to the node's
         beam, in one selection.
 
-        Both children list the same bag in the same order, so keys and
-        distances read each entry in its own layout.  The node takes its first
-        child's layout: an exact merge reads the second child's side through
-        a position map, and an entry of the second child is laid out on it
-        only for a heuristic merge.
+        Both children lay out the same vertices, each in its own order; the
+        node takes its first child's layout.  Keys read each entry in its
+        own layout and an exact merge reads the second child's side through
+        a position map.  Only the nearest-partner search and the heuristic
+        merges lay entries out on the other child's layout.
         """
         node = self.nice.nodes[idx]
         bag_set = node.bag
-        layout = self._layouts[idx]
-        bag = layout.bag
+        bag = tuple(sorted(bag_set))
+        layout = self.node_layout(idx)
+        second_layout = self.node_layout(node.children[1])
         first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
         outer, inner = (first, second) if first_is_outer else (second, first)
-        outer_layout, inner_layout = (self._layouts[c] for c in node.children)
+        outer_layout, inner_layout = layout, second_layout
         if not first_is_outer:
             outer_layout, inner_layout = inner_layout, outer_layout
         # Match key: bag colours plus happiness designation.  UNHAPPY and
         # ASSUMED_UNHAPPY both designate an unhappy vertex and are
         # interchangeable across the two sides of a join; treating them as
         # distinct would miss combinations the exact recurrence includes.
-        inner_key = _key_getter(inner_layout.bag_at, len(inner_layout.vertices))
-        outer_key = _key_getter(outer_layout.bag_at, len(outer_layout.vertices))
+        inner_key = _key_getter(
+            [inner_layout.index[v] for v in bag], len(inner_layout.vertices)
+        )
+        outer_key = _key_getter(
+            [outer_layout.index[v] for v in bag], len(outer_layout.vertices)
+        )
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
-        inner_entries = sorted(
-            (s if s.layout is inner_layout else self._laid_out(s, inner_layout) for s in inner),
-            key=_rank,
-            reverse=True,
-        )
+        inner_entries = sorted(inner.entries, key=_rank, reverse=True)
         partners: dict[tuple, PartialSolution] = {}
         for inner_sol in inner_entries:
             key = inner_key(inner_sol.colours + inner_sol.labels.translate(_DESIGNATION))
             partners.setdefault(key, inner_sol)
         # Entries of the second child laid out on the node, by identity.
         aligned: dict[int, PartialSolution] = {}
-
-        def on_node(sol: PartialSolution) -> PartialSolution:
-            if sol.layout is layout:
-                return sol
-            made = aligned.get(id(sol))
-            if made is None:
-                made = aligned[id(sol)] = self._laid_out(sol, layout)
-            return made
-
         exact: list[tuple[int, PartialSolution]] = []
         backup: list[tuple[int, PartialSolution]] = []
         weights: tuple[int, ...] | None = None
         candidates: list[PartialSolution] | None = None
         per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
-            if outer_sol.layout is not outer_layout:
-                outer_sol = self._laid_out(outer_sol, outer_layout)
             key = outer_key(outer_sol.colours + outer_sol.labels.translate(_DESIGNATION))
             partner = partners.get(key)
             if partner is not None:
@@ -1053,40 +1039,41 @@ class HeuristicSolver:
                 if candidates is None:
                     # The inner list laid out as the outer side, so that each
                     # distance reads both sides at the same positions.
-                    candidates = [self._laid_out(s, outer_layout) for s in inner_entries]
+                    candidates = list(map(_relayer(inner_layout, outer_layout), inner_entries))
+                    second_on_node = _relayer(second_layout, layout)
                 # The first nearest in best-first order.
-                nearest = min(
-                    candidates,
-                    key=lambda s: self.tuple_distance(bag, outer_sol, s, weights),
-                )
-                pair = on_node(outer_sol), on_node(nearest)
+                nearest = inner_entries[
+                    min(
+                        range(len(candidates)),
+                        key=lambda t: self.tuple_distance(bag, outer_sol, candidates[t], weights),
+                    )
+                ]
+                # Both on the node's layout, the outer side first.
+                pair = [outer_sol, nearest]
+                side = 1 if first_is_outer else 0
+                made = aligned.get(id(pair[side]))
+                if made is None:
+                    made = aligned[id(pair[side])] = second_on_node(pair[side])
+                pair[side] = made
                 for merged in self.merge_heuristic(*pair, bag, bag_set):
                     backup.append((merged.score, merged))
         # One selection, of the list the node returns.
         beam = Beam(self.config.width)
         beam.extend(exact or backup, self.rng)
+        for child in node.children:
+            self._layouts[child] = None
         return beam
 
     # -- join helpers -----------------------------------------------------
 
-    def _on_bag(
-        self, bag: tuple[int, ...], *sols: PartialSolution
-    ) -> tuple[Layout, tuple[PartialSolution, ...]]:
-        """The layout of ``bag`` and ``sols`` laid out on it."""
-        layout = sols[0].layout
-        if layout.bag is not bag:
-            layout = self._layout(bag)
-        return layout, tuple(s if s.layout is layout else self._laid_out(s, layout) for s in sols)
-
-    def _on_join(
-        self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
-    ) -> tuple[Layout, PartialSolution, PartialSolution]:
-        """The layout a merge of ``a`` and ``b`` works on, theirs as the join
-        aligned them, and both laid out on it."""
-        layout = a.layout
-        if layout is self._everything or len(layout.bag) != len(bag_set):
-            layout = self._layout(sorted(bag_set))
-        return layout, self._laid_out(a, layout), self._laid_out(b, layout)
+    def _bag_at(self, layout: Layout, bag: tuple[int, ...]) -> tuple[int, ...]:
+        """The positions of ``bag``'s vertices in ``layout``; the last ones
+        asked for are kept."""
+        held_layout, held_bag, at = self._bag_at_for
+        if held_layout is not layout or held_bag is not bag:
+            at = tuple(map(layout.index.__getitem__, bag))
+            self._bag_at_for = (layout, bag, at)
+        return at
 
     def tuple_distance(
         self,
@@ -1095,7 +1082,8 @@ class HeuristicSolver:
         b: PartialSolution,
         weights: tuple[int, ...] | None = None,
     ) -> int:
-        """Weighted disagreement between two solutions on the bag.
+        """Weighted disagreement between two solutions on the bag, laid out
+        on one layout.
 
         Each bag vertex contributes its weight once for a colour mismatch and
         once for a label mismatch.  Border-based weights are taken with
@@ -1104,12 +1092,11 @@ class HeuristicSolver:
         """
         if weights is None:
             weights = self.distance_weights(bag, a)
-        layout = a.layout
-        if b.layout is not layout or layout.bag is not bag:
-            layout, (a, b) = self._on_bag(bag, a, b)
         a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
+        held = self._bag_at_for
+        at = held[2] if held[0] is a.layout and held[1] is bag else self._bag_at(a.layout, bag)
         total = 0
-        for w, i in zip(weights, layout.bag_at):
+        for w, i in zip(weights, at):
             total += w * ((a_col[i] != b_col[i]) + (a_lab[i] != b_lab[i]))
         return total
 
@@ -1122,9 +1109,8 @@ class HeuristicSolver:
         test, capped = _DISTANCE_RULES[self.config.join_distance_weighting]
         if test is None:
             return (1,) * len(bag)
-        layout, (outer,) = self._on_bag(bag, outer)
         bag_set = frozenset(bag)
-        index = layout.index
+        index = outer.layout.index
         colours, labels = outer.colours, outer.labels
         weights = []
         for v in bag:
@@ -1139,7 +1125,7 @@ class HeuristicSolver:
         self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
     ) -> PartialSolution:
         """Union two solutions of a join's children that agree on the bag's
-        colours and designations.
+        colours and designations, laid out as ``a``.
 
         Colours and settled labels come from each side's own territory.  The
         territories meet only on the bag, and an uncoloured vertex with a
@@ -1151,18 +1137,15 @@ class HeuristicSolver:
         neighbours only in the bag, whose colours both sides share, so both
         sides already give it the label the union does.
         """
-        layout = a.layout
-        pairing = None
-        if layout is not self._everything and len(layout.bag) == len(bag_set):
-            pairing = self._pairing(layout, b.layout)
-        if pairing is None:
-            layout, a, b = self._on_join(a, b, bag_set)
-            pairing = self._pairing(layout, layout)
+        held_a, held_b, held_bag, pairing = self._pairing_for
+        if held_a is not a.layout or held_b is not b.layout or held_bag is not bag_set:
+            pairing = self._pairing(a.layout, b.layout, bag_set)
+            self._pairing_for = (a.layout, b.layout, bag_set, pairing)
         b_colours, b_labels = b.colours, b.labels
         colours = bytearray(a.colours)
         labels = bytearray(a.labels)
         # Label totals moved off a's labels, indexed by label.
-        moved = [0, 0, 0, 0, 0]
+        moved = [0, 0, 0, 0, 0, 0]
         bag_pairs, ring_pairs = pairing
         for i, j in bag_pairs:
             if b_labels[j] == UNHAPPY and labels[i] != UNHAPPY:
@@ -1178,41 +1161,32 @@ class HeuristicSolver:
                 moved[new] += 1
                 labels[i] = new
         # a's counts, b's away from N[bag], and the moves on N[bag].
-        ca, cb, tb = a.counts, b.counts, _tally(b_labels)
+        ca, cb, count = a.counts, b.counts, b_labels.count
         counts = (
-            ca[0] + cb[0] - tb[0] + moved[1],
-            ca[1] + cb[1] - tb[1] + moved[2],
-            ca[2] + cb[2] - tb[2] + moved[3],
-            ca[3] + cb[3] - tb[3] + moved[4],
+            ca[0] + cb[0] - count(HAPPY) + moved[HAPPY],
+            ca[1] + cb[1] - count(UNHAPPY) - count(FAR_UNHAPPY) + moved[UNHAPPY] + moved[FAR_UNHAPPY],
+            ca[2] + cb[2] - count(MAYBE_HAPPY) + moved[MAYBE_HAPPY],
+            ca[3] + cb[3] - count(ASSUMED_UNHAPPY) + moved[ASSUMED_UNHAPPY],
         )
+        w = self._label_weight
+        score = w[1] * counts[0] + w[2] * counts[1] + w[3] * counts[2] + w[4] * counts[3]
         return PartialSolution(
-            bytes(colours),
-            bytes(labels),
-            counts,
-            evaluate(self.weights, counts),
-            layout,
-            _joined(a.forgotten, b.forgotten),
+            bytes(colours), bytes(labels), counts, score, a.layout, self._joined(a, b)
         )
 
+    @staticmethod
     def _pairing(
-        self, a_layout: Layout, b_layout: Layout
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] | None:
-        """Per bag vertex, then per ring vertex, of ``a_layout``: its position
-        there and in ``b_layout``; ``None`` unless both lay out the same
-        vertices with the same bag."""
-        pair = (a_layout, b_layout)
-        if pair in self._pairings:
-            return self._pairings[pair]
+        a_layout: Layout, b_layout: Layout, bag_set: frozenset[int]
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """Per vertex of ``a_layout`` in ``bag_set``, then per other vertex:
+        its position there and in ``b_layout``, which lists them all."""
         index = b_layout.index
-        pairing = None
-        if set(a_layout.vertices) == index.keys() and a_layout.bag == b_layout.bag:
-            vertices = a_layout.vertices
-            pairing = (
-                tuple((i, index[vertices[i]]) for i in a_layout.bag_at),
-                tuple((ring[0], index[ring[1]]) for ring in self._ring(a_layout)),
-            )
-        self._pairings[pair] = pairing
-        return pairing
+        pairs = [(i, index[v]) for i, v in enumerate(a_layout.vertices)]
+        bag_at = set(map(a_layout.index.__getitem__, bag_set))
+        return (
+            tuple(pair for pair in pairs if pair[0] in bag_at),
+            tuple(pair for pair in pairs if pair[0] not in bag_at),
+        )
 
     def merge_heuristic(
         self,
@@ -1221,7 +1195,7 @@ class HeuristicSolver:
         bag: tuple[int, ...],
         bag_set: frozenset[int],
     ) -> list[PartialSolution]:
-        """Force two non-matching solutions together.
+        """Force two non-matching solutions, laid out on one layout, together.
 
         ``copy_bag`` keeps one side's bag decisions wholesale and produces a
         solution per role assignment; ``greedy_match`` keeps whatever the two
@@ -1237,8 +1211,8 @@ class HeuristicSolver:
     def _merge_copy(
         self, primary: PartialSolution, secondary: PartialSolution, bag_set: frozenset[int]
     ) -> PartialSolution:
-        layout, primary, secondary = self._on_join(primary, secondary, bag_set)
-        vertices, index, ring = layout.vertices, layout.index, self._ring(layout)
+        layout = primary.layout
+        vertices, ring = layout.vertices, self._ring(layout, bag_set)
         colours = bytearray(primary.colours)
         labels = bytearray(primary.labels)
         s_colours = secondary.colours
@@ -1251,8 +1225,9 @@ class HeuristicSolver:
             colours[i] = s_colours[i]
             labels[i] = s_labels[i]
         # The only possible clashes run between the bag (primary's decisions)
-        # and the moved vertices; settle both endpoints of each clash.
-        for i, v, near, _ in moved:
+        # and the moved vertices; settle both endpoints of each clash.  A
+        # clash away from N[bag] stays, marked FAR_UNHAPPY.
+        for i, _, near, _ in moved:
             cv = colours[i]
             conflict = False
             for j, _ in near:
@@ -1261,10 +1236,8 @@ class HeuristicSolver:
                     conflict = True
                     if vertices[j] in bag_set and labels[j] in (HAPPY, ASSUMED_UNHAPPY):
                         labels[j] = UNHAPPY
-            # A HAPPY label rules out a clash away from N[bag] as well.
-            if not conflict and labels[i] != HAPPY:
-                conflict = self._conflicts_away(secondary, v, cv, index)
-            labels[i] = UNHAPPY if conflict else HAPPY
+            if labels[i] != FAR_UNHAPPY:
+                labels[i] = UNHAPPY if conflict else HAPPY
         for i, _, near, far in ring:
             if not colours[i]:
                 labels[i] = self._ring_label(colours, near, far)
@@ -1275,7 +1248,7 @@ class HeuristicSolver:
             counts,
             evaluate(self.weights, counts),
             layout,
-            _joined(primary.forgotten, secondary.forgotten),
+            self._joined(primary, secondary),
         )
 
     def _merge_greedy(
@@ -1285,9 +1258,9 @@ class HeuristicSolver:
         bag: tuple[int, ...],
         bag_set: frozenset[int],
     ) -> PartialSolution:
-        layout, a, b = self._on_join(a, b, bag_set)
+        layout = a.layout
         size = len(layout.vertices)
-        vertices, index, ring = layout.vertices, layout.index, self._ring(layout)
+        vertices, index, ring = layout.vertices, layout.index, self._ring(layout, bag_set)
         colours = bytearray(size)
         labels = bytearray(size)
         a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
@@ -1351,18 +1324,15 @@ class HeuristicSolver:
             if labels[i] == UNKNOWN:
                 labels[i] = HAPPY if consistent(i) else UNHAPPY
         # Ring labels must reflect the possibly re-decided bag colours; away
-        # from N[bag] nothing a vertex sees has changed.
-        for i, v, near, far in ring:
+        # from N[bag] nothing a vertex sees has changed, and a clash there
+        # stays, marked FAR_UNHAPPY.
+        for i, _, near, far in ring:
             cv = colours[i]
             if not cv:
                 labels[i] = self._ring_label(colours, near, far)
-                continue
-            conflict = any(colours[j] not in (0, cv) for j, _ in near)
-            # A HAPPY label rules out a clash away from N[bag] as well.
-            if not conflict and labels[i] != HAPPY:
-                side = a if a_col[i] else b
-                conflict = self._conflicts_away(side, v, cv, index)
-            labels[i] = UNHAPPY if conflict else HAPPY
+            elif labels[i] != FAR_UNHAPPY:
+                conflict = any(colours[j] not in (0, cv) for j, _ in near)
+                labels[i] = UNHAPPY if conflict else HAPPY
         counts = _union_counts(a, b, labels)
         return PartialSolution(
             bytes(colours),
@@ -1370,7 +1340,7 @@ class HeuristicSolver:
             counts,
             evaluate(self.weights, counts),
             layout,
-            _joined(a.forgotten, b.forgotten),
+            self._joined(a, b),
         )
 
     # -- full solve ---------------------------------------------------------
@@ -1422,30 +1392,55 @@ class HeuristicSolver:
         """The vertices of the bags in the subtree of node ``idx``."""
         return self.nice.nodes[idx].bag.union(*below)
 
+    def _check_settled(self, sol: PartialSolution, gone: list[int], promoted: int) -> None:
+        """Assert the premise the traceback rests on for each vertex a forget
+        drops from ``sol``: its label is HAPPY exactly when no neighbour has
+        another colour.  ``promoted`` is the forgotten vertex if its label
+        turns from ASSUMED_UNHAPPY to HAPPY, else -1."""
+        colours = self._colouring(sol)
+        index = sol.layout.index
+        for u in gone:
+            stored = HAPPY if u == promoted else sol.labels[index[u]]
+            clash = any(colours[w] != colours[u] for w in self.adj[u])
+            assert stored == (UNHAPPY if clash else HAPPY) or (clash and stored == FAR_UNHAPPY), (
+                f"vertex {u} leaves N[bag] labelled {stored}, its colouring says otherwise"
+            )
+
     def _verify(self, idx: int, beam: Beam, covered: frozenset[int]) -> None:
         node = self.nice.nodes[idx]
         bag_set = node.bag
-        layout = self._layouts[idx]
+        layout = self.node_layout(idx)
         near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         assert len(beam) <= self.config.width
-        assert set(layout.bag) == bag_set, f"node {idx}: layout bag differs"
         assert set(layout.vertices) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
-            # Laid out on N[bag], or over every vertex when made from arrays.
-            assert sol.layout in (layout, self._everything), f"node {idx}: foreign layout"
+            # Laid out on the node, or over every vertex when made from arrays.
+            laid = sol.layout
+            assert laid is self._everything or laid.vertices == layout.vertices, (
+                f"node {idx}: foreign layout"
+            )
             colours, labels = sol.colours, sol.labels
             assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
-            assert len(colours) == len(labels) == len(sol.layout.vertices)
-            colours, labels = self.arrays(sol)
-            assert _tally(labels) == sol.counts, f"node {idx}: counts differ from the labels"
+            assert len(colours) == len(labels) == len(laid.vertices)
+            full_colours, full_labels = self.arrays(sol)
+            assert _tally(full_labels) == sol.counts, f"node {idx}: counts differ from the labels"
             assert evaluate(self.weights, sol.counts) == sol.score
-            coloured = {v for v in range(self.n) if colours[v]}
+            # FAR_UNHAPPY marks exactly the coloured ring vertices with a
+            # conflicting neighbour outside the layout.
+            for v, cv, lab in zip(laid.vertices, colours, labels):
+                far_clash = cv and any(
+                    full_colours[u] != cv for u in self.adj[v] if u not in laid.index
+                )
+                assert (lab == FAR_UNHAPPY) == bool(far_clash), (
+                    f"node {idx}: vertex {v} labelled {lab}, conflict away from N[bag] {far_clash}"
+                )
+            coloured = {v for v in range(self.n) if full_colours[v]}
             assert coloured == covered, f"node {idx}: colour domain mismatch"
             for v in range(self.n):
-                cv = colours[v]
-                lab = labels[v]
+                cv = full_colours[v]
+                lab = full_labels[v]
                 if cv:
                     assert base[v] in (0, cv), "partial solution must extend the input"
                     assert lab in (HAPPY, UNHAPPY, ASSUMED_UNHAPPY)
@@ -1453,23 +1448,17 @@ class HeuristicSolver:
                         assert v in bag_set
                     if lab != UNHAPPY:
                         for u in self.adj[v]:
-                            cu = colours[u] or base[u]
+                            cu = full_colours[u] or base[u]
                             assert cu in (0, cv), (
                                 f"{Label(lab).name} vertex {v} has a conflicting neighbour"
                             )
-                    elif v not in bag_set and v not in near_bag:
-                        # Away from the bag a label is final, and the
-                        # traceback derives it from the colouring alone.
-                        assert any(colours[u] not in (0, cv) for u in self.adj[v]), (
-                            f"node {idx}: UNHAPPY vertex {v} outside N[bag] has no conflict"
-                        )
                 else:
                     # The premise the joins rely on (module docstring).
                     assert lab == UNKNOWN or v in near_bag, (
                         f"node {idx}: uncoloured vertex {v} is labelled "
                         f"{Label(lab).name} but lies outside N(bag)"
                     )
-                    assert lab == self._border_label(v, colours)
+                    assert lab == self._border_label(v, full_colours)
         # Entries in ascending score order, mirrored by ``scores``.
         assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
 

@@ -9,6 +9,7 @@ from mhv.graph import Graph, PartialColouring, count_happy, is_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import (
     ASSUMED_UNHAPPY,
+    FAR_UNHAPPY,
     HAPPY,
     MAYBE_HAPPY,
     UNHAPPY,
@@ -156,7 +157,8 @@ def test_introduce_backup_demotes_conflicting_happy_neighbours():
     idx = _introduce_idx(solver, 2)
     # Child state: 0 and 1 committed to different colours, both designated happy.
     child = Beam(67)
-    child.insert(solver.entry([1, 2, 0], [HAPPY, HAPPY, UNHAPPY]), solver.rng)
+    child_idx = solver.nice.nodes[idx].children[0]
+    child.insert(solver.entry([1, 2, 0], [HAPPY, HAPPY, UNHAPPY], node=child_idx), solver.rng)
     beam = solver.handle_introduce(idx, child)
     assert len(beam) == 2  # one backup per colour
     for colours, labels in map(solver.arrays, beam):
@@ -231,7 +233,8 @@ def test_introduce_maybe_happy_matching_colour_offers_happy():
     solver = _solver(g, PartialColouring(2), width=67)
     idx = _introduce_idx(solver, 1)
     child = Beam(67)
-    child.insert(solver.entry([1, 0], [ASSUMED_UNHAPPY, MAYBE_HAPPY]), solver.rng)
+    child_idx = solver.nice.nodes[idx].children[0]
+    child.insert(solver.entry([1, 0], [ASSUMED_UNHAPPY, MAYBE_HAPPY], node=child_idx), solver.rng)
     beam = solver.handle_introduce(idx, child)
     states = _states(solver, beam, 1)
     assert (1, HAPPY) in states
@@ -292,14 +295,15 @@ def test_forget_keeps_best_of_equal_bag_states():
         i for i, node in enumerate(solver.nice.nodes) if node.kind == NodeKind.FORGET
     )
     vtx = solver.nice.nodes[forget_idx].vertex
+    child_idx = solver.nice.nodes[forget_idx].children[0]
     # Two solutions agreeing on the remaining bag vertex (colour 1, HAPPY)
     # but with different scores for the forgotten one.
-    strong = solver.entry([1, 1], [HAPPY, HAPPY])
+    strong = solver.entry([1, 1], [HAPPY, HAPPY], node=child_idx)
     weak_labels = [HAPPY, HAPPY]
     weak_colours = [1, 1]
     weak_colours[vtx] = 2
     weak_labels[vtx] = UNHAPPY
-    weak = solver.entry(weak_colours, weak_labels)
+    weak = solver.entry(weak_colours, weak_labels, node=child_idx)
     child = Beam(67)
     child.insert(weak, solver.rng)
     child.insert(strong, solver.rng)
@@ -318,7 +322,7 @@ def test_forget_promotes_assumed_unhappy():
     labels = [HAPPY, HAPPY]
     labels[vtx] = ASSUMED_UNHAPPY
     child = Beam(67)
-    sol = solver.entry([1, 1], labels)
+    sol = solver.entry([1, 1], labels, node=solver.nice.nodes[forget_idx].children[0])
     child.insert(sol, solver.rng)
     before = sol.score
     beam = solver.handle_forget(forget_idx, child)
@@ -326,6 +330,59 @@ def test_forget_promotes_assumed_unhappy():
     assert solver.arrays(after)[1][vtx] == HAPPY
     assert after.counts == (2, 0, 0, 0)
     assert after.score - before == TUNED.happy - TUNED.assumed_unhappy
+
+
+def _dropping_forget(solver):
+    """A forget node whose layout lacks a vertex of its child's that has a
+    neighbour left in the layout: (node, child, leaving vertex, neighbour)."""
+    for idx, node in enumerate(solver.nice.nodes):
+        if node.kind != NodeKind.FORGET:
+            continue
+        child = node.children[0]
+        kept = set(solver.node_layout(idx).vertices)
+        for u in sorted(set(solver.node_layout(child).vertices) - kept):
+            for v in sorted(solver.adj[u]):
+                if v in kept:
+                    return idx, child, u, v
+    raise AssertionError("no forget drops a vertex next to the ring")
+
+
+def test_forget_checks_each_leaving_label_against_the_colouring():
+    """Debug mode compares the label of every vertex leaving N[bag] with the
+    label its colouring gives it, the premise of the traceback."""
+    g = Graph(5, [(i, i + 1) for i in range(4)])
+    solver = _solver(g, PartialColouring(2), width=8, check_invariants=True)
+    idx, child, u, v = _dropping_forget(solver)
+    colours = [2] * 5
+    colours[u] = 1
+    # u has a neighbour of another colour, so UNHAPPY is its label.
+    for label, fails in ((UNHAPPY, False), (HAPPY, True)):
+        labels = [UNHAPPY] * 5
+        labels[u] = label
+        beam = Beam(8)
+        beam.insert(solver.entry(colours, labels, node=child), solver.rng)
+        if fails:
+            with pytest.raises(AssertionError, match=r"leaves N\[bag\]"):
+                solver.handle_forget(idx, beam)
+        else:
+            solver.handle_forget(idx, beam)
+
+
+def test_forget_marks_a_conflict_that_leaves_n_bag():
+    """A ring vertex whose conflicting neighbour leaves N[bag] keeps that
+    conflict as FAR_UNHAPPY, read out as UNHAPPY; without the conflict its
+    label stays."""
+    g = Graph(5, [(i, i + 1) for i in range(4)])
+    solver = _solver(g, PartialColouring(2), width=8)
+    idx, child, u, v = _dropping_forget(solver)
+    for colour_u, expected in ((2, HAPPY), (1, FAR_UNHAPPY)):
+        colours = [2] * 5
+        colours[u] = colour_u
+        beam = Beam(8)
+        beam.insert(solver.entry(colours, [HAPPY] * 5, node=child), solver.rng)
+        sol = solver.handle_forget(idx, beam).best()
+        assert sol.labels[sol.layout.index[v]] == expected
+        assert solver.arrays(sol)[1][v] == (UNHAPPY if expected == FAR_UNHAPPY else HAPPY)
 
 
 # -- distance ----------------------------------------------------------------
@@ -557,7 +614,7 @@ def test_join_with_bag_only_side_preserves_other_side():
         for v in range(solver.n):
             if not colours[v]:
                 labels[v] = solver._border_label(v, colours)
-        crafted.insert(solver.entry(colours, labels), solver.rng)
+        crafted.insert(solver.entry(colours, labels, node=node.children[1]), solver.rng)
     out = solver.handle_join(join_idx, left, crafted)
     assert len(out) == len(left)
     assert sorted(s.counts for s in out) == sorted(s.counts for s in left)
@@ -565,13 +622,16 @@ def test_join_with_bag_only_side_preserves_other_side():
 
 def test_join_mismatch_only_lists_use_backup():
     solver, join_idx = _join_solver()
+    first, second = solver.nice.nodes[join_idx].children
     a = solver.entry(
         [1, 1, 1, 0],
         [HAPPY, ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY],
+        node=first,
     )
     b = solver.entry(
         [2, 2, 0, 2],
         [HAPPY, ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY],
+        node=second,
     )
     left = Beam(67)
     left.insert(a, solver.rng)
