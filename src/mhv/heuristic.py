@@ -80,33 +80,31 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import IntEnum
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .beam import (
+    ASSUMED_UNHAPPY,
+    FAR_UNHAPPY,
+    HAPPY,
+    MAYBE_HAPPY,
+    UNHAPPY,
+    UNKNOWN,
+    Beam,
+    Label,
+    LabelWeights,
+    Layout,
+    PartialSolution,
+    entry_rank,
+    evaluate,
+    label_counts,
+)
 from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
-
-class Label(IntEnum):
-    UNKNOWN = 0
-    HAPPY = 1
-    UNHAPPY = 2
-    MAYBE_HAPPY = 3
-    ASSUMED_UNHAPPY = 4
-
-
-# The labels as plain ints: the DP compares labels and indexes by them in its
-# innermost loops, and CPython's fast paths for both skip int subclasses.
-UNKNOWN, HAPPY, UNHAPPY, MAYBE_HAPPY, ASSUMED_UNHAPPY = map(int, Label)
-
-# A coloured ring vertex's label when it has a conflicting neighbour outside
-# N[bag]; it counts, and reads out, as UNHAPPY (see ``handle_forget``).
-FAR_UNHAPPY = 5
 
 # Byte value -> that one byte.
 _BYTE = tuple(bytes((i,)) for i in range(256))
@@ -116,31 +114,6 @@ _PUBLIC = bytes(UNHAPPY if lab == FAR_UNHAPPY else lab for lab in range(256))
 
 # Label -> the designation a join matches on: HAPPY, or UNHAPPY for the rest.
 _DESIGNATION = bytes(HAPPY if lab == HAPPY else UNHAPPY for lab in range(256))
-
-
-@dataclass(frozen=True)
-class LabelWeights:
-    """Score weights per label; the UNKNOWN weight is fixed at zero.
-
-    Defaults are the tuned values.  The domains and orderings mirror the
-    tuning search space: happy-side weights cannot drop below unhappy-side
-    ones.
-    """
-
-    happy: int = 15
-    unhappy: int = -9
-    maybe_happy: int = 4
-    assumed_unhappy: int = -8
-
-    def __post_init__(self) -> None:
-        if not -5 <= self.happy <= 20 or not -5 <= self.maybe_happy <= 20:
-            raise InputError("happy and maybe_happy weights must lie in [-5, 20]")
-        if not -10 <= self.unhappy <= 10 or not -10 <= self.assumed_unhappy <= 10:
-            raise InputError("unhappy and assumed_unhappy weights must lie in [-10, 10]")
-        if self.happy < self.maybe_happy or self.happy < self.assumed_unhappy:
-            raise InputError("happy weight must dominate both potential labels")
-        if self.unhappy > self.maybe_happy or self.unhappy > self.assumed_unhappy:
-            raise InputError("unhappy weight must not exceed either potential label")
 
 
 # Join loop choice -> whether the first child's list is the outer loop.
@@ -219,81 +192,7 @@ def exactness_width_bound(k: int, width: int) -> int:
     return (2 * k) ** (width + 1)
 
 
-class Layout:
-    """The vertices an entry stores, in the order it stores them; ``index``
-    maps each vertex to its position."""
-
-    __slots__ = ("vertices", "index")
-
-    def __init__(self, vertices: tuple[int, ...], index: dict[int, int] | None = None) -> None:
-        self.vertices = vertices
-        self.index = {v: i for i, v in enumerate(vertices)} if index is None else index
-
-
 _EMPTY = Layout(())
-
-
-class PartialSolution:
-    """One beam entry.
-
-    ``colours`` and ``labels`` are byte strings over ``layout.vertices`` (0
-    means uncoloured / UNKNOWN); ``counts`` holds the totals over all
-    vertices for the four scored labels in enum order.  ``forgotten`` is the
-    newest of the solver's forget records that hold the colours of the
-    vertices forgotten below, -1 for none.  At the node that holds it, the
-    coloured vertices are exactly those of the bags below.  ``layout`` may be
-    left out for an entry that is only ranked, never read.
-    """
-
-    __slots__ = ("colours", "labels", "counts", "score", "layout", "forgotten")
-
-    def __init__(
-        self,
-        colours: bytes,
-        labels: bytes,
-        counts: tuple[int, int, int, int],
-        score: int,
-        layout: Layout | None = None,
-        forgotten: int = -1,
-    ) -> None:
-        self.colours = colours
-        self.labels = labels
-        self.counts = counts
-        self.score = score
-        self.layout = layout
-        self.forgotten = forgotten
-
-    def __repr__(self) -> str:
-        return f"PartialSolution(score={self.score}, counts={self.counts})"
-
-
-def _rank(sol: PartialSolution) -> tuple[int, int]:
-    """The order of entries by score, the happy count breaking ties."""
-    return sol.score, sol.counts[0]
-
-
-# The score of a (score, entry) offer.
-_score_of = itemgetter(0)
-
-
-def evaluate(weights: LabelWeights, counts: tuple[int, int, int, int]) -> int:
-    """Weighted label-count score of a partial solution."""
-    return (
-        weights.happy * counts[0]
-        + weights.unhappy * counts[1]
-        + weights.maybe_happy * counts[2]
-        + weights.assumed_unhappy * counts[3]
-    )
-
-
-def _tally(labels: bytes | bytearray) -> tuple[int, int, int, int]:
-    """The four scored label counts of ``labels``, in enum order."""
-    return (
-        labels.count(HAPPY),
-        labels.count(UNHAPPY) + labels.count(FAR_UNHAPPY),
-        labels.count(MAYBE_HAPPY),
-        labels.count(ASSUMED_UNHAPPY),
-    )
 
 
 def _key_getter(positions: Sequence[int], size: int) -> Callable[[bytes], Any]:
@@ -310,7 +209,7 @@ def _union_counts(
     """The counts of a join's merge of ``a`` and ``b`` whose N[bag] labels
     are ``labels``: each side's counts away from N[bag], where the two sides
     never overlap, plus the merged labels' own."""
-    ta, tb, tn = _tally(a.labels), _tally(b.labels), _tally(labels)
+    ta, tb, tn = label_counts(a.labels), label_counts(b.labels), label_counts(labels)
     return (
         a.counts[0] + b.counts[0] - ta[0] - tb[0] + tn[0],
         a.counts[1] + b.counts[1] - ta[1] - tb[1] + tn[1],
@@ -359,67 +258,6 @@ def _relayer(src: Layout, dst: Layout) -> Callable[[PartialSolution], PartialSol
     return lambda sol: PartialSolution(
         gather(sol.colours), gather(sol.labels), sol.counts, sol.score, dst, sol.forgotten
     )
-
-
-class Beam:
-    """Score-sorted list capped at ``capacity`` entries.
-
-    The one rule lives in ``extend``, a selection: the held entries and the
-    offers, held first, are sorted stably by score and the ``capacity`` best
-    are kept, in ascending score order with equal scores in that pool order.
-    Only when the cut splits a run of equal scores is there an RNG draw: one
-    ``rng.sample`` picks which entries of the run stay.  ``scores`` mirrors
-    ``entries``.  Entries are ``PartialSolution``s, except inside an
-    introduce or a forget, whose beams hold offers until it builds the
-    survivors.
-    """
-
-    __slots__ = ("capacity", "entries", "scores")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise InputError("beam capacity must be at least 1")
-        self.capacity = capacity
-        self.entries: list[Any] = []
-        self.scores: list[int] = []
-
-    def insert(self, sol: PartialSolution, rng: random.Random) -> bool:
-        """Offer one entry; return whether it is held afterwards."""
-        self.extend(((sol.score, sol),), rng)
-        return sol in self.entries
-
-    def extend(self, offers: Iterable[tuple[int, Any]], rng: random.Random) -> None:
-        """Keep the ``capacity`` best of the held entries and the offered
-        (score, entry) pairs, by one selection (see the class docstring)."""
-        pool = list(zip(self.scores, self.entries))
-        pool += offers
-        pool.sort(key=_score_of)
-        scores = [score for score, _ in pool]
-        cut = len(pool) - self.capacity
-        if cut > 0:
-            worst = scores[cut]
-            lo = bisect_left(scores, worst, 0, cut)
-            if lo < cut:
-                # The cut splits the run [lo, hi) of the worst kept score.
-                hi = bisect_right(scores, worst, cut)
-                picked = sorted(rng.sample(range(lo, hi), hi - cut))
-                pool[cut:hi] = [pool[i] for i in picked]
-            del pool[:cut], scores[:cut]
-        self.scores = scores
-        self.entries = [entry for _, entry in pool]
-
-    @property
-    def at_capacity(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def best(self) -> PartialSolution:
-        return self.entries[-1]
-
-    def __iter__(self) -> Iterator[PartialSolution]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class HeuristicSolver:
@@ -483,7 +321,7 @@ class HeuristicSolver:
         reads only entries laid out on its children's layouts; the join
         helpers and ``arrays`` read any."""
         colours, labels = bytes(colours), bytes(labels)
-        counts_t = _tally(labels) if counts is None else tuple(counts)
+        counts_t = label_counts(labels) if counts is None else tuple(counts)
         if node is None:
             layout = self._everything
             if layout is None:
@@ -1012,7 +850,7 @@ class HeuristicSolver:
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
-        inner_entries = sorted(inner.entries, key=_rank, reverse=True)
+        inner_entries = sorted(inner.entries, key=entry_rank, reverse=True)
         partners: dict[tuple, PartialSolution] = {}
         for inner_sol in inner_entries:
             key = inner_key(inner_sol.colours + inner_sol.labels.translate(_DESIGNATION))
@@ -1369,7 +1207,7 @@ class HeuristicSolver:
         for _, root_beam in self.beams():
             pass  # the root comes last
         assert len(root_beam)
-        best = max(root_beam.entries, key=_rank)
+        best = max(root_beam.entries, key=entry_rank)
         # The root's bag and ring are empty: every label is a settled one.
         colours, labels = self.arrays(best)
         full = FullColouring(self.k, tuple(colours))
@@ -1425,7 +1263,7 @@ class HeuristicSolver:
             assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
             assert len(colours) == len(labels) == len(laid.vertices)
             full_colours, full_labels = self.arrays(sol)
-            assert _tally(full_labels) == sol.counts, f"node {idx}: counts differ from the labels"
+            assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from the labels"
             assert evaluate(self.weights, sol.counts) == sol.score
             # FAR_UNHAPPY marks exactly the coloured ring vertices with a
             # conflicting neighbour outside the layout.
