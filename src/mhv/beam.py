@@ -77,8 +77,8 @@ class PartialSolution:
     ``colours`` and ``labels`` are byte strings over ``layout.vertices`` (0
     means uncoloured / UNKNOWN); ``counts`` holds the totals over all
     vertices for the four scored labels in enum order.  ``forgotten`` is the
-    newest of the solver's forget records that hold the colours of the
-    vertices forgotten below, -1 for none.  At the node that holds it, the
+    newest of the solver's forget records, which hold the colours of the
+    coloured vertices outside the layout, -1 for none.  At the node that holds it, the
     coloured vertices are exactly those of the bags below.  ``layout`` may be
     left out for an entry that is only ranked, never read.
     """

@@ -42,8 +42,8 @@ An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] (its ``Layout``), its four label counts
 over all vertices, its score, and the number of its newest forget record.
 The solver keeps the records in one table of ints: a (vertex, colour) per
-forget, and a pair of older records per join, so that entries built from
-one child entry share its records.  A node's layout keeps its child's order
+vertex that leaves N[bag], and a pair of older records per join, so that
+entries built from one child entry share its records.  A node's layout keeps its child's order
 while N[bag] stays the same set, so most nodes carry a child's arrays over as
 they are; it is worked out when the node is handled and let go of once its
 parent has used it.  Everything else is settled: a forgotten vertex's colour
@@ -81,6 +81,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -289,8 +290,8 @@ class HeuristicSolver:
         # Per node, its entries' layout while its parent is still to come.
         self._layouts: list[Layout | None] = [None] * len(nice.nodes)
         # Forget records, three ints each: (vertex, colour, older record) per
-        # forget, and (-1, one side's newest, the other's) per join; -1
-        # ends a chain.
+        # vertex that leaves N[bag], and (-1, one side's newest, the other's)
+        # per join; -1 ends a chain.
         self._records: list[int] = []
         self._everything: Layout | None = None
         # The last pairing, ring table and bag positions the join helpers
@@ -400,7 +401,7 @@ class HeuristicSolver:
             gone.add(v)
         if not gone:
             return child
-        return Layout(tuple(u for u in vertices if u not in gone))
+        return Layout(tuple(filterfalse(gone.__contains__, vertices)))
 
     def _record(self, vertex: int, colour: int, older: int) -> int:
         """A new forget record; its number."""
@@ -738,12 +739,13 @@ class HeuristicSolver:
         are now committed and none conflicts, so it ends happy whatever
         happens above.  Solutions agreeing on bag colours and labels collapse
         to the best-scoring representative, keyed and ranked before any is
-        built; only the survivors of the node are laid out on it.  Each
-        survivor records the forgotten vertex's colour.  A vertex that leaves
-        N[bag] takes its label along: it is settled, a function of the
-        colouring.  A coloured ring vertex next to one that leaves with
-        another colour is marked FAR_UNHAPPY, so that a merge above knows of
-        the conflict without the vertex that caused it.
+        built.  While N[bag] stays the same set a survivor is its child entry
+        itself, relabelled if promoted.  A vertex that leaves N[bag] is
+        settled: its colour goes to a forget record and its label, a
+        function of the colouring, is dropped.  A coloured ring vertex next
+        to one that leaves with another colour is marked FAR_UNHAPPY, so that
+        a merge above knows of the conflict without the vertex that caused
+        it.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
@@ -779,35 +781,48 @@ class HeuristicSolver:
         beam = Beam(self.config.width)
         beam.extend([(group[0][0], group) for group in groups.values()], self.rng)
         index = layout.index
-        gone = [u for u in child_layout.vertices if u not in index]
-        drop = _dropper(child_layout, layout) if gone else None
-        # (its position in the child, here, and the leaving neighbour's in the
-        # child) per ring vertex next to one that leaves.
-        marks = [(held[v], index[v], held[u]) for u in gone for v in self.adj[u] if v in index]
+        # The vertices that leave N[bag], with their positions in the child.
+        gone = []
+        if layout is not child_layout:
+            gone = [(u, i) for i, u in enumerate(child_layout.vertices) if u not in index]
         # The forgotten vertex stays in the ring while a bag vertex is its
         # neighbour.
         at = index.get(vtx)
+        entries = []
+        if not gone:
+            for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
+                if promoted:
+                    labels = sol.labels[:at] + _BYTE[HAPPY] + sol.labels[at + 1 :]
+                    sol = PartialSolution(
+                        sol.colours, labels, counts, score, layout, sol.forgotten
+                    )
+                entries.append(sol)
+            beam.entries = entries
+            self._layouts[child] = None
+            return beam
+        drop = _dropper(child_layout, layout)
+        # (its position in the child, here, and the leaving neighbour's in the
+        # child) per ring vertex next to one that leaves.
+        marks = [(held[v], index[v], i) for u, i in gone for v in self.adj[u] if v in index]
         check = self.config.check_invariants
         records = self._records
-        entries = []
         for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
             if check:
-                self._check_settled(sol, gone, vtx if promoted else -1)
+                self._check_settled(sol, [u for u, _ in gone], vtx if promoted else -1)
             colours = sol.colours
-            labels = sol.labels
-            if drop is not None:
-                labels = drop(labels)
+            labels = drop(sol.labels)
             if promoted and at is not None:
                 labels = labels[:at] + _BYTE[HAPPY] + labels[at + 1 :]
             for i, j, k in marks:
                 if colours[i] != colours[k]:
                     labels = labels[:j] + _BYTE[FAR_UNHAPPY] + labels[j + 1 :]
-            # The forgotten vertex's colour is settled: record it.
-            forgotten = len(records)
-            records += (vtx, colours[p], sol.forgotten)
-            if drop is not None:
-                colours = drop(colours)
-            entries.append(PartialSolution(colours, labels, counts, score, layout, forgotten))
+            # The colours of the vertices that leave are settled: record them.
+            forgotten = sol.forgotten
+            for u, i in gone:
+                newest = len(records)
+                records += (u, colours[i], forgotten)
+                forgotten = newest
+            entries.append(PartialSolution(drop(colours), labels, counts, score, layout, forgotten))
         beam.entries = entries
         self._layouts[child] = None
         return beam
@@ -1008,9 +1023,12 @@ class HeuristicSolver:
         )
         w = self._label_weight
         score = w[1] * counts[0] + w[2] * counts[1] + w[3] * counts[2] + w[4] * counts[3]
-        return PartialSolution(
-            bytes(colours), bytes(labels), counts, score, a.layout, self._joined(a, b)
-        )
+        older_a, older_b = a.forgotten, b.forgotten
+        if older_a < 0 or older_b < 0:
+            forgotten = max(older_a, older_b)
+        else:
+            forgotten = self._record(-1, older_a, older_b)
+        return PartialSolution(bytes(colours), bytes(labels), counts, score, a.layout, forgotten)
 
     @staticmethod
     def _pairing(
