@@ -1017,7 +1017,8 @@ class HeuristicSolver:
         ca, cb, count = a.counts, b.counts, b_labels.count
         counts = (
             ca[0] + cb[0] - count(HAPPY) + moved[HAPPY],
-            ca[1] + cb[1] - count(UNHAPPY) - count(FAR_UNHAPPY) + moved[UNHAPPY] + moved[FAR_UNHAPPY],
+            ca[1] + cb[1] - count(UNHAPPY) - count(FAR_UNHAPPY)
+            + moved[UNHAPPY] + moved[FAR_UNHAPPY],
             ca[2] + cb[2] - count(MAYBE_HAPPY) + moved[MAYBE_HAPPY],
             ca[3] + cb[3] - count(ASSUMED_UNHAPPY) + moved[ASSUMED_UNHAPPY],
         )
@@ -1281,7 +1282,7 @@ class HeuristicSolver:
             assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
             assert len(colours) == len(labels) == len(laid.vertices)
             full_colours, full_labels = self.arrays(sol)
-            assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from the labels"
+            assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from labels"
             assert evaluate(self.weights, sol.counts) == sol.score
             # FAR_UNHAPPY marks exactly the coloured ring vertices with a
             # conflicting neighbour outside the layout.
