@@ -7,14 +7,17 @@ of happy vertices in the processed subgraph outside the assumed-unhappy set.
 States that admit no consistent completion are never stored (all recurrences
 map missing states to missing states).
 
-State encoding: bags are kept sorted and a state is a tuple with one code per
-bag position, ``code = colour << 1 | designated_happy``.
+State encoding: bags are kept sorted and a state is one int.  Lane p, of
+``(2k+1).bit_length()`` bits, holds bag position p's code ``colour << 1 |
+designated_happy``, lane 0 the most significant.  Every code fits its lane
+and a table's states have one lane per bag vertex, so int order is the order
+of the code tuples.
 
 Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
 table is dropped once its parent's is built.  Alive at any time are only the
 tables of open subtrees, the forget back-pointers that the traceback reads,
 and the root table.  The state cap counts the states of every table built,
-freed or not; a PASS node builds none, since it hands its child's table on.
+freed or not; a PASS node hands its child's table on and builds none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import product
 
 from .errors import InputError, ResourceLimitError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
@@ -108,33 +110,105 @@ def solve_exact(
     aug = build_sstar_td(g, colouring, nice)
     k = colouring.k
     base = colouring.as_array(g.n)
-    adjacency = g.adjacency
-    nodes = nice.nodes
+    adjacency, nodes, bags = g.adjacency, nice.nodes, aug.bags
+    width = (2 * k + 1).bit_length()
+    lane = (1 << width) - 1
 
-    forget_pred: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    def over_cap(total, idx):
+        return ResourceLimitError(
+            f"exact DP exceeded the state cap ({total} > {state_cap} states) "
+            f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(bags[idx])})"
+        )
 
-    def forget(idx: int, child_table: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-        vertex = nodes[idx].vertex
-        assert vertex is not None
-        pos = aug.bags[nodes[idx].children[0]].index(vertex)
-        table: dict[tuple[int, ...], int] = {}
-        pred: dict[tuple[int, ...], tuple[int, ...]] = {}
+    def leaf(idx):
+        # An anchor may be designated happy when no anchor next to it has
+        # another colour.  The cap is checked before the table is built.
+        bag = bags[idx]
+        bag_set, key, flags = set(bag), 0, []
+        for p, v in enumerate(bag):
+            shift = width * (len(bag) - 1 - p)
+            key |= base[v] << 1 << shift
+            if all(base[u] == base[v] for u in adjacency[v] if u in bag_set):
+                flags.append(1 << shift)
+        total = total_states + (1 << len(flags))
+        if total > state_cap:
+            raise over_cap(total, idx)
+        table = {key: 0}
+        for flag in flags:
+            table = {s | f: val + d for s, val in table.items() for f, d in ((0, 0), (flag, 1))}
+        return table
+
+    forget_pred = {}
+
+    def forget(idx, child_table):
+        child_bag = bags[nodes[idx].children[0]]
+        low = width * (len(child_bag) - 1 - child_bag.index(nodes[idx].vertex))
+        high, low_mask = low + width, (1 << low) - 1
+        table, pred = {}, {}
         for key, val in child_table.items():
-            nk = key[:pos] + key[pos + 1 :]
+            nk = (key >> high << low) | (key & low_mask)
             if val > table.get(nk, -1):
                 table[nk] = val
                 pred[nk] = key
         forget_pred[idx] = pred
         return table
 
+    def plan_for(pattern, shifts, allowed, low):
+        # (code in the vertex's lane, value gain) pairs, in recurrence order.
+        seen = happy = 0  # bit c: a neighbour (designated happy) has colour c
+        for s in shifts:
+            code = pattern >> s & lane
+            seen |= 1 << (code >> 1)
+            if code & 1:
+                happy |= 1 << (code >> 1)
+        plan = []
+        for colour in allowed:
+            # A happy neighbour of another colour rules out both designations,
+            # any neighbour of another colour the happy one.
+            if not happy & ~(1 << colour):
+                plan.append((colour << 1 << low, 0))
+                if not seen & ~(1 << colour):
+                    plan.append(((colour << 1 | 1) << low, 1))
+        return plan
+
+    def introduce(idx, child_table):
+        vertex, bag = nodes[idx].vertex, bags[idx]
+        low = width * (len(bag) - 1 - bag.index(vertex))
+        high, low_mask = low + width, (1 << low) - 1
+        nbrs = set(adjacency[vertex])
+        shifts = [width * (len(bag) - 1 - p) for p, u in enumerate(bag) if u in nbrs]
+        nbr_mask = sum(lane << s for s in shifts)
+        allowed = (base[vertex],) if base[vertex] else range(1, k + 1)
+        plans, table = {}, {}
+        for key, val in child_table.items():
+            # The child's lanes, spread around an empty lane for the vertex.
+            spread = (key >> low << high) | (key & low_mask)
+            plan = plans.get(spread & nbr_mask)
+            if plan is None:
+                plan = plans[spread & nbr_mask] = plan_for(spread & nbr_mask, shifts, allowed, low)
+            for code, gain in plan:
+                table[spread | code] = val + gain
+        return table
+
+    def join(idx, t1, t2):
+        # Both children count the designated-happy bag vertices (bit 0 of
+        # each lane), so they are taken off once.
+        designated = ((1 << width * len(bags[idx])) - 1) // lane
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
+        table = {}
+        for key, v1 in t1.items():
+            v2 = t2.get(key)
+            if v2 is not None:
+                table[key] = v1 + v2 - (key & designated).bit_count()
+        return table
+
     handlers = {
-        AugKind.LEAF: lambda idx: _leaf_table(adjacency, base, aug.bags[idx]),
-        AugKind.PASS: lambda idx, child_table: child_table,
-        AugKind.INTRODUCE: lambda idx, child_table: _introduce_table(
-            adjacency, base, k, aug.bags[idx], nodes[idx].vertex, child_table
-        ),
+        AugKind.LEAF: leaf,
+        AugKind.PASS: lambda idx, table: table,
+        AugKind.INTRODUCE: introduce,
         AugKind.FORGET: forget,
-        AugKind.JOIN: lambda idx, t1, t2: _join_table(t1, t2),
+        AugKind.JOIN: join,
     }
     total_states = 0
     for idx, table in nice.walk(handlers, aug.kinds):
@@ -142,10 +216,7 @@ def solve_exact(
         if aug.kinds[idx] != AugKind.PASS:
             total_states += len(table)
             if total_states > state_cap:
-                raise ResourceLimitError(
-                    f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
-                    f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(aug.bags[idx])})"
-                )
+                raise over_cap(total_states, idx)
         if idx == nice.root:
             root_table = table
 
@@ -157,28 +228,23 @@ def solve_exact(
     best_val = root_table[best_key]
 
     colours = bytearray(base)
-    stack: list[tuple[int, tuple[int, ...]]] = [(nice.root, best_key)]
+    stack = [(nice.root, best_key)]
     while stack:
         idx, key = stack.pop()
-        bag = aug.bags[idx]
-        for pos, v in enumerate(bag):
-            col = key[pos] >> 1
+        bag = bags[idx]
+        codes = key
+        for v in reversed(bag):
+            col = (codes & lane) >> 1
+            codes >>= width
             assert colours[v] in (0, col), "inconsistent reconstruction"
             colours[v] = col
-        kind = aug.kinds[idx]
-        children = nodes[idx].children
-        if kind == AugKind.LEAF:
-            continue
-        if kind in (AugKind.PASS, AugKind.JOIN):
-            for c in children:
-                stack.append((c, key))
-        elif kind == AugKind.INTRODUCE:
-            vertex = nodes[idx].vertex
-            assert vertex is not None
-            pos = bag.index(vertex)
-            stack.append((children[0], key[:pos] + key[pos + 1 :]))
-        else:
-            stack.append((children[0], forget_pred[idx][key]))
+        # PASS and JOIN nodes hand their key to their children, leaves have none.
+        if aug.kinds[idx] == AugKind.FORGET:
+            key = forget_pred[idx][key]
+        elif aug.kinds[idx] == AugKind.INTRODUCE:
+            low = width * (len(bag) - 1 - bag.index(nodes[idx].vertex))
+            key = (key >> low + width << low) | (key & ((1 << low) - 1))
+        stack.extend((c, key) for c in nodes[idx].children)
 
     witness = FullColouring(k, tuple(colours))
     happy = count_happy(g, witness)
@@ -193,80 +259,3 @@ def solve_exact(
         time_ms=elapsed,
     )
 
-
-def _leaf_table(
-    adjacency: tuple[tuple[int, ...], ...], base: bytes, bag: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Enumerate designations over the anchor set.
-
-    A designated-happy anchor must already be happy within the subgraph the
-    anchors induce; the value counts the happy anchors not assumed unhappy.
-    """
-    bag_set = set(bag)
-    happy_here: list[bool] = []
-    for v in bag:
-        cv = base[v]
-        happy_here.append(
-            all(base[u] == cv for u in adjacency[v] if u in bag_set)
-        )
-    table: dict[tuple[int, ...], int] = {}
-    for flags in product((0, 1), repeat=len(bag)):
-        if any(f and not h for f, h in zip(flags, happy_here)):
-            continue
-        key = tuple((base[v] << 1) | f for v, f in zip(bag, flags))
-        table[key] = sum(flags)
-    return table
-
-
-def _join_table(
-    t1: dict[tuple[int, ...], int], t2: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    """Pair the states both children hold; bag vertices designated happy are
-    counted by both, so once is taken off."""
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
-    table: dict[tuple[int, ...], int] = {}
-    for key, v1 in t1.items():
-        v2 = t2.get(key)
-        if v2 is not None:
-            designated = sum(code & 1 for code in key)
-            table[key] = v1 + v2 - designated
-    return table
-
-
-def _introduce_table(
-    adjacency: tuple[tuple[int, ...], ...],
-    base: bytes,
-    k: int,
-    bag: tuple[int, ...],
-    vertex: int | None,
-    child_table: dict[tuple[int, ...], int],
-) -> dict[tuple[int, ...], int]:
-    assert vertex is not None
-    pos = bag.index(vertex)
-    # The child's bag is this one without the introduced vertex.
-    child_index = {v: i for i, v in enumerate(bag[:pos] + bag[pos + 1 :])}
-    nbr_pos = [child_index[u] for u in adjacency[vertex] if u in child_index]
-    allowed = (base[vertex],) if base[vertex] else tuple(range(1, k + 1))
-
-    table: dict[tuple[int, ...], int] = {}
-    for key, val in child_table.items():
-        for i in allowed:
-            conflict_coloured = False
-            conflict_happy = False
-            for q in nbr_pos:
-                code = key[q]
-                if code >> 1 != i:
-                    conflict_coloured = True
-                    if code & 1:
-                        conflict_happy = True
-                        break
-            if conflict_happy:
-                # A happy neighbour of a different colour rules out every
-                # designation of the introduced vertex.
-                continue
-            prefix, suffix = key[:pos], key[pos:]
-            table[prefix + (i << 1,) + suffix] = val
-            if not conflict_coloured:
-                table[prefix + ((i << 1) | 1,) + suffix] = val + 1
-    return table
