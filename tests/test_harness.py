@@ -13,7 +13,14 @@ import pytest
 from mhv.cli import main
 from mhv.errors import InputError
 from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
-from mhv.graph import parse_colouring, parse_graph, write_colouring, write_graph
+from mhv.graph import (
+    Graph,
+    PartialColouring,
+    parse_colouring,
+    parse_graph,
+    write_colouring,
+    write_graph,
+)
 from mhv.harness import (
     AlgorithmSpec,
     GeneratorParams,
@@ -488,6 +495,22 @@ def test_cli_graph_header_above_vertex_limit_exits_3(tmp_path):
     assert proc.stderr.splitlines() == [
         "resource limit: line 1: header declares 99999999999 vertices, "
         "above the limit of 1000000"
+    ]
+
+
+def test_cli_exact_state_cap_checked_before_a_leaf_enumerates(tmp_path):
+    """Forty isolated anchors give every leaf 2^40 designations.  The cap is
+    compared with that count before one is built, so the run ends at once."""
+    k = 40
+    graph_path = tmp_path / "g.gr"
+    graph_path.write_text(write_graph(Graph(k + 2, [(k, k + 1)])))
+    colouring_path = tmp_path / "g.col"
+    colouring_path.write_text(write_colouring(PartialColouring(k, {v: v + 1 for v in range(k)})))
+    proc = _run_capped(["exact", str(graph_path), str(colouring_path), "--state-cap", "1000"])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"resource limit: exact DP exceeded the state cap ({2**k} > 1000 states) "
+        f"at node 0 (leaf, bag of {k})"
     ]
 
 
