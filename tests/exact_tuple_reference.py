@@ -3,9 +3,9 @@
 The exact table DP as first written: a state is a tuple with one code per
 sorted-bag position, ``code = colour << 1 | designated_happy``.  A forget
 slices the tuple, an introduce builds two new tuples per colour and a join
-sums the designations code by code.  It shares only ``build_sstar_td`` and
-the walker with the package, so it checks ``mhv.exact.solve_exact``, which
-packs a state into one int and plans each introduce per neighbour pattern.
+sums the designations code by code.  Its handlers and traceback share no
+code with the package's, so it checks ``mhv.exact.solve_exact``, which packs
+a state into one int and plans each introduce per neighbour pattern.
 It still enumerates a leaf's designations before comparing anything with
 the state cap, so keep its caps to small anchor sets.
 """

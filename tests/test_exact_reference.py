@@ -41,23 +41,20 @@ def _nice_for(g, seed=0):
 
 
 # k = 2 and 3 give 3-bit lanes, k = 5 4-bit lanes and k = 9 5-bit lanes.
-@pytest.mark.parametrize(
-    "instances",
-    [
-        pytest.param(lambda: fuzz_instances(150, seed=607), id="fuzz-607-k2-k3"),
-        pytest.param(
-            lambda: fuzz_instances(40, seed=613, ks=(5, 9), n_lo=9, n_hi=12), id="fuzz-613-k5-k9"
-        ),
-    ],
-)
-def test_packed_dp_matches_the_tuple_reference_on_fuzz(instances):
-    for i, inst in enumerate(instances()):
+_FUZZ = {
+    "fuzz-607-k2-k3": lambda: fuzz_instances(150, seed=607),
+    "fuzz-613-k5-k9": lambda: fuzz_instances(40, seed=613, ks=(5, 9), n_lo=9, n_hi=12),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(_FUZZ))
+def test_packed_dp_matches_the_tuple_reference_on_fuzz(corpus):
+    for i, inst in enumerate(_FUZZ[corpus]()):
         _assert_same(inst.graph, inst.colouring, _nice_for(inst.graph, seed=i))
 
 
 def test_fuzz_covers_every_lane_width():
-    ks = {inst.colouring.k for inst in fuzz_instances(150, seed=607)}
-    ks |= {inst.colouring.k for inst in fuzz_instances(40, seed=613, ks=(5, 9), n_lo=9, n_hi=12)}
+    ks = {inst.colouring.k for make in _FUZZ.values() for inst in make()}
     assert ks == {2, 3, 5, 9}
     assert {(2 * k + 1).bit_length() for k in ks} == {3, 4, 5}
 
