@@ -9,7 +9,7 @@ brute-force oracle, an instance generator and a benchmark harness.
 
 from .baselines import GrowthLabel, compute_growth_labels, greedy_mhv, growth_mhv
 from .errors import InputError, MhvError, ParseError, ResourceLimitError
-from .exact import SStarAugmentedTd, build_sstar_td, solve_exact
+from .exact import solve_exact
 from .graph import (
     FullColouring,
     Graph,
@@ -82,14 +82,12 @@ __all__ = [
     "PartialColouring",
     "PartialSolution",
     "ResourceLimitError",
-    "SStarAugmentedTd",
     "SolveResult",
     "TdStats",
     "TreeDecomposition",
     "bench_run",
     "bench_to_csv",
     "brute_force",
-    "build_sstar_td",
     "compute_growth_labels",
     "count_happy",
     "evaluate",

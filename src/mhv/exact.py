@@ -1,11 +1,13 @@
-"""Exact dynamic program over an augmented nice tree decomposition.
+"""Exact dynamic program over a nice tree decomposition.
 
-Every bag is extended with one precoloured vertex per colour, so each bag
-meets every colour class.  Table states pair a bag colouring with a
-happy/assumed-unhappy designation per bag vertex; values are the best number
-of happy vertices in the processed subgraph outside the assumed-unhappy set.
-States that admit no consistent completion are never stored (all recurrences
-map missing states to missing states).
+Every bag is read with the anchors added, one precoloured vertex per colour,
+so each bag meets every colour class.  Anchors stay in every bag, so a node
+that introduces or forgets one hands its child's table on.  Table states
+pair a bag colouring with a happy/assumed-unhappy designation per bag
+vertex; values are the best number of happy vertices in the processed
+subgraph outside the assumed-unhappy set.  States that admit no consistent
+completion are never stored (all recurrences map missing states to missing
+states).
 
 State encoding: bags are kept sorted and a state is one int.  Lane p, of
 ``(2k+1).bit_length()`` bits, holds bag position p's code ``colour << 1 |
@@ -17,79 +19,38 @@ Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
 table is dropped once its parent's is built.  Alive at any time are only the
 tables of open subtrees, the forget back-pointers that the traceback reads,
 and the root table.  The state cap counts the states of every table built,
-freed or not; a PASS node hands its child's table on and builds none.
+freed or not.  A leaf's bag is empty, so all leaves share one table over the
+anchors; it is built once and counted at every leaf.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import InputError, ResourceLimitError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
-from .treedec import NiceTreeDecomposition, check_decomposes
+from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
 DEFAULT_STATE_CAP = 2_000_000
 
 
-class AugKind(IntEnum):
-    LEAF = 0
-    INTRODUCE = 1
-    FORGET = 2
-    JOIN = 3
-    PASS = 4  # introduce/forget of an anchor vertex degenerates to a copy
-
-
-@dataclass(frozen=True)
-class SStarAugmentedTd:
-    """Nice decomposition with the per-colour anchor set added to every bag.
-
-    Anchor vertices are never introduced or forgotten; the nodes where the
-    base decomposition moved one of them become PASS nodes.  Tree shape and
-    node indexing match the base decomposition.
-    """
-
-    s_star: tuple[int, ...]
-    kinds: tuple[AugKind, ...]
-    bags: tuple[tuple[int, ...], ...]
-
-    @property
-    def width(self) -> int:
-        return max(len(bag) for bag in self.bags) - 1
-
-
-def build_sstar_td(
-    g: Graph, colouring: PartialColouring, nice: NiceTreeDecomposition
-) -> SStarAugmentedTd:
-    """Pick the lowest-numbered precoloured vertex of each colour and add the
-    set to every bag.
+def _anchors(colouring: PartialColouring) -> frozenset[int]:
+    """The lowest-numbered precoloured vertex of each colour.
 
     Raises InputError when some colour class is empty; the exact algorithm
     needs an anchor per colour.
     """
     anchors: dict[int, int] = {}
     for v in sorted(colouring.assignment):
-        col = colouring.assignment[v]
-        if col not in anchors:
-            anchors[col] = v
+        anchors.setdefault(colouring.assignment[v], v)
     missing = [c for c in range(1, colouring.k + 1) if c not in anchors]
     if missing:
         raise InputError(
             "exact solver needs every colour used by the initial colouring; "
             f"missing colour(s) {missing}"
         )
-    s_star = tuple(anchors[c] for c in range(1, colouring.k + 1))
-    s_set = frozenset(s_star)
-
-    # AugKind repeats NodeKind's values.  Leaves and joins move no vertex, so
-    # only an introduce or forget can become PASS; the rest keep their kind.
-    kinds = tuple(
-        AugKind.PASS if node.vertex in s_set else AugKind(node.kind) for node in nice.nodes
-    )
-    bags = tuple(tuple(sorted(node.bag | s_set)) for node in nice.nodes)
-    return SStarAugmentedTd(s_star, kinds, bags)
+    return frozenset(anchors.values())
 
 
 def solve_exact(
@@ -101,46 +62,58 @@ def solve_exact(
     """Optimal extension of the partial colouring via the table DP.
 
     Aborts with ResourceLimitError, naming the node, when the total number
-    of states built exceeds ``state_cap``; a PASS node builds none.  The
-    returned colouring extends the input and its happy count is the proven
-    optimum.
+    of states built exceeds ``state_cap``; a node that introduces or forgets
+    an anchor builds none.  The returned colouring extends the input and its
+    happy count is the proven optimum.
     """
     check_decomposes(g, nice)
     start = time.perf_counter()
-    aug = build_sstar_td(g, colouring, nice)
-    k = colouring.k
     base = colouring.as_array(g.n)
-    adjacency, nodes, bags = g.adjacency, nice.nodes, aug.bags
+    anchors = _anchors(colouring)
+    k = colouring.k
+    adjacency, nodes = g.adjacency, nice.nodes
+    bags = [tuple(sorted(node.bag | anchors)) for node in nodes]
     width = (2 * k + 1).bit_length()
     lane = (1 << width) - 1
 
     def over_cap(total, idx):
         return ResourceLimitError(
             f"exact DP exceeded the state cap ({total} > {state_cap} states) "
-            f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(bags[idx])})"
+            f"at node {idx} ({nodes[idx].kind.name.lower()}, bag of {len(bags[idx])})"
         )
 
+    # Every leaf's bag is the anchor set, so all leaves share one table.  An
+    # anchor may be designated happy when no anchor next to it has another
+    # colour.
+    s_star = sorted(anchors)
+    leaf_key, leaf_flags = 0, []
+    for p, v in enumerate(s_star):
+        shift = width * (len(s_star) - 1 - p)
+        leaf_key |= base[v] << 1 << shift
+        if all(base[u] == base[v] for u in adjacency[v] if u in anchors):
+            leaf_flags.append(1 << shift)
+    leaf_table = None
+
     def leaf(idx):
-        # An anchor may be designated happy when no anchor next to it has
-        # another colour.  The cap is checked before the table is built.
-        bag = bags[idx]
-        bag_set, key, flags = set(bag), 0, []
-        for p, v in enumerate(bag):
-            shift = width * (len(bag) - 1 - p)
-            key |= base[v] << 1 << shift
-            if all(base[u] == base[v] for u in adjacency[v] if u in bag_set):
-                flags.append(1 << shift)
-        total = total_states + (1 << len(flags))
+        # The cap is checked before the table is first built; the walk below
+        # counts its states at every leaf.
+        nonlocal leaf_table
+        total = total_states + (1 << len(leaf_flags))
         if total > state_cap:
             raise over_cap(total, idx)
-        table = {key: 0}
-        for flag in flags:
-            table = {s | f: val + d for s, val in table.items() for f, d in ((0, 0), (flag, 1))}
-        return table
+        if leaf_table is None:
+            leaf_table = {leaf_key: 0}
+            for flag in leaf_flags:
+                leaf_table = {
+                    s | f: val + d for s, val in leaf_table.items() for f, d in ((0, 0), (flag, 1))
+                }
+        return leaf_table
 
     forget_pred = {}
 
     def forget(idx, child_table):
+        if nodes[idx].vertex in anchors:
+            return child_table
         child_bag = bags[nodes[idx].children[0]]
         low = width * (len(child_bag) - 1 - child_bag.index(nodes[idx].vertex))
         high, low_mask = low + width, (1 << low) - 1
@@ -173,6 +146,8 @@ def solve_exact(
 
     def introduce(idx, child_table):
         vertex, bag = nodes[idx].vertex, bags[idx]
+        if vertex in anchors:
+            return child_table
         low = width * (len(bag) - 1 - bag.index(vertex))
         high, low_mask = low + width, (1 << low) - 1
         nbrs = set(adjacency[vertex])
@@ -204,16 +179,16 @@ def solve_exact(
         return table
 
     handlers = {
-        AugKind.LEAF: leaf,
-        AugKind.PASS: lambda idx, table: table,
-        AugKind.INTRODUCE: introduce,
-        AugKind.FORGET: forget,
-        AugKind.JOIN: join,
+        NodeKind.LEAF: leaf,
+        NodeKind.INTRODUCE: introduce,
+        NodeKind.FORGET: forget,
+        NodeKind.JOIN: join,
     }
     total_states = 0
-    for idx, table in nice.walk(handlers, aug.kinds):
-        # A PASS node hands its child's table on and builds no state.
-        if aug.kinds[idx] != AugKind.PASS:
+    for idx, table in nice.walk(handlers):
+        # A node that introduces or forgets an anchor hands its child's table
+        # on and builds no state.
+        if nodes[idx].vertex not in anchors:
             total_states += len(table)
             if total_states > state_cap:
                 raise over_cap(total_states, idx)
@@ -238,13 +213,17 @@ def solve_exact(
             codes >>= width
             assert colours[v] in (0, col), "inconsistent reconstruction"
             colours[v] = col
-        # PASS and JOIN nodes hand their key to their children, leaves have none.
-        if aug.kinds[idx] == AugKind.FORGET:
+        # Joins and the nodes that move an anchor hand their key to their
+        # children, leaves have none.
+        node = nodes[idx]
+        if node.vertex in anchors:
+            pass
+        elif node.kind == NodeKind.FORGET:
             key = forget_pred[idx][key]
-        elif aug.kinds[idx] == AugKind.INTRODUCE:
-            low = width * (len(bag) - 1 - bag.index(nodes[idx].vertex))
+        elif node.kind == NodeKind.INTRODUCE:
+            low = width * (len(bag) - 1 - bag.index(node.vertex))
             key = (key >> low + width << low) | (key & ((1 << low) - 1))
-        stack.extend((c, key) for c in nodes[idx].children)
+        stack.extend((c, key) for c in node.children)
 
     witness = FullColouring(k, tuple(colours))
     happy = count_happy(g, witness)

@@ -100,6 +100,8 @@ class PartialColouring:
         """Colours as a byte array of length n with 0 marking uncoloured."""
         arr = bytearray(n)
         for v, col in self.assignment.items():
+            if v >= n:
+                raise InputError(f"coloured vertex {v} not in graph of {n} vertices")
             arr[v] = col
         return bytes(arr)
 
@@ -140,9 +142,7 @@ class Instance:
     colouring: PartialColouring
 
     def __post_init__(self) -> None:
-        for v in self.colouring.assignment:
-            if v >= self.graph.n:
-                raise InputError(f"coloured vertex {v} not in graph of {self.graph.n} vertices")
+        self.colouring.as_array(self.graph.n)  # raises InputError on a vertex outside the graph
 
 
 def is_happy(g: Graph, col: FullColouring, v: int) -> bool:

@@ -13,7 +13,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import InputError, ParseError
 from .graph import Graph, reachable
@@ -347,21 +347,18 @@ class NiceTreeDecomposition:
     def post_order(self) -> Iterator[int]:
         return iter(range(len(self.nodes)))
 
-    def walk(
-        self, handlers: Mapping[Any, Callable[..., Any]], kinds: Sequence[Any] | None = None
-    ) -> Iterator[tuple[int, Any]]:
+    def walk(self, handlers: Mapping[NodeKind, Callable[..., Any]]) -> Iterator[tuple[int, Any]]:
         """Run a bottom-up pass, yielding ``(idx, result)`` at every node.
 
         Nodes are visited in post-order, which is ascending index.  Node
-        ``idx`` gets ``handlers[kind](idx, *child_results)``, the results in
-        ``children`` order, ``kind`` from ``kinds[idx]`` if given, else from
-        the node.  A result is dropped once its parent's handler returns: only
-        the results of subtrees whose parent is still to come stay alive.
+        ``idx`` gets ``handlers[node.kind](idx, *child_results)``, the results
+        in ``children`` order.  A result is dropped once its parent's handler
+        returns: only the results of subtrees whose parent is still to come
+        stay alive.
         """
         pending: dict[int, Any] = {}
         for idx, node in enumerate(self.nodes):
-            kind = node.kind if kinds is None else kinds[idx]
-            result = handlers[kind](idx, *[pending.pop(c) for c in node.children])
+            result = handlers[node.kind](idx, *[pending.pop(c) for c in node.children])
             pending[idx] = result
             yield idx, result
 

@@ -3,9 +3,11 @@
 The exact table DP as first written: a state is a tuple with one code per
 sorted-bag position, ``code = colour << 1 | designated_happy``.  A forget
 slices the tuple, an introduce builds two new tuples per colour and a join
-sums the designations code by code.  Its handlers and traceback share no
-code with the package's, so it checks ``mhv.exact.solve_exact``, which packs
-a state into one int and plans each introduce per neighbour pattern.
+sums the designations code by code.  It picks its own anchors and runs its
+own post-order loop, with a "pass" kind for a node that introduces or
+forgets an anchor, so it shares no DP code with ``mhv.exact.solve_exact``,
+which packs a state into one int and plans each introduce per neighbour
+pattern.
 It still enumerates a leaf's designations before comparing anything with
 the state cap, so keep its caps to small anchor sets.
 """
@@ -16,7 +18,7 @@ import time
 from itertools import product
 
 from mhv.errors import InputError, ResourceLimitError
-from mhv.exact import DEFAULT_STATE_CAP, AugKind, build_sstar_td
+from mhv.exact import DEFAULT_STATE_CAP
 from mhv.graph import FullColouring, Graph, PartialColouring, count_happy
 from mhv.result import SolveResult
 from mhv.treedec import NiceTreeDecomposition, check_decomposes
@@ -32,55 +34,48 @@ def reference_solve_exact(
     and the number of states it built.
 
     Aborts with ResourceLimitError, naming the node, when the total number
-    of states built exceeds ``state_cap``; a PASS node builds none.  The
+    of states built exceeds ``state_cap``; a "pass" node builds none.  The
     returned colouring extends the input and its happy count is the proven
     optimum.
     """
     check_decomposes(g, nice)
     start = time.perf_counter()
-    aug = build_sstar_td(g, colouring, nice)
     k = colouring.k
     base = colouring.as_array(g.n)
     adjacency = g.adjacency
     nodes = nice.nodes
+    s_star = _anchor_set(colouring)
+    bags = [tuple(sorted(node.bag | s_star)) for node in nodes]
+    # An anchor is never introduced or forgotten: such a node passes its
+    # child's table on.
+    kinds = ["pass" if node.vertex in s_star else node.kind.name.lower() for node in nodes]
 
     forget_pred: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def forget(idx: int, child_table: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-        vertex = nodes[idx].vertex
-        assert vertex is not None
-        pos = aug.bags[nodes[idx].children[0]].index(vertex)
-        table: dict[tuple[int, ...], int] = {}
-        pred: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for key, val in child_table.items():
-            nk = key[:pos] + key[pos + 1 :]
-            if val > table.get(nk, -1):
-                table[nk] = val
-                pred[nk] = key
-        forget_pred[idx] = pred
-        return table
-
-    handlers = {
-        AugKind.LEAF: lambda idx: _leaf_table(adjacency, base, aug.bags[idx]),
-        AugKind.PASS: lambda idx, child_table: child_table,
-        AugKind.INTRODUCE: lambda idx, child_table: _introduce_table(
-            adjacency, base, k, aug.bags[idx], nodes[idx].vertex, child_table
-        ),
-        AugKind.FORGET: forget,
-        AugKind.JOIN: lambda idx, t1, t2: _join_table(t1, t2),
-    }
+    tables: dict[int, dict[tuple[int, ...], int]] = {}
     total_states = 0
-    for idx, table in nice.walk(handlers, aug.kinds):
-        # A PASS node hands its child's table on and builds no state.
-        if aug.kinds[idx] != AugKind.PASS:
+    for idx, node in enumerate(nodes):
+        below = [tables.pop(c) for c in node.children]
+        kind = kinds[idx]
+        if kind == "leaf":
+            table = _leaf_table(adjacency, base, bags[idx])
+        elif kind == "pass":
+            table = below[0]
+        elif kind == "introduce":
+            table = _introduce_table(adjacency, base, k, bags[idx], node.vertex, below[0])
+        elif kind == "forget":
+            pos = bags[node.children[0]].index(node.vertex)
+            table, forget_pred[idx] = _forget_table(pos, below[0])
+        else:
+            table = _join_table(*below)
+        tables[idx] = table
+        if kind != "pass":
             total_states += len(table)
             if total_states > state_cap:
                 raise ResourceLimitError(
                     f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
-                    f"at node {idx} ({aug.kinds[idx].name.lower()}, bag of {len(aug.bags[idx])})"
+                    f"at node {idx} ({kind}, bag of {len(bags[idx])})"
                 )
-        if idx == nice.root:
-            root_table = table
+    root_table = tables[nice.root]
 
     if not root_table:
         # Cannot happen for a valid instance: the all-assumed-unhappy state
@@ -93,19 +88,19 @@ def reference_solve_exact(
     stack: list[tuple[int, tuple[int, ...]]] = [(nice.root, best_key)]
     while stack:
         idx, key = stack.pop()
-        bag = aug.bags[idx]
+        bag = bags[idx]
         for pos, v in enumerate(bag):
             col = key[pos] >> 1
             assert colours[v] in (0, col), "inconsistent reconstruction"
             colours[v] = col
-        kind = aug.kinds[idx]
+        kind = kinds[idx]
         children = nodes[idx].children
-        if kind == AugKind.LEAF:
+        if kind == "leaf":
             continue
-        if kind in (AugKind.PASS, AugKind.JOIN):
+        if kind in ("pass", "join"):
             for c in children:
                 stack.append((c, key))
-        elif kind == AugKind.INTRODUCE:
+        elif kind == "introduce":
             vertex = nodes[idx].vertex
             assert vertex is not None
             pos = bag.index(vertex)
@@ -126,6 +121,36 @@ def reference_solve_exact(
         time_ms=elapsed,
     )
     return result, total_states
+
+
+def _anchor_set(colouring: PartialColouring) -> frozenset[int]:
+    """The first vertex of each colour in ascending vertex order."""
+    first: dict[int, int] = {}
+    for v, colour in sorted(colouring.assignment.items()):
+        if colour not in first:
+            first[colour] = v
+    missing = [c for c in range(1, colouring.k + 1) if c not in first]
+    if missing:
+        raise InputError(
+            "exact solver needs every colour used by the initial colouring; "
+            f"missing colour(s) {missing}"
+        )
+    return frozenset(first.values())
+
+
+def _forget_table(
+    pos: int, child_table: dict[tuple[int, ...], int]
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], tuple[int, ...]]]:
+    """Drop the code at ``pos``, keeping the first best child state of each
+    result and pointing back to it."""
+    table: dict[tuple[int, ...], int] = {}
+    pred: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for key, val in child_table.items():
+        nk = key[:pos] + key[pos + 1 :]
+        if val > table.get(nk, -1):
+            table[nk] = val
+            pred[nk] = key
+    return table, pred
 
 
 def _leaf_table(

@@ -1,16 +1,21 @@
-"""Exact bounded-treewidth solver and its anchor-augmented decomposition."""
+"""Exact bounded-treewidth solver: its anchors, its state cap and its optimum
+against the brute-force oracle.
+
+The DP reads every bag of the plain nice decomposition with one precoloured
+vertex per colour added; a node that introduces or forgets such an anchor
+hands its child's table on and builds no state."""
 
 import re
 
 import pytest
 
 from mhv.errors import InputError, ResourceLimitError
-from mhv.exact import AugKind, build_sstar_td, solve_exact
+from mhv.exact import _anchors, solve_exact
 from mhv.graph import Graph, PartialColouring, count_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import HeuristicConfig, solve_heuristic
 from mhv.oracle import brute_force
-from mhv.treedec import make_nice, min_fill_decompose
+from mhv.treedec import NodeKind, make_nice, min_fill_decompose
 
 from corpus import fuzz_instances
 
@@ -19,38 +24,9 @@ def _nice_for(g, seed=0):
     return make_nice(min_fill_decompose(g, seed=seed), g)
 
 
-def test_build_sstar_single_colour():
-    g = Graph(3, [(0, 1)])
-    col = PartialColouring(1, {2: 1})
-    nice = _nice_for(g)
-    aug = build_sstar_td(g, col, nice)
-    assert aug.s_star == (2,)
-    assert all(2 in bag for bag in aug.bags)
-
-
-def test_build_sstar_missing_colour_errors():
-    g = Graph(3, [(0, 1)])
-    col = PartialColouring(3, {0: 1})
-    with pytest.raises(InputError):
-        build_sstar_td(g, col, _nice_for(g))
-
-
-def test_build_sstar_picks_lowest_vertex_per_colour():
-    g = Graph(5)
-    col = PartialColouring(2, {4: 1, 1: 1, 3: 2, 2: 2})
-    aug = build_sstar_td(g, col, _nice_for(g))
-    assert aug.s_star == (1, 2)
-
-
-def test_build_sstar_width_bound_fuzz():
-    for inst in fuzz_instances(40, seed=509):
-        nice = _nice_for(inst.graph)
-        aug = build_sstar_td(inst.graph, inst.colouring, nice)
-        assert aug.width <= nice.width + inst.colouring.k
-        # Anchor vertices are never introduced or forgotten.
-        for idx, kind in enumerate(aug.kinds):
-            if kind in (AugKind.INTRODUCE, AugKind.FORGET):
-                assert nice.nodes[idx].vertex not in aug.s_star
+def test_anchors_are_the_lowest_vertex_of_each_colour():
+    assert _anchors(PartialColouring(2, {4: 1, 1: 1, 3: 2, 2: 2})) == {1, 2}
+    assert _anchors(PartialColouring(1, {2: 1})) == {2}
 
 
 def test_exact_path_example():
@@ -73,8 +49,8 @@ def test_exact_fully_precoloured():
 
 def test_exact_requires_all_colours():
     g = Graph(3, [(0, 1)])
-    with pytest.raises(InputError):
-        solve_exact(g, PartialColouring(2, {0: 1}), _nice_for(g))
+    with pytest.raises(InputError, match=r"missing colour\(s\) \[2, 3\]$"):
+        solve_exact(g, PartialColouring(3, {0: 1}), _nice_for(g))
 
 
 @pytest.mark.parametrize("graph_n, nice_n", [(4, 6), (6, 4)], ids=["fewer-vertices", "more-vertices"])
@@ -125,8 +101,8 @@ def test_exact_state_cap():
 
 
 # The totals count the states of every table built, freed or not, and skip
-# PASS nodes, which hand their child's table on.  Counting PASS nodes too gave
-# 109 and 219 171.
+# the nodes that introduce or forget an anchor, which hand their child's table
+# on.  Counting those nodes too gave 109 and 219 171.
 @pytest.mark.parametrize(
     "make, cap, total",
     [
@@ -149,10 +125,24 @@ def test_exact_state_cap_counts_every_table(make, cap, total):
     )
     assert match, message
     assert (int(match[1]), int(match[2])) == (total, cap)
-    aug = build_sstar_td(g, col, nice)
-    idx = int(match[3])
-    assert match[4] == aug.kinds[idx].name.lower() != "pass"
-    assert int(match[5]) == len(aug.bags[idx])
+    anchors = _anchors(col)
+    node = nice.nodes[int(match[3])]
+    assert match[4] == node.kind.name.lower()
+    assert node.vertex not in anchors
+    assert int(match[5]) == len(node.bag | anchors)
+
+
+def test_exact_state_cap_counts_every_leaf_of_the_shared_table():
+    """Six isolated vertices, two of them anchors that may both be designated
+    happy: every leaf holds the same 4 states and each counts them."""
+    g = Graph(6)
+    col = PartialColouring(2, {0: 1, 1: 2})
+    nice = _nice_for(g)
+    leaves = [node for node in nice.nodes if node.kind == NodeKind.LEAF]
+    assert len(leaves) > 1
+    with pytest.raises(ResourceLimitError) as err:
+        solve_exact(g, col, nice, state_cap=23)
+    assert str(err.value).endswith("(24 > 23 states) at node 2 (leaf, bag of 2)")
 
 
 def test_exact_matches_oracle_fuzz():

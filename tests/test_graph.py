@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from mhv.baselines import greedy_mhv, growth_mhv
 from mhv.errors import InputError, ParseError
+from mhv.exact import solve_exact
 from mhv.graph import (
     FullColouring,
     Graph,
@@ -19,6 +21,9 @@ from mhv.graph import (
     write_colouring,
     write_graph,
 )
+from mhv.heuristic import solve_heuristic
+from mhv.oracle import brute_force
+from mhv.treedec import make_nice, min_fill_decompose
 
 from corpus import er_graph
 
@@ -203,5 +208,25 @@ def test_validate_instance_components(g, components):
 
 
 def test_instance_rejects_stray_vertex():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^coloured vertex 5 not in graph of 2 vertices$"):
         Instance(Graph(2), PartialColouring(2, {5: 1}))
+
+
+
+def _on_nice(solve):
+    return lambda g, col: solve(g, col, make_nice(min_fill_decompose(g), g))
+
+
+_SOLVERS = {
+    "greedy_mhv": greedy_mhv,
+    "growth_mhv": growth_mhv,
+    "brute_force": brute_force,
+    "solve_exact": _on_nice(solve_exact),
+    "solve_heuristic": _on_nice(solve_heuristic),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solvers_reject_a_coloured_vertex_outside_the_graph(solver):
+    with pytest.raises(InputError, match=r"^coloured vertex 7 not in graph of 3 vertices$"):
+        _SOLVERS[solver](Graph(3, [(0, 1)]), PartialColouring(1, {7: 1}))

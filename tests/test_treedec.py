@@ -455,14 +455,3 @@ def test_walk_drops_a_result_once_its_parent_has_consumed_it():
         for c in range(idx + 1):
             consumed = parent_of.get(c, nice.node_count) <= idx
             assert (refs[c]() is None) == consumed, (idx, c)
-
-
-def test_walk_kinds_override_node_kind():
-    nice = _nice_with_joins()
-    kinds = ["even" if idx % 2 == 0 else "odd" for idx in range(nice.node_count)]
-    handlers = {
-        "even": lambda idx, *below: ("even", idx),
-        "odd": lambda idx, *below: ("odd", idx),
-    }
-    walked = list(nice.walk(handlers, kinds))
-    assert walked == [(idx, (kinds[idx], idx)) for idx in range(nice.node_count)]
