@@ -9,7 +9,9 @@ The heuristic runs every join-loop x distance x merge combination (3x7x2) at
 beam widths 1, 4 and 67 on every instance, except that at width 67 the two
 hardest-regime instances run a 7-configuration cover in which every knob
 value appears at least once (the full matrix there takes longer than the
-test suite can spend).  With the default knobs it also runs three
+test suite can spend).  Three instances with k = 2, 5 and 9 run only the
+heuristic: the default knobs at widths 4 and 67 and one ``greedy_match``
+configuration.  With the default knobs it also runs three
 non-default ``LabelWeights`` at widths 4 and 67 on every instance; the last
 of them weighs every label alike, so every score ties.  ``solve_exact`` runs
 on every instance but those two, where it costs seconds per solve;
@@ -63,12 +65,12 @@ WEIGHTS = (
 )
 
 
-def _tree(n: int, seed: int) -> Instance:
+def _tree(n: int, seed: int, k: int = K) -> Instance:
     g = random_tree(n, seed=seed)
     rng = random.Random(seed)
-    verts = rng.sample(range(n), max(K, floor_fraction(0.1, n)))
-    assignment = {v: (i + 1 if i < K else rng.randint(1, K)) for i, v in enumerate(verts)}
-    return Instance(g, PartialColouring(K, assignment))
+    verts = rng.sample(range(n), max(k, floor_fraction(0.1, n)))
+    assignment = {v: (i + 1 if i < k else rng.randint(1, k)) for i, v in enumerate(verts)}
+    return Instance(g, PartialColouring(k, assignment))
 
 
 def _disconnected() -> Instance:
@@ -90,9 +92,24 @@ INSTANCES: dict[str, Callable[[], Instance]] = {
     "disconnected-n24": _disconnected,
     "edgeless-n7": _edgeless,
 }
+# Other colour counts, so other colour-lane widths in the beam DP's entries:
+# the default knobs at widths 4 and 67 and one greedy_match configuration.
+OTHER_K: dict[str, Callable[[], Instance]] = {
+    "tree-n40-k2": lambda: _tree(40, 41, k=2),
+    "sparse-n30-k2": lambda: generate(GeneratorParams(n=30, p=5 / 29, k=2, q=0.1, seed=2)),
+    "sparse-n30-k5": lambda: generate(GeneratorParams(n=30, p=5 / 29, k=5, q=0.2, seed=5)),
+    "favourable-n28-k9": lambda: generate(GeneratorParams(n=28, p=0.1, k=9, q=0.4, seed=9)),
+}
+INSTANCES.update(OTHER_K)
 
 
 def heuristic_configs(name: str) -> Iterator[tuple[str, HeuristicConfig]]:
+    if name in OTHER_K:
+        for width in WEIGHT_WIDTHS:
+            yield f"heuristic:W={width}", HeuristicConfig(width=width)
+        greedy = HeuristicConfig(width=4, join_loop_choice="random", join_merge_method="greedy_match")
+        yield "heuristic:W=4:random:greedy_match", greedy
+        return
     full = list(itertools.product(JOIN_LOOP_CHOICES, DISTANCE_WEIGHTINGS, MERGE_METHODS))
     cover = [
         (JOIN_LOOP_CHOICES[i % 3], dist, MERGE_METHODS[i % 2])
@@ -121,6 +138,8 @@ def solves(name: str) -> Iterator[tuple[str, Callable[[], SolveResult]]]:
     nice: NiceTreeDecomposition = make_nice(min_fill_decompose(g, seed=0), g)
     for case, config in heuristic_configs(name):
         yield case, lambda config=config: solve_heuristic(g, col, nice, config)
+    if name in OTHER_K:
+        return
     if name not in HARDEST:
         yield "exact", lambda: solve_exact(g, col, nice)
     yield "greedy", lambda: greedy_mhv(g, col)
