@@ -394,22 +394,41 @@ def check_decomposes(g: Graph, nice: NiceTreeDecomposition) -> None:
 
 
 def _decomposes(g: Graph, nice: NiceTreeDecomposition) -> bool:
-    """Same vertex count, every vertex forgotten and every edge in some bag.
+    """Same vertex count, every vertex forgotten once and every edge in some
+    bag, on a nice structure whose bags change as its node kinds say.
 
-    Trusts the nice structure and takes O(n + m): an edge whose end u is
-    forgotten first lies in a bag exactly when its other end is in the bag
-    that u is forgotten from.
+    Leaves and the root have empty bags, an introduce adds exactly its vertex
+    to its child's bag, a forget removes exactly its vertex and a join's
+    children share its bag.  Then each vertex's bags form one subtree, below
+    the one node that forgets it, and an edge whose end u is forgotten first
+    lies in a bag exactly when its other end is in the bag that u is
+    forgotten from.  Takes O(n + m) beside the bag comparisons.
     """
-    if nice.n != g.n:
+    if nice.n != g.n or nice.nodes[nice.root].bag:
         return False
+    nodes = nice.nodes
     forgotten = bytearray(g.n)
-    for node in nice.nodes:
-        if node.kind == NodeKind.FORGET:
-            u = node.vertex
-            child_bag = nice.nodes[node.children[0]].bag
-            if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
+    for node in nodes:
+        kind, bag = node.kind, node.bag
+        if kind == NodeKind.LEAF:
+            if bag:
                 return False
-            forgotten[u] = 1
+            continue
+        child_bag = nodes[node.children[0]].bag
+        if kind == NodeKind.JOIN:
+            if any(nodes[c].bag != bag for c in node.children):
+                return False
+            continue
+        u = node.vertex
+        if kind == NodeKind.INTRODUCE:
+            if u in child_bag or bag != child_bag | {u}:
+                return False
+            continue
+        if forgotten[u] or u not in child_bag or bag != child_bag - {u}:
+            return False
+        if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
+            return False
+        forgotten[u] = 1
     return all(forgotten)
 
 

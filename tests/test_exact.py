@@ -15,7 +15,7 @@ from mhv.graph import Graph, PartialColouring, count_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import HeuristicConfig, solve_heuristic
 from mhv.oracle import brute_force
-from mhv.treedec import NodeKind, make_nice, min_fill_decompose
+from mhv.treedec import NiceNode, NiceTreeDecomposition, NodeKind, make_nice, min_fill_decompose
 
 from corpus import fuzz_instances
 
@@ -92,6 +92,58 @@ def test_solvers_reject_a_decomposition_of_another_graph_on_the_same_vertices(n,
     # A subgraph of the path is decomposed by the path's decomposition.
     sub = Graph(n, [(1, 2)])
     assert solve_exact(sub, col, nice).happy == brute_force(sub, col).happy
+
+
+def _path_nice(**broken):
+    """A hand-built nice decomposition of the path 0-1-2: introduce 0 and 1,
+    forget 0, introduce 2, forget 1 and 2.  ``broken`` replaces the bag of
+    the node it names (``intro``, ``forget`` or ``root``)."""
+    f = frozenset
+    bags = {"intro": f({0, 1}), "forget": f({1}), "root": f()}
+    bags.update(broken)
+    nodes = (
+        NiceNode(NodeKind.LEAF, f(), None, ()),
+        NiceNode(NodeKind.INTRODUCE, f({0}), 0, (0,)),
+        NiceNode(NodeKind.INTRODUCE, bags["intro"], 1, (1,)),
+        NiceNode(NodeKind.FORGET, bags["forget"], 0, (2,)),
+        NiceNode(NodeKind.INTRODUCE, f({1, 2}), 2, (3,)),
+        NiceNode(NodeKind.FORGET, f({2}), 1, (4,)),
+        NiceNode(NodeKind.FORGET, bags["root"], 2, (5,)),
+    )
+    return NiceTreeDecomposition(3, nodes, len(nodes) - 1)
+
+
+@pytest.mark.parametrize(
+    "nice",
+    [
+        # Leaf bag {1}: 1 is then introduced onto a bag that holds it.  The
+        # beam DP raised KeyError: 1 and solve_exact an AssertionError.
+        NiceTreeDecomposition(
+            3,
+            (
+                NiceNode(NodeKind.LEAF, frozenset({1}), None, ()),
+                NiceNode(NodeKind.INTRODUCE, frozenset({0, 1}), 0, (0,)),
+                NiceNode(NodeKind.FORGET, frozenset({1}), 0, (1,)),
+                NiceNode(NodeKind.INTRODUCE, frozenset({1, 2}), 2, (2,)),
+                NiceNode(NodeKind.FORGET, frozenset({1}), 2, (3,)),
+                NiceNode(NodeKind.FORGET, frozenset(), 1, (4,)),
+            ),
+            5,
+        ),
+        _path_nice(intro=frozenset({0, 1, 2})),
+        _path_nice(forget=frozenset()),
+        _path_nice(root=frozenset({0})),
+    ],
+    ids=["leaf-bag", "introduce-adds-two", "forget-removes-two", "root-bag"],
+)
+def test_solvers_reject_a_broken_nice_structure(nice):
+    g = Graph(3, [(0, 1), (1, 2)])
+    col = PartialColouring(2, {0: 1, 2: 2})
+    assert solve_exact(g, col, _path_nice()).happy == brute_force(g, col).happy
+    with pytest.raises(InputError, match="^decomposition does not match the graph$"):
+        solve_exact(g, col, nice)
+    with pytest.raises(InputError, match="^decomposition does not match the graph$"):
+        solve_heuristic(g, col, nice)
 
 
 def test_exact_state_cap():
