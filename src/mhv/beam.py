@@ -61,41 +61,41 @@ class LabelWeights:
 
 
 class Layout:
-    """The vertices an entry stores, in the order it stores them; ``index``
-    maps each vertex to its position."""
+    """The vertices an entry stores, ``vertices``, and ``index``, which maps
+    each one to its lane."""
 
     __slots__ = ("vertices", "index")
 
-    def __init__(self, vertices: tuple[int, ...], index: dict[int, int] | None = None) -> None:
-        self.vertices = vertices
-        self.index = dict(zip(vertices, range(len(vertices)))) if index is None else index
+    def __init__(self, index: dict[int, int]) -> None:
+        self.vertices = tuple(index)
+        self.index = index
 
 
 class PartialSolution:
     """One beam entry.
 
-    ``colours`` and ``labels`` are byte strings over ``layout.vertices`` (0
-    means uncoloured / UNKNOWN); ``counts`` holds the totals over all
-    vertices for the four scored labels in enum order.  ``forgotten`` is the
-    newest of the solver's forget records, which hold the colours of the
-    coloured vertices outside the layout, -1 for none.  At the node that holds it, the
-    coloured vertices are exactly those of the bags below.  ``layout`` may be
-    left out for an entry that is only ranked, never read.
+    ``state`` packs the colours and labels of ``layout.vertices`` into one
+    int, a lane per vertex at the bits its ``layout.index`` lane gives (see
+    ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.  ``counts``
+    holds the totals over all vertices for the four scored labels in enum
+    order.  ``forgotten`` is the newest of the solver's forget records, which
+    hold the colours of the coloured vertices outside the layout, -1 for
+    none.  At the node that holds it, the coloured vertices are exactly those
+    of the bags below.  ``layout`` may be left out for an entry that is only
+    ranked, never read.
     """
 
-    __slots__ = ("colours", "labels", "counts", "score", "layout", "forgotten")
+    __slots__ = ("state", "counts", "score", "layout", "forgotten")
 
     def __init__(
         self,
-        colours: bytes,
-        labels: bytes,
+        state: int,
         counts: tuple[int, int, int, int],
         score: int,
         layout: Layout | None = None,
         forgotten: int = -1,
     ) -> None:
-        self.colours = colours
-        self.labels = labels
+        self.state = state
         self.counts = counts
         self.score = score
         self.layout = layout

@@ -29,26 +29,30 @@ neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
 colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
 UNHAPPY.  The rule rests on two premises that ``check_invariants`` asserts:
 committed colours only grow and extend the input, and every stored label
-equals ``_border_label``.  The introduce works in three phases.  One scan of
-the neighbours per child solution scores the changes: as if every neighbour
-whose label can change turned UNHAPPY, plus per colour a correction for the
-ones that agree with it.  The emissions are collected by score alone, each
-pointing at its child solution, colour and watched neighbours, and selected
-from once per list.  Last, a finished entry is built for each offer that
-survives the node, its arrays once per (child solution, colour) for both
-labels.
+equals ``_border_label``.  The introduce works in three phases.  It groups
+its child solutions by the lanes it reads and, once per distinct pattern and
+colour, works out what colouring the vertex changes: one XOR over the state
+and one change of the four counts, which also gives the score.  The
+emissions are collected by score alone, each pointing at its child solution
+and change, and selected from once per list.  Last, each offer that survives
+the node is built as its child's state XOR the change.
 
 An entry stores only what can still change: the colours and labels of its
-node's closed neighbourhood N[bag] (its ``Layout``), its four label counts
-over all vertices, its score, and the number of its newest forget record.
-The solver keeps the records in one table of ints: a (vertex, colour) per
-vertex that leaves N[bag], and a pair of older records per join, so that
-entries built from one child entry share its records.  A node's layout keeps its child's order
-while N[bag] stays the same set, so most nodes carry a child's arrays over as
-they are; it is worked out when the node is handled and let go of once its
-parent has used it.  Everything else is settled: a forgotten vertex's colour
-is fixed, and once no bag vertex is its neighbour its label is a function of
-the colouring, HAPPY exactly when no neighbour has another colour.  A forget
+node's closed neighbourhood N[bag] (its ``Layout``) packed into one int, its
+four label counts over all vertices, its score, and the number of its newest
+forget record.  Every vertex has one lane for the whole solve,
+``k.bit_length()`` colour bits and then 3 label bits, and a lane outside the
+node's N[bag] is zero.  One pass from the root (``_assign_lanes``) gives
+each vertex the lowest lane that no vertex sharing an N[bag] with it holds.
+So the vertices an introduce adds to N[bag] find their lanes zero, that is
+uncoloured and UNKNOWN; a forget clears the lanes of those that leave; and a
+join's two children hold its bag in the same lanes, so that its keys and
+merges are masks of the state.  The solver keeps the records in one table of
+ints: a (vertex, colour) per vertex that leaves N[bag], and a pair of older
+records per join, so that entries built from one child entry share its
+records.  Everything else is settled: a forgotten vertex's colour is fixed,
+and once no bag vertex is its neighbour its label is a function of the
+colouring, HAPPY exactly when no neighbour has another colour.  A forget
 asserts that premise, under ``check_invariants``, for each vertex it drops.
 A coloured ring vertex with a conflicting neighbour that has left N[bag] is
 labelled FAR_UNHAPPY, which counts as UNHAPPY, so that a merge knows of that
@@ -57,11 +61,11 @@ root entry's records, by an iterative walk, and derives the final labels
 from it.
 
 The solver owns the entry format.  Entries are made from full arrays by
-``HeuristicSolver.entry``, laid out on a given node or over every vertex,
-and read as full arrays, rebuilt the same way, by ``HeuristicSolver.arrays``.
-Only the node handlers and their join helpers touch an entry's own arrays;
-a handler reads entries laid out on its children's layouts, the join
-helpers read any layout that lists N[bag].
+``HeuristicSolver.entry``, laid out on a given node or over every vertex (a
+lane per vertex, in vertex order), and read as full arrays, rebuilt the same
+way, by ``HeuristicSolver.arrays``.  Only the node handlers and their join
+helpers touch an entry's state; a handler reads entries laid out on its
+children's layouts, the join helpers read any two that share their lanes.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -81,9 +85,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import filterfalse
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .beam import (
     ASSUMED_UNHAPPY,
@@ -105,16 +107,6 @@ from .errors import InputError
 from .graph import FullColouring, Graph, PartialColouring, count_happy
 from .result import SolveResult
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
-
-
-# Byte value -> that one byte.
-_BYTE = tuple(bytes((i,)) for i in range(256))
-
-# Label -> the label ``HeuristicSolver.arrays`` reads out.
-_PUBLIC = bytes(UNHAPPY if lab == FAR_UNHAPPY else lab for lab in range(256))
-
-# Label -> the designation a join matches on: HAPPY, or UNHAPPY for the rest.
-_DESIGNATION = bytes(HAPPY if lab == HAPPY else UNHAPPY for lab in range(256))
 
 
 # Join loop choice -> whether the first child's list is the outer loop.
@@ -193,72 +185,7 @@ def exactness_width_bound(k: int, width: int) -> int:
     return (2 * k) ** (width + 1)
 
 
-_EMPTY = Layout(())
-
-
-def _key_getter(positions: Sequence[int], size: int) -> Callable[[bytes], Any]:
-    """A function of the colours followed by the labels of a layout of
-    ``size`` vertices: the values at ``positions``, colours first."""
-    if not positions:
-        return lambda both: ()
-    return itemgetter(*positions, *(size + i for i in positions))
-
-
-def _union_counts(
-    a: PartialSolution, b: PartialSolution, labels: bytearray
-) -> tuple[int, int, int, int]:
-    """The counts of a join's merge of ``a`` and ``b`` whose N[bag] labels
-    are ``labels``: each side's counts away from N[bag], where the two sides
-    never overlap, plus the merged labels' own."""
-    ta, tb, tn = label_counts(a.labels), label_counts(b.labels), label_counts(labels)
-    return (
-        a.counts[0] + b.counts[0] - ta[0] - tb[0] + tn[0],
-        a.counts[1] + b.counts[1] - ta[1] - tb[1] + tn[1],
-        a.counts[2] + b.counts[2] - ta[2] - tb[2] + tn[2],
-        a.counts[3] + b.counts[3] - ta[3] - tb[3] + tn[3],
-    )
-
-
-def _dropper(src: Layout, dst: Layout) -> Callable[[bytes], bytes]:
-    """A function that lays an array over ``src`` out over ``dst``, which
-    lists some of ``src``'s vertices in the same order: a few C-level
-    slices, joined."""
-    index = dst.index
-    runs = []
-    start = None
-    for i, v in enumerate(src.vertices):
-        if v in index:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append(slice(start, i))
-            start = None
-    if start is not None:
-        runs.append(slice(start, len(src.vertices)))
-    if not runs:
-        return lambda array: b""
-    if len(runs) == 1:
-        run = runs[0]
-        return lambda array: array[run]
-    take = itemgetter(*runs)
-    return lambda array: b"".join(take(array))
-
-
-def _relayer(src: Layout, dst: Layout) -> Callable[[PartialSolution], PartialSolution]:
-    """A function that lays an entry over ``src`` out over ``dst``, which
-    lists the same vertices in another order: one C-level gather per
-    array."""
-    if src is dst:
-        return lambda sol: sol
-    positions = [src.index[v] for v in dst.vertices]
-    if len(positions) < 2:
-        gather: Callable[[bytes], bytes] = lambda array: bytes(array[i] for i in positions)
-    else:
-        take = itemgetter(*positions)
-        gather = lambda array: bytes(take(array))  # noqa: E731
-    return lambda sol: PartialSolution(
-        gather(sol.colours), gather(sol.labels), sol.counts, sol.score, dst, sol.forgotten
-    )
+_EMPTY = Layout({})
 
 
 class HeuristicSolver:
@@ -287,6 +214,14 @@ class HeuristicSolver:
         self.rng = random.Random(self.config.seed)
         self.all_below_capacity = True
         self._colours = tuple(range(1, self.k + 1))
+        # A lane's colour bits and width; bit 0, the colour bits and the
+        # label bits of every lane an entry can have (one per vertex at most).
+        self._cb = self.k.bit_length()
+        self._lw = self._cb + 3
+        self._ones = ((1 << self._lw * max(self.n, 1)) - 1) // ((1 << self._lw) - 1)
+        self._colour_field = self._ones * ((1 << self._cb) - 1)
+        self._label_field = self._ones * 7
+        self._lanes, self._moved = self._assign_lanes()
         # Per node, its entries' layout while its parent is still to come.
         self._layouts: list[Layout | None] = [None] * len(nice.nodes)
         # Forget records, three ints each: (vertex, colour, older record) per
@@ -294,11 +229,10 @@ class HeuristicSolver:
         # per join; -1 ends a chain.
         self._records: list[int] = []
         self._everything: Layout | None = None
-        # The last pairing, ring table and bag positions the join helpers
-        # worked out, with what they were worked out for.
-        self._pairing_for: tuple = (None, None, None, None)
+        # The last ring table and distance masks the join helpers worked out,
+        # with what they were worked out for.
         self._ring_for: tuple = (None, None, None)
-        self._bag_at_for: tuple = (None, None, None)
+        self._masks_for: tuple = (None, None, None, None)
         # Per vertex, the colour its precoloured neighbours agree on: 0 for
         # none, -1 when they disagree.
         self._evidence = tuple(
@@ -326,40 +260,124 @@ class HeuristicSolver:
         if node is None:
             layout = self._everything
             if layout is None:
-                layout = self._everything = Layout(tuple(range(self.n)))
+                layout = self._everything = Layout(dict(zip(range(self.n), range(self.n))))
         else:
             layout = self.node_layout(node)
         forgotten = -1
         for v, c in enumerate(colours):
             if c and v not in layout.index:
                 forgotten = self._record(v, c, forgotten)
-        vertices = layout.vertices
-        return PartialSolution(
-            bytes(colours[v] for v in vertices),
-            bytes(labels[v] for v in vertices),
-            counts_t,
-            evaluate(self.weights, counts_t),
-            layout,
-            forgotten,
-        )
+        cb, lw = self._cb, self._lw
+        state = 0
+        for v, lane in layout.index.items():
+            state |= (colours[v] | labels[v] << cb) << lw * lane
+        return PartialSolution(state, counts_t, evaluate(self.weights, counts_t), layout, forgotten)
 
     def arrays(self, sol: PartialSolution) -> tuple[bytes, bytes]:
         """An entry's colours and labels over all vertices, rebuilt by
         traceback (see the module docstring)."""
         colours = self._colouring(sol)
         labels = self._settled_labels(colours)
-        for v, lab in zip(sol.layout.vertices, sol.labels.translate(_PUBLIC)):
-            labels[v] = lab
+        for v, _, lab in self._read(sol):
+            labels[v] = UNHAPPY if lab == FAR_UNHAPPY else lab
         return bytes(colours), bytes(labels)
 
+    def _read(self, sol: PartialSolution) -> Iterator[tuple[int, int, int]]:
+        """(vertex, colour, label) per vertex that ``sol`` stores."""
+        state, cb, lw = sol.state, self._cb, self._lw
+        low = (1 << cb) - 1
+        for v, lane in sol.layout.index.items():
+            bits = state >> lw * lane
+            yield v, bits & low, bits >> cb & 7
+
+    def _lane_counts(self, state: int) -> tuple[int, int, int, int]:
+        """The four scored label counts over the lanes of ``state``, by
+        popcount: HAPPY 001, UNHAPPY 010 and FAR_UNHAPPY 101, MAYBE_HAPPY 011
+        and ASSUMED_UNHAPPY 100."""
+        labels, ones = state >> self._cb, self._ones
+        l0, l1, l2 = labels & ones, labels >> 1 & ones, labels >> 2 & ones
+        return (
+            (l0 & ~(l1 | l2)).bit_count(),
+            (l1 & ~l0 | l0 & l2).bit_count(),
+            (l0 & l1).bit_count(),
+            (l2 & ~l0).bit_count(),
+        )
+
+    def _coloured(self, state: int) -> int:
+        """Bit 0 of each lane of ``state`` whose colour is not 0."""
+        colours = state & self._colour_field
+        folded = colours
+        for shift in range(1, self._cb):
+            folded |= colours >> shift
+        return folded & self._ones
+
+    def _assign_lanes(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Per vertex its lane, and per introduce (forget) node the vertices
+        that it adds to (drops from) N[bag].
+
+        One pass from the root keeps, per vertex, how many of its closed
+        neighbourhood the bag holds.  A vertex takes the lowest free lane
+        where it enters N[bag] on the way down, below a forget, and frees it
+        where it leaves, below an introduce, and again on the way back up.
+        The nodes whose N[bag] holds a vertex form one subtree
+        (``check_decomposes``), so it enters once, and vertices that share an
+        N[bag] hold different lanes.
+        """
+        nodes, adj = self.nice.nodes, self.adj
+        lanes = [0] * self.n
+        moved: list[tuple[int, ...]] = [()] * len(nodes)
+        near = [0] * self.n
+        taken = bytearray(self.n + 1)
+        stack = [self.nice.root]
+        while stack:
+            idx = stack.pop()
+            if idx < 0:
+                # Back up over node ~idx: undo its step.
+                node = nodes[~idx]
+                v = node.vertex
+                if node.kind == NodeKind.FORGET:
+                    for u in (v, *adj[v]):
+                        near[u] -= 1
+                        if not near[u]:
+                            taken[lanes[u]] = 0
+                else:
+                    for u in (v, *adj[v]):
+                        near[u] += 1
+                        if near[u] == 1:
+                            taken[lanes[u]] = 1
+                continue
+            node = nodes[idx]
+            v = node.vertex
+            if node.kind == NodeKind.FORGET:
+                # Below, the bag holds v.
+                gone = []
+                for u in (v, *adj[v]):
+                    near[u] += 1
+                    if near[u] == 1:
+                        lanes[u] = lane = taken.find(0)
+                        taken[lane] = 1
+                        gone.append(u)
+                moved[idx] = tuple(gone)
+                stack.append(~idx)
+            elif node.kind == NodeKind.INTRODUCE:
+                new = []
+                for u in (v, *adj[v]):
+                    near[u] -= 1
+                    if not near[u]:
+                        taken[lanes[u]] = 0
+                        new.append(u)
+                moved[idx] = tuple(new)
+                stack.append(~idx)
+            stack.extend(node.children)
+        return lanes, moved
+
     def node_layout(self, idx: int) -> Layout:
-        """The layout of node ``idx``'s entries: N[bag] in its child's order,
-        so that an entry keeps its arrays as they are while N[bag] stays the
-        same set.  An introduce appends the vertex and its neighbours that
-        are new to N[bag]; a forget drops each vertex that no longer touches
-        the bag; a join takes its first child's layout.  Worked out from the
-        nearest known layout below, iteratively; a handler lets go of its
-        children's layouts once it has used them."""
+        """The layout of node ``idx``'s entries: N[bag], each vertex in its
+        lane.  An introduce adds the vertices new to N[bag]; a forget drops
+        each vertex that no longer touches the bag; a join takes its first
+        child's layout.  Worked out from the nearest known layout below,
+        iteratively; a handler lets go of its children's layouts once it has
+        used them."""
         layouts = self._layouts
         if layouts[idx] is not None:
             return layouts[idx]
@@ -381,27 +399,16 @@ class HeuristicSolver:
         if node.kind == NodeKind.LEAF:
             return _EMPTY
         child = self._layouts[node.children[0]]
-        if node.kind == NodeKind.JOIN:
+        moved = self._moved[idx]
+        if not moved:
             return child
-        vertices, at = child.vertices, child.index
-        v = node.vertex
-        adj = self.adj
+        index = child.index.copy()
         if node.kind == NodeKind.INTRODUCE:
-            new = [u for u in adj[v] if u not in at]
-            if v not in at:
-                new.insert(0, v)
-            if not new:
-                return child
-            at = at.copy()
-            at.update(zip(new, range(len(vertices), len(vertices) + len(new))))
-            return Layout(vertices + tuple(new), at)
-        inside = node.bag
-        gone = {x for x in adj[v] if x not in inside and inside.isdisjoint(adj[x])}
-        if inside.isdisjoint(adj[v]):
-            gone.add(v)
-        if not gone:
-            return child
-        return Layout(tuple(filterfalse(gone.__contains__, vertices)))
+            index.update(zip(moved, map(self._lanes.__getitem__, moved)))
+        else:
+            for u in moved:
+                del index[u]
+        return Layout(index)
 
     def _record(self, vertex: int, colour: int, older: int) -> int:
         """A new forget record; its number."""
@@ -431,7 +438,7 @@ class HeuristicSolver:
                     stack.append(c)
                 else:
                     colours[v] = c
-        for v, c in zip(sol.layout.vertices, sol.colours):
+        for v, c, _ in self._read(sol):
             if c:
                 colours[v] = c
         return colours
@@ -483,9 +490,9 @@ class HeuristicSolver:
     def _ring(
         self, layout: Layout, bag_set: frozenset[int]
     ) -> tuple[tuple[int, int, tuple, frozenset[int]], ...]:
-        """Per vertex of ``layout`` outside ``bag_set``: its position, the
-        vertex, its neighbours in the layout as (position, input colour), and
-        the input colours of its other neighbours.  The last table is kept."""
+        """Per vertex of ``layout`` outside ``bag_set``: its lane, the
+        vertex, its neighbours in the layout as (lane, input colour), and the
+        input colours of its other neighbours.  The last table is kept."""
         held_layout, held_bag, ring = self._ring_for
         if held_layout is layout and held_bag is bag_set:
             return ring
@@ -497,7 +504,7 @@ class HeuristicSolver:
                 tuple((index[u], base[u]) for u in self.adj[v] if u in index),
                 frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
             )
-            for i, v in enumerate(layout.vertices)
+            for v, i in index.items()
             if v not in bag_set
         )
         self._ring_for = (layout, bag_set, ring)
@@ -532,12 +539,31 @@ class HeuristicSolver:
             return UNHAPPY
         return MAYBE_HAPPY
 
+    def _unpack(self, sol: PartialSolution) -> tuple[bytearray, bytearray]:
+        """An entry's colours and labels, each an array indexed by lane."""
+        colours, labels = bytearray(self.n), bytearray(self.n)
+        state, cb, lw = sol.state, self._cb, self._lw
+        low = (1 << cb) - 1
+        for lane in sol.layout.index.values():
+            bits = state >> lw * lane
+            colours[lane] = bits & low
+            labels[lane] = bits >> cb & 7
+        return colours, labels
+
+    def _pack(self, layout: Layout, colours: bytearray, labels: bytearray) -> int:
+        """The state of lane-indexed arrays over ``layout``."""
+        cb, lw = self._cb, self._lw
+        state = 0
+        for lane in layout.index.values():
+            state |= (colours[lane] | labels[lane] << cb) << lw * lane
+        return state
+
     # -- node handlers ----------------------------------------------------
 
     def handle_leaf(self, idx: int) -> Beam:
         """The unique empty partial solution: nothing coloured, all UNKNOWN."""
         beam = Beam(self.config.width)
-        beam.insert(PartialSolution(b"", b"", (0, 0, 0, 0), 0, self.node_layout(idx)), self.rng)
+        beam.insert(PartialSolution(0, (0, 0, 0, 0), 0, self.node_layout(idx)), self.rng)
         return beam
 
     def handle_introduce(self, idx: int, child_beam: Beam) -> Beam:
@@ -561,174 +587,172 @@ class HeuristicSolver:
         label can only move as stated, and every stored label equals
         ``_border_label``.
 
-        The handler runs in three phases.  One scan of the neighbours per
-        child solution collects those whose label can change (its watch list)
-        and scores the change twice over: as if every one turned UNHAPPY, and
-        per colour the correction for those that agree with it (slot 0 for
-        those that agree with any).  Neighbours outside the child's N[bag]
-        are UNKNOWN in every child solution, so their share is taken once per
-        node.  Every emission's score is then a sum of three terms and one
-        label weight, equal to ``evaluate`` of its counts.  The emissions are
-        collected in order as (score, (group, label)) offers, the two labels
-        of one colour sharing one group.  Each list is then one
-        ``Beam.extend`` selection, the backup list first: the ``width`` best
-        offers survive, and only a cut through equal scores draws from the
-        RNG.  Last, ``_materialise`` builds a finished entry for each offer
-        that survives in the returned list.
+        The handler runs in three phases.  All it reads of a child solution
+        is one pattern, its state masked to the lanes of the vertex, of its
+        neighbours that the child stores and of their anchors.  Once per
+        distinct pattern it collects the neighbours whose label can change
+        (the watch list) and works out, per colour, their new labels as one
+        XOR over the state and one change of the four counts, for each label
+        the vertex can take.  Neighbours the child does not store are UNKNOWN
+        in every child solution, so their share is worked out once per node.
+        The emissions are collected in order as (score, (child solution,
+        change)) offers, the score ``evaluate`` of the changed counts.  Each
+        list is then one ``Beam.extend`` selection, the backup list first:
+        the ``width`` best offers survive, and only a cut through equal
+        scores draws from the RNG.  Last, ``_materialise`` builds a finished
+        entry for each offer that survives in the returned list.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        adj = self.adj
-        adj_v = adj[vtx]
-        evidence = self._evidence
-        child = node.children[0]
-        index = self.node_layout(idx).index
-        held = self.node_layout(child).index
-        child_bag = self.nice.nodes[child].bag
+        adj, evidence, lanes = self.adj, self._evidence, self._lanes
+        child_bag = self.nice.nodes[node.children[0]].bag
+        fresh = self._moved[idx]
+        cb, lw = self._cb, self._lw
+        low, full = (1 << cb) - 1, (1 << lw) - 1
+        weight = self._label_weight
+
         # Every committed neighbour of an uncoloured vertex lies in the child
         # bag, and every child-bag vertex is coloured.  So a MAYBE_HAPPY vertex
         # without precoloured neighbours is bound to the colour of any one of
-        # its child-bag neighbours: its anchor, by position in the child.
-        anchor = {
-            x: held[u] for x in (vtx, *adj_v) if not evidence[x] for u in adj[x] if u in child_bag
-        }
-        base_v = self.base[vtx]
-        allowed = (base_v,) if base_v else self._colours
-        weight = self._label_weight
-        w_happy, w_unhappy, w_maybe, w_assumed = weight[1:]
-        slots = self.k + 1
-        # Neighbours by (vertex, position in the child, position here), and the
-        # watch entries, drop and agreement of those the child does not store.
-        stored = [(u, held[u], index[u]) for u in adj_v if u in held]
+        # its child-bag neighbours: its anchor, here the shift of its lane.
+        def anchor(x: int) -> int:
+            for u in adj[x]:
+                if u in child_bag:
+                    return lw * lanes[u]
+            return -1
+
+        v_shift = lw * lanes[vtx]
+        v_labels = v_shift + cb
+        ev_v = evidence[vtx]
+        v_anchor = -1 if ev_v or vtx in fresh else anchor(vtx)
+        mask = full << v_shift
+        if v_anchor >= 0:
+            mask |= low << v_anchor
+        # Stored neighbours as (lane shift, evidence, anchor shift or -1).
+        stored = []
         fresh_watch = []
-        fresh_drop = 0
-        fresh_agree = [0] * slots
-        for u in adj_v:
-            if u not in held:
-                ev = evidence[u]
-                fresh_watch.append((index[u], UNKNOWN, MAYBE_HAPPY, ev))
-                fresh_drop += w_unhappy
-                if ev >= 0:
-                    fresh_agree[ev] += w_maybe - w_unhappy
-        v_held = held.get(vtx)
-        # (score, (group, label)) offers; a group's last slot takes its arrays.
-        main_offers: list[tuple[int, tuple[list, int]]] = []
-        backup_offers: list[tuple[int, tuple[list, int]]] = []
-        for sol in child_beam:
-            col_c = sol.colours
-            lab_c = sol.labels
-            # The child entry and, once an offer of it survives, its arrays
-            # padded to the node's layout; shared by its groups.
-            shared = [sol, None]
-            # Neighbours whose label can change, as (position here, label,
-            # label on agreement, the colour agreed with or 0 for any); the
-            # coloured HAPPY ones change only in the backup.
-            watch: list[tuple[int, int, int, int]] = fresh_watch.copy()
-            happy: list[tuple[int, int, int, int]] = []
-            # The score change if every watched neighbour turned UNHAPPY, and
-            # per colour what agreeing with it gives back.
-            drop = fresh_drop
-            agree = fresh_agree.copy()
-            for u, i, p in stored:
-                cu = col_c[i]
-                lu = lab_c[i]
+        for u in adj[vtx]:
+            if u in fresh:
+                fresh_watch.append((lw * lanes[u] + cb, evidence[u]))
+                continue
+            shift = lw * lanes[u]
+            at = -1 if evidence[u] else anchor(u)
+            stored.append((shift, evidence[u], at))
+            mask |= full << shift
+            if at >= 0:
+                mask |= low << at
+        allowed = (self.base[vtx],) if self.base[vtx] else self._colours
+        # Per colour, the XOR, score change and label totals (indexed by
+        # label) of the neighbours the child does not store.
+        fresh_share = {}
+        for i in allowed:
+            xor, score, tally = 0, 0, [0, 0, 0, 0, 0]
+            for ls, ev in fresh_watch:
+                new = MAYBE_HAPPY if ev == i or not ev else UNHAPPY
+                xor |= new << ls
+                score += weight[new]
+                tally[new] += 1
+            fresh_share[i] = xor, score, tally
+
+        def plan(pattern: int) -> tuple[list, bool]:
+            """The emissions of a child solution with this pattern, in order,
+            as (score change, (XOR, count change), whether a backup), and
+            whether there is a backup among them."""
+            # Neighbours whose label can change, as (label shift, label, label
+            # on agreement, the colour agreed with or 0 for any); the coloured
+            # HAPPY ones change only in the backup.
+            watch = []
+            happy = []
+            for shift, ev, at in stored:
+                bits = pattern >> shift
+                cu = bits & low
+                lu = bits >> cb & 7
                 if cu:
                     if lu == HAPPY:
-                        happy.append((p, lu, lu, cu))
+                        happy.append((shift + cb, lu, lu, cu))
                     elif lu == ASSUMED_UNHAPPY:
-                        watch.append((p, lu, lu, cu))
-                        drop += w_unhappy - w_assumed
-                        agree[cu] += w_assumed - w_unhappy
+                        watch.append((shift + cb, lu, lu, cu))
                 elif lu == UNKNOWN:
-                    ev = evidence[u]
-                    watch.append((p, lu, MAYBE_HAPPY, ev))
-                    drop += w_unhappy
-                    if ev >= 0:
-                        agree[ev] += w_maybe - w_unhappy
+                    watch.append((shift + cb, lu, MAYBE_HAPPY, ev))
                 elif lu == MAYBE_HAPPY:
-                    bound_u = evidence[u] or col_c[anchor[u]]
-                    watch.append((p, lu, lu, bound_u))
-                    drop += w_unhappy - w_maybe
-                    agree[bound_u] += w_maybe - w_unhappy
-            happy_colours = {entry[3] for entry in happy} if happy else None
-            v_label = UNKNOWN if v_held is None else lab_c[v_held]
+                    watch.append((shift + cb, lu, lu, ev or pattern >> at & low))
+            v_label = pattern >> v_labels & 7
             # The colour a MAYBE_HAPPY vertex is bound to; 0 matches none.
-            bound = (evidence[vtx] or col_c[anchor[vtx]]) if v_label == MAYBE_HAPPY else 0
-            # The score with every watched neighbour UNHAPPY, those agreeing
-            # with any colour restored, and the vertex's own label removed.
-            floor = sol.score + drop + agree[0] - weight[v_label]
+            bound = (ev_v or pattern >> v_anchor & low) if v_label == MAYBE_HAPPY else 0
+            happy_colours = {entry[3] for entry in happy}
+            emissions, backups = [], False
             for i in allowed:
+                changing, backup = watch, False
                 if v_label == UNKNOWN:
-                    conflict = evidence[vtx] not in (0, i)
-                    labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
-                elif happy_colours and happy_colours != {i}:
-                    if not main_offers:
-                        # The happy neighbours of another colour turn UNHAPPY.
-                        score = floor + agree[i] + w_unhappy + sum(
-                            w_unhappy - w_happy for entry in happy if entry[3] != i
-                        )
-                        group = [shared, i, watch + happy, None]
-                        backup_offers.append((score, (group, UNHAPPY)))
-                    continue
+                    labs = (UNHAPPY,) if ev_v not in (0, i) else (HAPPY, ASSUMED_UNHAPPY)
+                elif happy_colours and (len(happy_colours) > 1 or i not in happy_colours):
+                    # The backup: the happy neighbours of another colour turn
+                    # UNHAPPY.
+                    changing, labs, backup = watch + happy, (UNHAPPY,), True
+                    backups = True
                 elif bound == i:
                     labs = (HAPPY, ASSUMED_UNHAPPY)
                 else:
                     labs = (UNHAPPY,)
-                at_colour = floor + agree[i]
-                group = [shared, i, watch, None]
+                xor, score, tally = fresh_share[i]
+                tally = tally.copy()
+                for ls, old, agreed, agrees_with in changing:
+                    new = agreed if agrees_with == i or not agrees_with else UNHAPPY
+                    if new != old:
+                        xor ^= (old ^ new) << ls
+                        score += weight[new] - weight[old]
+                        tally[old] -= 1
+                        tally[new] += 1
+                # The vertex's lane: its colour in, its old label out.
+                tally[v_label] -= 1
+                score -= weight[v_label]
+                xor ^= (i | v_label << cb) << v_shift
                 for lab in labs:
-                    main_offers.append((at_colour + weight[lab], (group, lab)))
+                    tally[lab] += 1
+                    change = (xor ^ lab << v_labels, (tally[1], tally[2], tally[3], tally[4]))
+                    emissions.append((score + weight[lab], change, backup))
+                    tally[lab] -= 1
+            return emissions, backups
+
+        plans: dict[int, tuple[list, bool]] = {}
+        main_offers: list[tuple[int, tuple]] = []
+        backup_offers: list[tuple[int, tuple]] = []
+        for sol in child_beam:
+            pattern = sol.state & mask
+            made = plans.get(pattern)
+            if made is None:
+                made = plans[pattern] = plan(pattern)
+            emissions, backups = made
+            score = sol.score
+            if not backups:
+                main_offers += [(score + d, (sol, change)) for d, change, _ in emissions]
+                continue
+            for d, change, backup in emissions:
+                if not backup:
+                    main_offers.append((score + d, (sol, change)))
+                elif not main_offers:
+                    backup_offers.append((score + d, (sol, change)))
         backup = Beam(self.config.width)
         if backup_offers:
             backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
         beam = self._materialise(main if main_offers else backup, idx)
-        self._layouts[child] = None
+        self._layouts[node.children[0]] = None
         return beam
 
     def _materialise(self, beam: Beam, idx: int) -> Beam:
-        """Replace each (group, label) offer in introduce node ``idx``'s
-        result by its finished entry.  Each group's colours and relabelled
-        neighbours are built once, for whichever of its labels survived.
-        The node's layout is its child's with the vertices new to N[bag]
-        appended, so a child's arrays carry over as they are, padded."""
-        node = self.nice.nodes[idx]
-        vtx = node.vertex
+        """Replace each (child solution, change) offer in introduce node
+        ``idx``'s result by its finished entry: the child's state XOR the
+        change's, its counts plus the change's.  A vertex new to N[bag] has a
+        zero lane in the child, so no child state needs padding."""
         layout = self.node_layout(idx)
-        pad = bytes(len(layout.vertices) - len(self.node_layout(node.children[0]).vertices))
-        at = layout.index[vtx]
         entries = []
-        for (group, lab), score in zip(beam.entries, beam.scores):
-            shared, colour, watch, made = group
-            if made is None:
-                sol, padded = shared
-                if padded is None:
-                    # The child's arrays padded, once per child entry.
-                    padded = shared[1] = (bytearray(sol.colours + pad), sol.labels + pad)
-                base_colours, base_labels = padded
-                base_colours[at] = colour
-                coloured = bytes(base_colours)
-                relabelled = bytearray(base_labels)
-                # Label totals indexed by label; slot 0 (UNKNOWN) is not scored.
-                tally = [0, *sol.counts]
-                for p, old, agreed, agrees_with in watch:
-                    new = agreed if agrees_with == colour or not agrees_with else UNHAPPY
-                    if new != old:
-                        relabelled[p] = new
-                        tally[old] -= 1
-                        tally[new] += 1
-                tally[base_labels[at]] -= 1
-                made = group[3] = (coloured, relabelled, tally, sol.forgotten)
-            colours, labels, tally, forgotten = made
-            labels[at] = lab
-            tally[lab] += 1
-            counts = (tally[1], tally[2], tally[3], tally[4])
-            tally[lab] -= 1
-            entries.append(
-                PartialSolution(colours, bytes(labels), counts, score, layout, forgotten)
-            )
+        for (sol, (xor, change)), score in zip(beam.entries, beam.scores):
+            c = sol.counts
+            counts = (c[0] + change[0], c[1] + change[1], c[2] + change[2], c[3] + change[3])
+            entries.append(PartialSolution(sol.state ^ xor, counts, score, layout, sol.forgotten))
         beam.entries = entries
         return beam
 
@@ -737,33 +761,34 @@ class HeuristicSolver:
 
         An ASSUMED_UNHAPPY vertex is promoted to HAPPY: all its neighbours
         are now committed and none conflicts, so it ends happy whatever
-        happens above.  Solutions agreeing on bag colours and labels collapse
-        to the best-scoring representative, keyed and ranked before any is
-        built.  While N[bag] stays the same set a survivor is its child entry
-        itself, relabelled if promoted.  A vertex that leaves N[bag] is
-        settled: its colour goes to a forget record and its label, a
-        function of the colouring, is dropped.  A coloured ring vertex next
-        to one that leaves with another colour is marked FAR_UNHAPPY, so that
-        a merge above knows of the conflict without the vertex that caused
-        it.
+        happens above.  Solutions agreeing on bag colours and labels, their
+        state masked to the bag's lanes, collapse to the best-scoring
+        representative, keyed and ranked before any is built.  While N[bag]
+        stays the same set a survivor is its child entry itself, relabelled
+        if promoted.  A vertex that leaves N[bag] is settled: its colour goes
+        to a forget record and its lane, whose label is a function of the
+        colouring, is cleared.  A coloured ring vertex next to one that
+        leaves with another colour is marked FAR_UNHAPPY, so that a merge
+        above knows of the conflict without the vertex that caused it.
         """
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
         child = node.children[0]
         layout = self.node_layout(idx)
-        child_layout = self.node_layout(child)
-        held = child_layout.index
-        p = held[vtx]
-        # The colours and labels of the bag without the forgotten vertex.
-        key_of = _key_getter([held[v] for v in sorted(node.bag)], len(child_layout.vertices))
+        lanes, cb, lw = self._lanes, self._cb, self._lw
+        low, full = (1 << cb) - 1, (1 << lw) - 1
+        # The lanes of the bag without the forgotten vertex.
+        key_mask = 0
+        for v in node.bag:
+            key_mask |= full << lw * lanes[v]
+        v_label = lw * lanes[vtx] + cb
         weights = self.weights
         # Key -> (rank, child entry, counts, promoted).
-        groups: dict[tuple, tuple[tuple[int, int], PartialSolution, tuple, bool]] = {}
+        groups: dict[int, tuple[tuple[int, int], PartialSolution, tuple, bool]] = {}
         for sol in child_beam:
-            col = sol.colours
-            lab = sol.labels
-            promoted = lab[p] == ASSUMED_UNHAPPY
+            state = sol.state
+            promoted = state >> v_label & 7 == ASSUMED_UNHAPPY
             if promoted:
                 happy, unhappy, maybe, assumed = sol.counts
                 counts = (happy + 1, unhappy, maybe, assumed - 1)
@@ -771,7 +796,7 @@ class HeuristicSolver:
             else:
                 counts = sol.counts
                 rank = (sol.score, counts[0])
-            key = key_of(col + lab)
+            key = state & key_mask
             held_group = groups.get(key)
             # The happy count breaks score ties; equal weights for happy and
             # unhappy labels would otherwise let a worse completion shadow a
@@ -780,49 +805,48 @@ class HeuristicSolver:
                 groups[key] = (rank, sol, counts, promoted)
         beam = Beam(self.config.width)
         beam.extend([(group[0][0], group) for group in groups.values()], self.rng)
-        index = layout.index
-        # The vertices that leave N[bag], with their positions in the child.
-        gone = []
-        if layout is not child_layout:
-            gone = [(u, i) for i, u in enumerate(child_layout.vertices) if u not in index]
-        # The forgotten vertex stays in the ring while a bag vertex is its
-        # neighbour.
-        at = index.get(vtx)
+        promote = (ASSUMED_UNHAPPY ^ HAPPY) << v_label
+        # The vertices that leave N[bag].  The forgotten vertex stays in the
+        # ring while a bag vertex is its neighbour.
+        gone = self._moved[idx]
         entries = []
         if not gone:
             for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
                 if promoted:
-                    labels = sol.labels[:at] + _BYTE[HAPPY] + sol.labels[at + 1 :]
-                    sol = PartialSolution(
-                        sol.colours, labels, counts, score, layout, sol.forgotten
-                    )
+                    sol = PartialSolution(sol.state ^ promote, counts, score, layout, sol.forgotten)
                 entries.append(sol)
             beam.entries = entries
             self._layouts[child] = None
             return beam
-        drop = _dropper(child_layout, layout)
-        # (its position in the child, here, and the leaving neighbour's in the
-        # child) per ring vertex next to one that leaves.
-        marks = [(held[v], index[v], i) for u, i in gone for v in self.adj[u] if v in index]
+        if vtx in gone:
+            promote = 0
+        index = layout.index
+        kept = ~sum(full << lw * lanes[u] for u in gone)
+        leaving = [(u, lw * lanes[u]) for u in gone]
+        # (the label shift of a ring vertex next to one that leaves, the
+        # colour shifts of both).
+        marks = [
+            (lw * lanes[v] + cb, lw * lanes[v], at) for u, at in leaving for v in self.adj[u] if v in index
+        ]
         check = self.config.check_invariants
         records = self._records
         for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
             if check:
-                self._check_settled(sol, [u for u, _ in gone], vtx if promoted else -1)
-            colours = sol.colours
-            labels = drop(sol.labels)
-            if promoted and at is not None:
-                labels = labels[:at] + _BYTE[HAPPY] + labels[at + 1 :]
-            for i, j, k in marks:
-                if colours[i] != colours[k]:
-                    labels = labels[:j] + _BYTE[FAR_UNHAPPY] + labels[j + 1 :]
+                self._check_settled(sol, list(gone), vtx if promoted else -1)
+            state = sol.state
+            settled = state & kept
+            if promoted:
+                settled ^= promote
+            for label_at, at, other in marks:
+                if state >> at & low != state >> other & low:
+                    settled = settled & ~(7 << label_at) | FAR_UNHAPPY << label_at
             # The colours of the vertices that leave are settled: record them.
             forgotten = sol.forgotten
-            for u, i in gone:
+            for u, at in leaving:
                 newest = len(records)
-                records += (u, colours[i], forgotten)
+                records += (u, state >> at & low, forgotten)
                 forgotten = newest
-            entries.append(PartialSolution(drop(colours), labels, counts, score, layout, forgotten))
+            entries.append(PartialSolution(settled, counts, score, layout, forgotten))
         beam.entries = entries
         self._layouts[child] = None
         return beam
@@ -836,11 +860,9 @@ class HeuristicSolver:
         list ends empty.  The returned list is the one offered to the node's
         beam, in one selection.
 
-        Both children lay out the same vertices, each in its own order; the
-        node takes its first child's layout.  Keys read each entry in its
-        own layout and an exact merge reads the second child's side through
-        a position map.  Only the nearest-partner search and the heuristic
-        merges lay entries out on the other child's layout.
+        Both children hold the same vertices in the same lanes; the node
+        takes its first child's layout, and a heuristic merge lays a second
+        child's entry out on it.
         """
         node = self.nice.nodes[idx]
         bag_set = node.bag
@@ -849,37 +871,31 @@ class HeuristicSolver:
         second_layout = self.node_layout(node.children[1])
         first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
         outer, inner = (first, second) if first_is_outer else (second, first)
-        outer_layout, inner_layout = layout, second_layout
-        if not first_is_outer:
-            outer_layout, inner_layout = inner_layout, outer_layout
-        # Match key: bag colours plus happiness designation.  UNHAPPY and
-        # ASSUMED_UNHAPPY both designate an unhappy vertex and are
+        # Match key: bag colours plus happiness designation, label bit 0 of a
+        # bag lane (whose label is HAPPY, UNHAPPY or ASSUMED_UNHAPPY).  UNHAPPY
+        # and ASSUMED_UNHAPPY both designate an unhappy vertex and are
         # interchangeable across the two sides of a join; treating them as
         # distinct would miss combinations the exact recurrence includes.
-        inner_key = _key_getter(
-            [inner_layout.index[v] for v in bag], len(inner_layout.vertices)
-        )
-        outer_key = _key_getter(
-            [outer_layout.index[v] for v in bag], len(outer_layout.vertices)
-        )
+        cb, lw, lanes = self._cb, self._lw, self._lanes
+        key_lane = (1 << cb) - 1 | 1 << cb
+        key_mask = 0
+        for v in bag:
+            key_mask |= key_lane << lw * lanes[v]
         # Index the inner list best-first so each key maps to its best-scoring
         # partner; with every valid tuple present this realizes the exact
         # join's maximisation.  Happy count orders ties.
         inner_entries = sorted(inner.entries, key=entry_rank, reverse=True)
-        partners: dict[tuple, PartialSolution] = {}
+        partners: dict[int, PartialSolution] = {}
         for inner_sol in inner_entries:
-            key = inner_key(inner_sol.colours + inner_sol.labels.translate(_DESIGNATION))
-            partners.setdefault(key, inner_sol)
+            partners.setdefault(inner_sol.state & key_mask, inner_sol)
         # Entries of the second child laid out on the node, by identity.
         aligned: dict[int, PartialSolution] = {}
         exact: list[tuple[int, PartialSolution]] = []
         backup: list[tuple[int, PartialSolution]] = []
         weights: tuple[int, ...] | None = None
-        candidates: list[PartialSolution] | None = None
         per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
         for outer_sol in outer:
-            key = outer_key(outer_sol.colours + outer_sol.labels.translate(_DESIGNATION))
-            partner = partners.get(key)
+            partner = partners.get(outer_sol.state & key_mask)
             if partner is not None:
                 # The union does not depend on the order of its sides; the
                 # first child's side first gives it the node's layout.
@@ -889,24 +905,21 @@ class HeuristicSolver:
             elif not exact:
                 if weights is None or per_outer:
                     weights = self.distance_weights(bag, outer_sol)
-                if candidates is None:
-                    # The inner list laid out as the outer side, so that each
-                    # distance reads both sides at the same positions.
-                    candidates = list(map(_relayer(inner_layout, outer_layout), inner_entries))
-                    second_on_node = _relayer(second_layout, layout)
                 # The first nearest in best-first order.
-                nearest = inner_entries[
-                    min(
-                        range(len(candidates)),
-                        key=lambda t: self.tuple_distance(bag, outer_sol, candidates[t], weights),
-                    )
-                ]
+                nearest = min(
+                    inner_entries, key=lambda sol: self.tuple_distance(bag, outer_sol, sol, weights)
+                )
                 # Both on the node's layout, the outer side first.
                 pair = [outer_sol, nearest]
                 side = 1 if first_is_outer else 0
                 made = aligned.get(id(pair[side]))
                 if made is None:
-                    made = aligned[id(pair[side])] = second_on_node(pair[side])
+                    sol = pair[side]
+                    made = aligned[id(sol)] = (
+                        sol
+                        if second_layout is layout
+                        else PartialSolution(sol.state, sol.counts, sol.score, layout, sol.forgotten)
+                    )
                 pair[side] = made
                 for merged in self.merge_heuristic(*pair, bag, bag_set):
                     backup.append((merged.score, merged))
@@ -919,15 +932,6 @@ class HeuristicSolver:
 
     # -- join helpers -----------------------------------------------------
 
-    def _bag_at(self, layout: Layout, bag: tuple[int, ...]) -> tuple[int, ...]:
-        """The positions of ``bag``'s vertices in ``layout``; the last ones
-        asked for are kept."""
-        held_layout, held_bag, at = self._bag_at_for
-        if held_layout is not layout or held_bag is not bag:
-            at = tuple(map(layout.index.__getitem__, bag))
-            self._bag_at_for = (layout, bag, at)
-        return at
-
     def tuple_distance(
         self,
         bag: tuple[int, ...],
@@ -935,22 +939,36 @@ class HeuristicSolver:
         b: PartialSolution,
         weights: tuple[int, ...] | None = None,
     ) -> int:
-        """Weighted disagreement between two solutions on the bag, laid out
-        on one layout.
+        """Weighted disagreement between two solutions on the bag, whose
+        lanes they share.
 
         Each bag vertex contributes its weight once for a colour mismatch and
         once for a label mismatch.  Border-based weights are taken with
         respect to the first solution; ``weights``, when given, must be
-        ``distance_weights(bag, a)``.
+        ``distance_weights(bag, a)``.  The states' XOR is folded to a
+        colour-differs bit (bit 0) and a label-differs bit (bit 1) per lane,
+        and each distinct weight counts its lanes' bits by popcount.
         """
         if weights is None:
             weights = self.distance_weights(bag, a)
-        a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
-        held = self._bag_at_for
-        at = held[2] if held[0] is a.layout and held[1] is bag else self._bag_at(a.layout, bag)
+        held_layout, held_bag, held_weights, masks = self._masks_for
+        if held_layout is not a.layout or held_bag is not bag or held_weights is not weights:
+            # Per distinct weight, bits 0 and 1 of its bag vertices' lanes.
+            by_weight: dict[int, int] = {}
+            for w, v in zip(weights, bag):
+                if w:
+                    by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * a.layout.index[v]
+            masks = tuple(by_weight.items())
+            self._masks_for = (a.layout, bag, weights, masks)
+        diff, ones = a.state ^ b.state, self._ones
+        colours = folded = diff & self._colour_field
+        for shift in range(1, self._cb):
+            folded |= colours >> shift
+        labels = diff >> self._cb & self._label_field
+        differs = folded & ones | ((labels | labels >> 1 | labels >> 2) & ones) << 1
         total = 0
-        for w, i in zip(weights, at):
-            total += w * ((a_col[i] != b_col[i]) + (a_lab[i] != b_lab[i]))
+        for w, mask in masks:
+            total += w * (differs & mask).bit_count()
         return total
 
     def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
@@ -964,13 +982,14 @@ class HeuristicSolver:
             return (1,) * len(bag)
         bag_set = frozenset(bag)
         index = outer.layout.index
-        colours, labels = outer.colours, outer.labels
+        state, cb, lw = outer.state, self._cb, self._lw
+        low = (1 << cb) - 1
         weights = []
         for v in bag:
             count = 0
             for u in self.adj[v]:
-                i = index[u]
-                count += test(u, bag_set, colours[i], labels[i])
+                bits = state >> lw * index[u]
+                count += test(u, bag_set, bits & low, bits >> cb & 7)
             weights.append(min(count, 1) if capped else count)
         return tuple(weights)
 
@@ -978,72 +997,39 @@ class HeuristicSolver:
         self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
     ) -> PartialSolution:
         """Union two solutions of a join's children that agree on the bag's
-        colours and designations, laid out as ``a``.
+        colours and designations, laid out as ``a`` and in ``a``'s lanes.
 
         Colours and settled labels come from each side's own territory.  The
         territories meet only on the bag, and an uncoloured vertex with a
         label is a neighbour of the bag (the premise in the module
-        docstring), so only N[bag] is looked at.  On the bag an UNHAPPY label
-        on either side wins over ASSUMED_UNHAPPY: the conflict that justified
-        it persists in the union.  On the ring a vertex coloured on one side
-        keeps that side's colour and label; an uncoloured one has committed
-        neighbours only in the bag, whose colours both sides share, so both
-        sides already give it the label the union does.
+        docstring), so only N[bag] is looked at, and the bag's lanes are the
+        ones both sides colour.  There an UNHAPPY label on b's side wins over
+        ASSUMED_UNHAPPY: the conflict that justified it persists in the
+        union.  On the ring a vertex coloured only on b's side takes b's lane;
+        an uncoloured one has committed neighbours only in the bag, whose
+        colours both sides share, so both sides already give it the label the
+        union does.  The counts are a's plus b's, less b's on the lanes it
+        keeps and a's on the lanes it gives up, popcounted.
         """
-        held_a, held_b, held_bag, pairing = self._pairing_for
-        if held_a is not a.layout or held_b is not b.layout or held_bag is not bag_set:
-            pairing = self._pairing(a.layout, b.layout, bag_set)
-            self._pairing_for = (a.layout, b.layout, bag_set, pairing)
-        b_colours, b_labels = b.colours, b.labels
-        colours = bytearray(a.colours)
-        labels = bytearray(a.labels)
-        # Label totals moved off a's labels, indexed by label.
-        moved = [0, 0, 0, 0, 0, 0]
-        bag_pairs, ring_pairs = pairing
-        for i, j in bag_pairs:
-            if b_labels[j] == UNHAPPY and labels[i] != UNHAPPY:
-                moved[labels[i]] -= 1
-                moved[UNHAPPY] += 1
-                labels[i] = UNHAPPY
-        for i, j in ring_pairs:
-            c = b_colours[j]
-            if c and not colours[i]:
-                colours[i] = c
-                new = b_labels[j]
-                moved[labels[i]] -= 1
-                moved[new] += 1
-                labels[i] = new
-        # a's counts, b's away from N[bag], and the moves on N[bag].
-        ca, cb, count = a.counts, b.counts, b_labels.count
+        sa, sb = a.state, b.state
+        a_coloured, b_coloured = self._coloured(sa), self._coloured(sb)
+        cb = self._cb
+        taken = (sa ^ sb) & (b_coloured & ~a_coloured) * ((1 << self._lw) - 1)
+        # Bag lanes whose label bit 1 (UNHAPPY) only b has: a's 100 to 010.
+        fix = (sb & ~sa) >> cb + 1 & a_coloured & b_coloured
+        state = sa ^ taken ^ (fix * 6) << cb
+        dropped = self._lane_counts(sb ^ taken)
+        fixed = fix.bit_count()
+        ca, cb_ = a.counts, b.counts
         counts = (
-            ca[0] + cb[0] - count(HAPPY) + moved[HAPPY],
-            ca[1] + cb[1] - count(UNHAPPY) - count(FAR_UNHAPPY)
-            + moved[UNHAPPY] + moved[FAR_UNHAPPY],
-            ca[2] + cb[2] - count(MAYBE_HAPPY) + moved[MAYBE_HAPPY],
-            ca[3] + cb[3] - count(ASSUMED_UNHAPPY) + moved[ASSUMED_UNHAPPY],
+            ca[0] + cb_[0] - dropped[0],
+            ca[1] + cb_[1] - dropped[1] + fixed,
+            ca[2] + cb_[2] - dropped[2],
+            ca[3] + cb_[3] - dropped[3] - fixed,
         )
         w = self._label_weight
         score = w[1] * counts[0] + w[2] * counts[1] + w[3] * counts[2] + w[4] * counts[3]
-        older_a, older_b = a.forgotten, b.forgotten
-        if older_a < 0 or older_b < 0:
-            forgotten = max(older_a, older_b)
-        else:
-            forgotten = self._record(-1, older_a, older_b)
-        return PartialSolution(bytes(colours), bytes(labels), counts, score, a.layout, forgotten)
-
-    @staticmethod
-    def _pairing(
-        a_layout: Layout, b_layout: Layout, bag_set: frozenset[int]
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """Per vertex of ``a_layout`` in ``bag_set``, then per other vertex:
-        its position there and in ``b_layout``, which lists them all."""
-        index = b_layout.index
-        pairs = [(i, index[v]) for i, v in enumerate(a_layout.vertices)]
-        bag_at = set(map(a_layout.index.__getitem__, bag_set))
-        return (
-            tuple(pair for pair in pairs if pair[0] in bag_at),
-            tuple(pair for pair in pairs if pair[0] not in bag_at),
-        )
+        return PartialSolution(state, counts, score, a.layout, self._joined(a, b))
 
     def merge_heuristic(
         self,
@@ -1065,15 +1051,42 @@ class HeuristicSolver:
             ]
         return [self._merge_greedy(outer, inner, bag, bag_set)]
 
+    def _union_counts(
+        self, a: PartialSolution, b: PartialSolution, labels: bytearray
+    ) -> tuple[int, int, int, int]:
+        """The counts of a join's merge of ``a`` and ``b`` whose N[bag] labels
+        are ``labels``: each side's counts away from N[bag], where the two sides
+        never overlap, plus the merged labels' own."""
+        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), label_counts(labels)
+        return (
+            a.counts[0] + b.counts[0] - ta[0] - tb[0] + tn[0],
+            a.counts[1] + b.counts[1] - ta[1] - tb[1] + tn[1],
+            a.counts[2] + b.counts[2] - ta[2] - tb[2] + tn[2],
+            a.counts[3] + b.counts[3] - ta[3] - tb[3] + tn[3],
+        )
+
+    def _merged(
+        self, layout: Layout, colours: bytearray, labels: bytearray, a: PartialSolution, b: PartialSolution
+    ) -> PartialSolution:
+        """The entry of a heuristic merge of ``a`` and ``b`` with these
+        lane-indexed arrays."""
+        counts = self._union_counts(a, b, labels)
+        return PartialSolution(
+            self._pack(layout, colours, labels),
+            counts,
+            evaluate(self.weights, counts),
+            layout,
+            self._joined(a, b),
+        )
+
     def _merge_copy(
         self, primary: PartialSolution, secondary: PartialSolution, bag_set: frozenset[int]
     ) -> PartialSolution:
         layout = primary.layout
-        vertices, ring = layout.vertices, self._ring(layout, bag_set)
-        colours = bytearray(primary.colours)
-        labels = bytearray(primary.labels)
-        s_colours = secondary.colours
-        s_labels = secondary.labels
+        ring = self._ring(layout, bag_set)
+        bag_lanes = {layout.index[v] for v in bag_set}
+        colours, labels = self._unpack(primary)
+        s_colours, s_labels = self._unpack(secondary)
         # Secondary's territory off the bag moves over.  Away from N[bag] its
         # colours and labels stay as they are: every neighbour there moves
         # with it.
@@ -1091,22 +1104,14 @@ class HeuristicSolver:
                 cu = colours[j]
                 if cu and cu != cv:
                     conflict = True
-                    if vertices[j] in bag_set and labels[j] in (HAPPY, ASSUMED_UNHAPPY):
+                    if j in bag_lanes and labels[j] in (HAPPY, ASSUMED_UNHAPPY):
                         labels[j] = UNHAPPY
             if labels[i] != FAR_UNHAPPY:
                 labels[i] = UNHAPPY if conflict else HAPPY
         for i, _, near, far in ring:
             if not colours[i]:
                 labels[i] = self._ring_label(colours, near, far)
-        counts = _union_counts(primary, secondary, labels)
-        return PartialSolution(
-            bytes(colours),
-            bytes(labels),
-            counts,
-            evaluate(self.weights, counts),
-            layout,
-            self._joined(primary, secondary),
-        )
+        return self._merged(layout, colours, labels, primary, secondary)
 
     def _merge_greedy(
         self,
@@ -1116,11 +1121,11 @@ class HeuristicSolver:
         bag_set: frozenset[int],
     ) -> PartialSolution:
         layout = a.layout
-        size = len(layout.vertices)
-        vertices, index, ring = layout.vertices, layout.index, self._ring(layout, bag_set)
-        colours = bytearray(size)
-        labels = bytearray(size)
-        a_col, a_lab, b_col, b_lab = a.colours, a.labels, b.colours, b.labels
+        index, ring = layout.index, self._ring(layout, bag_set)
+        colours = bytearray(self.n)
+        labels = bytearray(self.n)
+        a_col, a_lab = self._unpack(a)
+        b_col, b_lab = self._unpack(b)
         for i, _, _, _ in ring:
             if a_col[i]:
                 colours[i] = a_col[i]
@@ -1128,9 +1133,10 @@ class HeuristicSolver:
             elif b_col[i]:
                 colours[i] = b_col[i]
                 labels[i] = b_lab[i]
-        # Bag positions in the order of ``bag``, which the adoption and the
-        # RNG draws follow.
+        # Bag lanes in the order of ``bag``, which the adoption and the RNG
+        # draws follow.
         order = [index[v] for v in bag]
+        vertex_at = dict(zip(order, bag))
         matched = set()
         for i in order:
             if a_col[i] == b_col[i]:
@@ -1142,7 +1148,7 @@ class HeuristicSolver:
 
         def consistent(i: int) -> bool:
             cv = colours[i]
-            for u in adj[vertices[i]]:
+            for u in adj[vertex_at[i]]:
                 cu = colours[index[u]]
                 if cu:
                     if cu != cv:
@@ -1154,7 +1160,7 @@ class HeuristicSolver:
         def adopt(i: int, lab: int) -> None:
             labels[i] = lab
             if lab in (HAPPY, ASSUMED_UNHAPPY):
-                for u in adj[vertices[i]]:
+                for u in adj[vertex_at[i]]:
                     j = index[u]
                     if u in bag_set and colours[j] == 0:
                         colours[j] = colours[i]
@@ -1190,15 +1196,7 @@ class HeuristicSolver:
             elif labels[i] != FAR_UNHAPPY:
                 conflict = any(colours[j] not in (0, cv) for j, _ in near)
                 labels[i] = UNHAPPY if conflict else HAPPY
-        counts = _union_counts(a, b, labels)
-        return PartialSolution(
-            bytes(colours),
-            bytes(labels),
-            counts,
-            evaluate(self.weights, counts),
-            layout,
-            self._joined(a, b),
-        )
+        return self._merged(layout, colours, labels, a, b)
 
     # -- full solve ---------------------------------------------------------
 
@@ -1257,7 +1255,7 @@ class HeuristicSolver:
         colours = self._colouring(sol)
         index = sol.layout.index
         for u in gone:
-            stored = HAPPY if u == promoted else sol.labels[index[u]]
+            stored = HAPPY if u == promoted else sol.state >> self._lw * index[u] + self._cb & 7
             clash = any(colours[w] != colours[u] for w in self.adj[u])
             assert stored == (UNHAPPY if clash else HAPPY) or (clash and stored == FAR_UNHAPPY), (
                 f"vertex {u} leaves N[bag] labelled {stored}, its colouring says otherwise"
@@ -1273,20 +1271,20 @@ class HeuristicSolver:
         assert set(layout.vertices) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
-            # Laid out on the node, or over every vertex when made from arrays.
+            # Laid out on the node, or over every vertex when made from arrays,
+            # with no bits outside its lanes.
             laid = sol.layout
-            assert laid is self._everything or laid.vertices == layout.vertices, (
+            assert laid is self._everything or laid.index == layout.index, (
                 f"node {idx}: foreign layout"
             )
-            colours, labels = sol.colours, sol.labels
-            assert type(colours) is type(labels) is bytes, f"node {idx}: entry without bytes"
-            assert len(colours) == len(labels) == len(laid.vertices)
+            lanes = sum(((1 << self._lw) - 1) << self._lw * lane for lane in laid.index.values())
+            assert type(sol.state) is int and not sol.state & ~lanes, f"node {idx}: stray lanes"
             full_colours, full_labels = self.arrays(sol)
             assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from labels"
             assert evaluate(self.weights, sol.counts) == sol.score
             # FAR_UNHAPPY marks exactly the coloured ring vertices with a
             # conflicting neighbour outside the layout.
-            for v, cv, lab in zip(laid.vertices, colours, labels):
+            for v, cv, lab in self._read(sol):
                 far_clash = cv and any(
                     full_colours[u] != cv for u in self.adj[v] if u not in laid.index
                 )

@@ -407,28 +407,32 @@ def _decomposes(g: Graph, nice: NiceTreeDecomposition) -> bool:
     if nice.n != g.n or nice.nodes[nice.root].bag:
         return False
     nodes = nice.nodes
+    forget, introduce, join = NodeKind.FORGET, NodeKind.INTRODUCE, NodeKind.JOIN
     forgotten = bytearray(g.n)
     for node in nodes:
         kind, bag = node.kind, node.bag
-        if kind == NodeKind.LEAF:
-            if bag:
+        if kind == forget:
+            u = node.vertex
+            child_bag = nodes[node.children[0]].bag
+            if forgotten[u] or u in bag or u not in child_bag or len(bag) + 1 != len(child_bag):
                 return False
-            continue
-        child_bag = nodes[node.children[0]].bag
-        if kind == NodeKind.JOIN:
+            if not bag <= child_bag:
+                return False
+            if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
+                return False
+            forgotten[u] = 1
+        elif kind == introduce:
+            u = node.vertex
+            child_bag = nodes[node.children[0]].bag
+            if u in child_bag or u not in bag or len(bag) != len(child_bag) + 1:
+                return False
+            if not child_bag <= bag:
+                return False
+        elif kind == join:
             if any(nodes[c].bag != bag for c in node.children):
                 return False
-            continue
-        u = node.vertex
-        if kind == NodeKind.INTRODUCE:
-            if u in child_bag or bag != child_bag | {u}:
-                return False
-            continue
-        if forgotten[u] or u not in child_bag or bag != child_bag - {u}:
+        elif bag:
             return False
-        if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
-            return False
-        forgotten[u] = 1
     return all(forgotten)
 
 

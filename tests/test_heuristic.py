@@ -381,7 +381,7 @@ def test_forget_marks_a_conflict_that_leaves_n_bag():
         beam = Beam(8)
         beam.insert(solver.entry(colours, [HAPPY] * 5, node=child), solver.rng)
         sol = solver.handle_forget(idx, beam).best()
-        assert sol.labels[sol.layout.index[v]] == expected
+        assert {u: lab for u, _, lab in solver._read(sol)}[v] == expected
         assert solver.arrays(sol)[1][v] == (UNHAPPY if expected == FAR_UNHAPPY else HAPPY)
 
 
@@ -651,7 +651,7 @@ def test_beam_never_exceeds_capacity_and_orders_by_score():
     beam = Beam(5)
     for i in range(50):
         counts = (i % 7, 0, 0, 0)
-        sol = PartialSolution(b"", b"", counts, counts[0])
+        sol = PartialSolution(0, counts, counts[0])
         beam.insert(sol, rng)
         scores = [s.score for s in beam]
         assert scores == sorted(scores)
@@ -663,9 +663,9 @@ def test_beam_never_exceeds_capacity_and_orders_by_score():
 def test_beam_discards_strictly_worst_newcomer():
     rng = random.Random(9)
     beam = Beam(2)
-    beam.insert(PartialSolution(b"", b"", (5, 0, 0, 0), 5), rng)
-    beam.insert(PartialSolution(b"", b"", (7, 0, 0, 0), 7), rng)
-    assert not beam.insert(PartialSolution(b"", b"", (1, 0, 0, 0), 1), rng)
+    beam.insert(PartialSolution(0, (5, 0, 0, 0), 5), rng)
+    beam.insert(PartialSolution(0, (7, 0, 0, 0), 7), rng)
+    assert not beam.insert(PartialSolution(0, (1, 0, 0, 0), 1), rng)
     assert [s.score for s in beam] == [5, 7]
 
 
@@ -674,7 +674,7 @@ def test_beam_eviction_among_worst_is_seeded_random():
     for seed in range(30):
         rng = random.Random(seed)
         beam = Beam(2)
-        sols = [PartialSolution(b"", b"", (0, 0, 0, 0), 3) for _ in range(3)]
+        sols = [PartialSolution(0, (0, 0, 0, 0), 3) for _ in range(3)]
         for sol in sols:  # first, second, newcomer
             beam.insert(sol, rng)
         seen.add(tuple(map(sols.index, beam)))
@@ -684,7 +684,7 @@ def test_beam_eviction_among_worst_is_seeded_random():
 def test_beam_equal_scores_keep_insertion_order():
     rng = random.Random(1)
     beam = Beam(10)
-    sols = [PartialSolution(b"", b"", (0, 0, 0, 0), 4) for _ in range(4)]
+    sols = [PartialSolution(0, (0, 0, 0, 0), 4) for _ in range(4)]
     for sol in sols:
         beam.insert(sol, rng)
     assert list(beam) == sols
@@ -720,7 +720,7 @@ def _selection_calls(capacity, seed):
         offers = []
         for _ in range(draw.randint(0, 2 * capacity + 5)):
             score = draw.randint(-spread, spread)
-            offers.append((score, PartialSolution(b"", b"", (made, 0, 0, 0), score)))
+            offers.append((score, PartialSolution(0, (made, 0, 0, 0), score)))
             made += 1
         yield beam, rng, offers
 

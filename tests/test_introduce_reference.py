@@ -146,7 +146,7 @@ def test_beam_matches_insort_reference(capacity):
         beam, reference = Beam(capacity), ReferenceBeam(capacity)
         rng, rng_ref = random.Random(seed), random.Random(seed)
         for _ in range(60):
-            sol = PartialSolution(b"", b"", (0, 0, 0, 0), offers.randint(-3, 3))
+            sol = PartialSolution(0, (0, 0, 0, 0), offers.randint(-3, 3))
             # Full and below the worst score: turned down without a draw.
             rejects = len(beam) >= capacity and sol.score < beam.scores[0]
             before = rng.getstate()
@@ -163,7 +163,7 @@ def _offers(rng, count):
     per run."""
     spread = rng.choice((1, 3, 10))
     return [
-        PartialSolution(b"", b"", (0, 0, 0, 0), rng.randint(-spread, spread)) for _ in range(count)
+        PartialSolution(0, (0, 0, 0, 0), rng.randint(-spread, spread)) for _ in range(count)
     ]
 
 

@@ -85,12 +85,17 @@ def test_entries_store_only_the_closed_neighbourhood_of_the_bag(make):
     inst = make()
     g = inst.graph
     solver = HeuristicSolver(g, inst.colouring, _nice(inst))
+    lane = (1 << solver._lw) - 1
     checked = 0
     for idx, beam in solver.beams():
         bag = solver.nice.nodes[idx].bag
         near = len(bag.union(*(g.adjacency[v] for v in bag)))
         for sol in beam:
-            assert len(sol.colours) <= near and len(sol.labels) <= near, f"node {idx}"
+            # At most |N[bag]| lanes, no two vertices in one, no bit outside.
+            lanes = list(sol.layout.index.values())
+            held = sum(lane << solver._lw * at for at in lanes)
+            assert len(set(lanes)) == len(lanes) <= near, f"node {idx}"
+            assert not sol.state & ~held, f"node {idx}"
             checked += 1
     assert checked > 0
 
