@@ -29,13 +29,11 @@ neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
 colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
 UNHAPPY.  The rule rests on two premises that ``check_invariants`` asserts:
 committed colours only grow and extend the input, and every stored label
-equals ``_border_label``.  The introduce works in three phases.  It groups
-its child solutions by the lanes it reads and, once per distinct pattern and
-colour, works out what colouring the vertex changes: one XOR over the state
-and one change of the four counts, which also gives the score.  The
-emissions are collected by score alone, each pointing at its child solution
-and change, and selected from once per list.  Last, each offer that survives
-the node is built as its child's state XOR the change.
+equals ``_border_label``.  The introduce works out what colouring the vertex
+changes once per colour and distinct pattern of the lanes it reads: one XOR
+over the state and one change of the counts and score.  It selects from the
+emissions by score alone and builds only the survivors, each as its child's
+state XOR the change.
 
 An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] (its ``Layout``) packed into one int, its
@@ -324,6 +322,7 @@ class HeuristicSolver:
         N[bag] hold different lanes.
         """
         nodes, adj = self.nice.nodes, self.adj
+        forget, introduce = NodeKind.FORGET, NodeKind.INTRODUCE
         lanes = [0] * self.n
         moved: list[tuple[int, ...]] = [()] * len(nodes)
         near = [0] * self.n
@@ -334,24 +333,24 @@ class HeuristicSolver:
             if idx < 0:
                 # Back up over node ~idx: undo its step.
                 node = nodes[~idx]
-                v = node.vertex
-                if node.kind == NodeKind.FORGET:
-                    for u in (v, *adj[v]):
+                closed = (node.vertex, *adj[node.vertex])
+                if node.kind == forget:
+                    for u in closed:
                         near[u] -= 1
-                        if not near[u]:
-                            taken[lanes[u]] = 0
+                    for u in moved[~idx]:
+                        taken[lanes[u]] = 0
                 else:
-                    for u in (v, *adj[v]):
+                    for u in closed:
                         near[u] += 1
-                        if near[u] == 1:
-                            taken[lanes[u]] = 1
+                    for u in moved[~idx]:
+                        taken[lanes[u]] = 1
                 continue
             node = nodes[idx]
-            v = node.vertex
-            if node.kind == NodeKind.FORGET:
-                # Below, the bag holds v.
+            kind = node.kind
+            if kind == forget:
+                # Below, the bag holds the vertex.
                 gone = []
-                for u in (v, *adj[v]):
+                for u in (node.vertex, *adj[node.vertex]):
                     near[u] += 1
                     if near[u] == 1:
                         lanes[u] = lane = taken.find(0)
@@ -359,9 +358,9 @@ class HeuristicSolver:
                         gone.append(u)
                 moved[idx] = tuple(gone)
                 stack.append(~idx)
-            elif node.kind == NodeKind.INTRODUCE:
+            elif kind == introduce:
                 new = []
-                for u in (v, *adj[v]):
+                for u in (node.vertex, *adj[node.vertex]):
                     near[u] -= 1
                     if not near[u]:
                         taken[lanes[u]] = 0
