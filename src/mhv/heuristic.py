@@ -549,14 +549,6 @@ class HeuristicSolver:
             labels[lane] = bits >> cb & 7
         return colours, labels
 
-    def _pack(self, layout: Layout, colours: bytearray, labels: bytearray) -> int:
-        """The state of lane-indexed arrays over ``layout``."""
-        cb, lw = self._cb, self._lw
-        state = 0
-        for lane in layout.index.values():
-            state |= (colours[lane] | labels[lane] << cb) << lw * lane
-        return state
-
     # -- node handlers ----------------------------------------------------
 
     def handle_leaf(self, idx: int) -> Beam:
@@ -959,12 +951,9 @@ class HeuristicSolver:
                     by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * a.layout.index[v]
             masks = tuple(by_weight.items())
             self._masks_for = (a.layout, bag, weights, masks)
-        diff, ones = a.state ^ b.state, self._ones
-        colours = folded = diff & self._colour_field
-        for shift in range(1, self._cb):
-            folded |= colours >> shift
+        diff = a.state ^ b.state
         labels = diff >> self._cb & self._label_field
-        differs = folded & ones | ((labels | labels >> 1 | labels >> 2) & ones) << 1
+        differs = self._coloured(diff) | ((labels | labels >> 1 | labels >> 2) & self._ones) << 1
         total = 0
         for w, mask in masks:
             total += w * (differs & mask).bit_count()
@@ -1050,33 +1039,26 @@ class HeuristicSolver:
             ]
         return [self._merge_greedy(outer, inner, bag, bag_set)]
 
-    def _union_counts(
-        self, a: PartialSolution, b: PartialSolution, labels: bytearray
-    ) -> tuple[int, int, int, int]:
-        """The counts of a join's merge of ``a`` and ``b`` whose N[bag] labels
-        are ``labels``: each side's counts away from N[bag], where the two sides
-        never overlap, plus the merged labels' own."""
-        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), label_counts(labels)
-        return (
-            a.counts[0] + b.counts[0] - ta[0] - tb[0] + tn[0],
-            a.counts[1] + b.counts[1] - ta[1] - tb[1] + tn[1],
-            a.counts[2] + b.counts[2] - ta[2] - tb[2] + tn[2],
-            a.counts[3] + b.counts[3] - ta[3] - tb[3] + tn[3],
-        )
-
     def _merged(
         self, layout: Layout, colours: bytearray, labels: bytearray, a: PartialSolution, b: PartialSolution
     ) -> PartialSolution:
-        """The entry of a heuristic merge of ``a`` and ``b`` with these
-        lane-indexed arrays."""
-        counts = self._union_counts(a, b, labels)
-        return PartialSolution(
-            self._pack(layout, colours, labels),
-            counts,
-            evaluate(self.weights, counts),
-            layout,
-            self._joined(a, b),
+        """The entry over ``layout`` of a join's heuristic merge of ``a`` and
+        ``b`` whose N[bag] lanes hold ``colours`` and ``labels`` (arrays
+        indexed by lane).  Its counts are each side's counts away from N[bag],
+        where the two sides never overlap, plus the merged labels' own."""
+        cb, lw = self._cb, self._lw
+        state = 0
+        for lane in layout.index.values():
+            state |= (colours[lane] | labels[lane] << cb) << lw * lane
+        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), label_counts(labels)
+        ca, cb_ = a.counts, b.counts
+        counts = (
+            ca[0] + cb_[0] - ta[0] - tb[0] + tn[0],
+            ca[1] + cb_[1] - ta[1] - tb[1] + tn[1],
+            ca[2] + cb_[2] - ta[2] - tb[2] + tn[2],
+            ca[3] + cb_[3] - ta[3] - tb[3] + tn[3],
         )
+        return PartialSolution(state, counts, evaluate(self.weights, counts), layout, self._joined(a, b))
 
     def _merge_copy(
         self, primary: PartialSolution, secondary: PartialSolution, bag_set: frozenset[int]
