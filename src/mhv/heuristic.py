@@ -486,26 +486,22 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _ring(
-        self, layout: Layout, bag_set: frozenset[int]
-    ) -> tuple[tuple[int, int, tuple, frozenset[int]], ...]:
-        """Per vertex of ``layout`` outside ``bag_set``: its lane, the
-        vertex, its neighbours in the layout as (lane, input colour), and the
-        input colours of its other neighbours.  The last table is kept."""
+    def _ring(self, layout: Layout, bag_set: frozenset[int]) -> dict[int, tuple[tuple, frozenset[int]]]:
+        """Per vertex of ``layout`` outside ``bag_set``, by its lane: its
+        neighbours in the layout as (lane, input colour), and the input
+        colours of its other neighbours.  The last table is kept."""
         held_layout, held_bag, ring = self._ring_for
         if held_layout is layout and held_bag is bag_set:
             return ring
         base, index = self.base, layout.index
-        ring = tuple(
-            (
-                i,
-                v,
+        ring = {
+            i: (
                 tuple((index[u], base[u]) for u in self.adj[v] if u in index),
                 frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
             )
             for v, i in index.items()
             if v not in bag_set
-        )
+        }
         self._ring_for = (layout, bag_set, ring)
         return ring
 
@@ -1040,23 +1036,19 @@ class HeuristicSolver:
         return [self._merge_greedy(outer, inner, bag, bag_set)]
 
     def _merged(
-        self, layout: Layout, colours: bytearray, labels: bytearray, a: PartialSolution, b: PartialSolution
+        self, layout: Layout, state: int, a: PartialSolution, b: PartialSolution
     ) -> PartialSolution:
         """The entry over ``layout`` of a join's heuristic merge of ``a`` and
-        ``b`` whose N[bag] lanes hold ``colours`` and ``labels`` (arrays
-        indexed by lane).  Its counts are each side's counts away from N[bag],
-        where the two sides never overlap, plus the merged labels' own."""
-        cb, lw = self._cb, self._lw
-        state = 0
-        for lane in layout.index.values():
-            state |= (colours[lane] | labels[lane] << cb) << lw * lane
-        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), label_counts(labels)
-        ca, cb_ = a.counts, b.counts
+        ``b`` whose N[bag] is ``state``.  Its counts are each side's counts
+        away from N[bag], where the two sides never overlap, plus those of
+        ``state``."""
+        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), self._lane_counts(state)
+        ca, cb = a.counts, b.counts
         counts = (
-            ca[0] + cb_[0] - ta[0] - tb[0] + tn[0],
-            ca[1] + cb_[1] - ta[1] - tb[1] + tn[1],
-            ca[2] + cb_[2] - ta[2] - tb[2] + tn[2],
-            ca[3] + cb_[3] - ta[3] - tb[3] + tn[3],
+            ca[0] + cb[0] - ta[0] - tb[0] + tn[0],
+            ca[1] + cb[1] - ta[1] - tb[1] + tn[1],
+            ca[2] + cb[2] - ta[2] - tb[2] + tn[2],
+            ca[3] + cb[3] - ta[3] - tb[3] + tn[3],
         )
         return PartialSolution(state, counts, evaluate(self.weights, counts), layout, self._joined(a, b))
 
@@ -1066,33 +1058,35 @@ class HeuristicSolver:
         layout = primary.layout
         ring = self._ring(layout, bag_set)
         bag_lanes = {layout.index[v] for v in bag_set}
-        colours, labels = self._unpack(primary)
-        s_colours, s_labels = self._unpack(secondary)
-        # Secondary's territory off the bag moves over.  Away from N[bag] its
-        # colours and labels stay as they are: every neighbour there moves
-        # with it.
-        moved = [r for r in ring if s_colours[r[0]] and not colours[r[0]]]
-        for i, _, _, _ in moved:
-            colours[i] = s_colours[i]
-            labels[i] = s_labels[i]
+        cb, lw = self._cb, self._lw
+        low = (1 << cb) - 1
+        p, s = primary.state, secondary.state
+        # Secondary's territory off the bag, the lanes only it colours, moves
+        # over.  Away from N[bag] its colours and labels stay as they are:
+        # every neighbour there moves with it.  An uncoloured ring vertex has
+        # committed neighbours only in the bag, whose colours are primary's,
+        # so its label stands.
+        moved = self._coloured(s) & ~self._coloured(p)
+        state = p ^ (p ^ s) & moved * ((1 << lw) - 1)
         # The only possible clashes run between the bag (primary's decisions)
         # and the moved vertices; settle both endpoints of each clash.  A
         # clash away from N[bag] stays, marked FAR_UNHAPPY.
-        for i, _, near, _ in moved:
-            cv = colours[i]
+        while moved:
+            at = (moved & -moved).bit_length() - 1
+            moved &= moved - 1
+            cv = state >> at & low
             conflict = False
-            for j, _ in near:
-                cu = colours[j]
+            for j, _ in ring[at // lw][0]:
+                cu = state >> lw * j & low
                 if cu and cu != cv:
                     conflict = True
-                    if j in bag_lanes and labels[j] in (HAPPY, ASSUMED_UNHAPPY):
-                        labels[j] = UNHAPPY
-            if labels[i] != FAR_UNHAPPY:
-                labels[i] = UNHAPPY if conflict else HAPPY
-        for i, _, near, far in ring:
-            if not colours[i]:
-                labels[i] = self._ring_label(colours, near, far)
-        return self._merged(layout, colours, labels, primary, secondary)
+                    label = state >> lw * j + cb & 7
+                    if j in bag_lanes and label in (HAPPY, ASSUMED_UNHAPPY):
+                        state ^= (label ^ UNHAPPY) << lw * j + cb
+            label = state >> at + cb & 7
+            if label != FAR_UNHAPPY:
+                state ^= (label ^ (UNHAPPY if conflict else HAPPY)) << at + cb
+        return self._merged(layout, state, primary, secondary)
 
     def _merge_greedy(
         self,
@@ -1107,7 +1101,7 @@ class HeuristicSolver:
         labels = bytearray(self.n)
         a_col, a_lab = self._unpack(a)
         b_col, b_lab = self._unpack(b)
-        for i, _, _, _ in ring:
+        for i in ring:
             if a_col[i]:
                 colours[i] = a_col[i]
                 labels[i] = a_lab[i]
@@ -1170,14 +1164,18 @@ class HeuristicSolver:
         # Ring labels must reflect the possibly re-decided bag colours; away
         # from N[bag] nothing a vertex sees has changed, and a clash there
         # stays, marked FAR_UNHAPPY.
-        for i, _, near, far in ring:
+        for i, (near, far) in ring.items():
             cv = colours[i]
             if not cv:
                 labels[i] = self._ring_label(colours, near, far)
             elif labels[i] != FAR_UNHAPPY:
                 conflict = any(colours[j] not in (0, cv) for j, _ in near)
                 labels[i] = UNHAPPY if conflict else HAPPY
-        return self._merged(layout, colours, labels, a, b)
+        cb, lw = self._cb, self._lw
+        state = 0
+        for i in index.values():
+            state |= (colours[i] | labels[i] << cb) << lw * i
+        return self._merged(layout, state, a, b)
 
     # -- full solve ---------------------------------------------------------
 
