@@ -22,18 +22,19 @@ label per vertex:
 * UNKNOWN         untouched by the partial solution
 
 Labels of uncoloured vertices are a pure function of the colouring (committed
-colours plus precoloured neighbours).  The merges recompute them through
-``_border_label``.  The introduce handler instead applies a delta rule to the
-introduced vertex's neighbours: colouring it can only turn an UNKNOWN
-neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
-colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
-UNHAPPY.  The rule rests on two premises that ``check_invariants`` asserts:
-committed colours only grow and extend the input, and every stored label
-equals ``_border_label``.  The introduce works out what colouring the vertex
-changes once per colour and distinct pattern of the lanes it reads: one XOR
-over the state and one change of the counts and score.  It selects from the
-emissions by score alone and builds only the survivors, each as its child's
-state XOR the change.
+colours plus precoloured neighbours).  A ``greedy_match`` merge, which
+re-decides bag colours, recomputes them (``_ring_label``).  The introduce
+handler instead applies a delta rule to the introduced vertex's neighbours:
+colouring it can only turn an UNKNOWN neighbour MAYBE_HAPPY or UNHAPPY, a
+MAYBE_HAPPY neighbour bound to another colour UNHAPPY, and a coloured
+ASSUMED_UNHAPPY neighbour of another colour UNHAPPY.  The rule rests on two
+premises that ``check_invariants`` asserts: committed colours only grow and
+extend the input, and every stored label equals ``_border_label``.  The
+introduce works out what colouring the vertex changes once per colour and
+distinct pattern of the lanes it reads: one XOR over the state and one
+change of the counts and score.  It selects from the emissions by score
+alone and builds only the survivors, each as its child's state XOR the
+change.
 
 An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] (its ``Layout``) packed into one int, its
@@ -41,7 +42,8 @@ four label counts over all vertices, its score, and the number of its newest
 forget record.  Every vertex has one lane for the whole solve,
 ``k.bit_length()`` colour bits and then 3 label bits, and a lane outside the
 node's N[bag] is zero.  One pass from the root (``_assign_lanes``) gives
-each vertex the lowest lane that no vertex sharing an N[bag] with it holds.
+each vertex the lowest lane free where it enters N[bag], so vertices that
+share an N[bag] never share a lane.
 So the vertices an introduce adds to N[bag] find their lanes zero, that is
 uncoloured and UNKNOWN; a forget clears the lanes of those that leave; and a
 join's two children hold its bag in the same lanes, so that its keys and
