@@ -4,7 +4,8 @@ A tree decomposition of G is a tree of bags covering every vertex and edge,
 with each vertex's occurrence set inducing a connected subtree.  Width is the
 largest bag size minus one.  A nice decomposition is rooted with empty root
 and leaf bags and only introduce/forget/join internal nodes; the dynamic
-programs in this package run over nice decompositions.
+programs in this package run over nice decompositions, and both first check
+theirs with ``validate_nice`` (through ``check_decomposes``).
 """
 
 from __future__ import annotations
@@ -329,7 +330,9 @@ class NiceTreeDecomposition:
     """Rooted nice decomposition; nodes are stored children-before-parent.
 
     ``post_order`` therefore is simply ascending node index, and the root is
-    the last node.
+    the last node.  ``validate_nice`` checks that the root is last and that
+    every other node has exactly one parent: ``walk`` and the beam DP, which
+    takes the last result of the walk as the root's, rely on both.
     """
 
     n: int
@@ -388,52 +391,98 @@ def td_stats(nice: NiceTreeDecomposition) -> TdStats:
 
 
 def check_decomposes(g: Graph, nice: NiceTreeDecomposition) -> None:
-    """Raise InputError unless ``nice`` is a decomposition of ``g``."""
-    if not _decomposes(g, nice):
+    """Raise InputError unless ``nice`` is a nice decomposition of ``g``."""
+    if not validate_nice(g, nice).ok:
         raise InputError("decomposition does not match the graph")
 
 
-def _decomposes(g: Graph, nice: NiceTreeDecomposition) -> bool:
-    """Same vertex count, every vertex forgotten once and every edge in some
-    bag, on a nice structure whose bags change as its node kinds say.
+def validate_nice(g: Graph, nice: NiceTreeDecomposition) -> TdValidation:
+    """Check that ``nice`` is a nice decomposition of ``g`` in one pass over
+    its nodes in index order, with one witness (0-indexed ids) per broken rule:
 
-    Leaves and the root have empty bags, an introduce adds exactly its vertex
-    to its child's bag, a forget removes exactly its vertex and a join's
-    children share its bag.  Then each vertex's bags form one subtree, below
-    the one node that forgets it, and an edge whose end u is forgotten first
-    lies in a bag exactly when its other end is in the bag that u is
-    forgotten from.  Takes O(n + m) beside the bag comparisons.
+    - structure: a leaf has no children, an introduce or forget one and a
+      join two; each child comes before its one parent; the root is the last
+      node and the only one without a parent;
+    - an introduce or forget names a vertex of g;
+    - bags: leaf and root bags are empty, an introduce adds its vertex to its
+      child's bag, a forget removes its vertex from it, a join's children
+      have its bag;
+    - ``nice.n`` is g's vertex count, each vertex is forgotten exactly once,
+      and a forgotten vertex's neighbours not yet forgotten are in the bag it
+      is forgotten from.  Given the rules above, this holds exactly when the
+      bags form a tree decomposition of g: each vertex's bags are one subtree
+      below the one node that forgets it, and an edge whose end u is
+      forgotten first lies in a bag exactly when its other end is in the bag
+      that u is forgotten from.
+
+    A structural break ends the report, after the violations found before
+    it, because the other rules read the tree; a node that names no vertex
+    of g is not checked further.  Takes O(n + m) beside the bag comparisons.
     """
-    if nice.n != g.n or nice.nodes[nice.root].bag:
-        return False
     nodes = nice.nodes
+    if not nodes:
+        return TdValidation(False, ("decomposition has no nodes",))
+    found: dict[str, str] = {}  # rule -> its first witness
+
+    def ended(message: str) -> TdValidation:
+        found["structure"] = message
+        return TdValidation(False, tuple(found.values()))
+
+    last = len(nodes) - 1
+    if nice.root != last:
+        return ended(f"root is node {nice.root}, not the last node {last}")
+    if nice.n != g.n:
+        found["n"] = f"decomposition is for {nice.n} vertices, graph has {g.n}"
+    # A set, not a range: its membership test is the cheaper one.
+    vertices, adjacency = frozenset(range(g.n)), g.adjacency
     forget, introduce, join = NodeKind.FORGET, NodeKind.INTRODUCE, NodeKind.JOIN
+    has_parent = bytearray(len(nodes))
     forgotten = bytearray(g.n)
-    for node in nodes:
-        kind, bag = node.kind, node.bag
-        if kind == forget:
+    for i, node in enumerate(nodes):
+        kind, bag, children = node.kind, node.bag, node.children
+        for c in children:
+            if not 0 <= c < i or has_parent[c]:
+                return ended(f"child {c} of node {i} is not before it or has two parents")
+            has_parent[c] = 1
+        if kind == forget or kind == introduce:
+            if len(children) != 1:
+                return ended(f"node {i} ({getattr(kind, 'name', kind)}) has children {children}")
             u = node.vertex
-            child_bag = nodes[node.children[0]].bag
-            if forgotten[u] or u in bag or u not in child_bag or len(bag) + 1 != len(child_bag):
-                return False
-            if not bag <= child_bag:
-                return False
-            if any(not forgotten[v] and v not in child_bag for v in g.adjacency[u]):
-                return False
+            if u not in vertices:
+                found.setdefault("vertex", f"node {i} names vertex {u}, not one of 0..{g.n - 1}")
+                continue
+            below = nodes[c].bag
+            if kind == introduce:
+                if u in below or u not in bag or len(bag) != len(below) + 1 or not below <= bag:
+                    found.setdefault("bag", f"introduce node {i} does not add {u} to its child")
+                continue
+            if u in bag or u not in below or len(bag) + 1 != len(below) or not bag <= below:
+                found.setdefault("bag", f"forget node {i} does not remove {u} from its child")
+            if forgotten[u]:
+                found.setdefault("forget", f"vertex {u} is forgotten twice, again at node {i}")
+            for v in adjacency[u]:
+                if not forgotten[v] and v not in below:
+                    found.setdefault("edge", f"edge ({u}, {v}) is in no bag: node {i} forgets {u}")
+                    break
             forgotten[u] = 1
-        elif kind == introduce:
-            u = node.vertex
-            child_bag = nodes[node.children[0]].bag
-            if u in child_bag or u not in bag or len(bag) != len(child_bag) + 1:
-                return False
-            if not child_bag <= bag:
-                return False
         elif kind == join:
-            if any(nodes[c].bag != bag for c in node.children):
-                return False
+            if len(children) != 2:
+                return ended(f"node {i} ({getattr(kind, 'name', kind)}) has children {children}")
+            if nodes[children[0]].bag != bag or nodes[children[1]].bag != bag:
+                found.setdefault("bag", f"join node {i} has a child with another bag")
+        elif kind != NodeKind.LEAF or children:
+            return ended(f"node {i} ({getattr(kind, 'name', kind)}) has children {children}")
         elif bag:
-            return False
-    return all(forgotten)
+            found.setdefault("bag", f"leaf node {i} has a non-empty bag")
+    orphan = has_parent.find(0)
+    if orphan < last:
+        return ended(f"node {orphan} is neither the root nor a child")
+    if nodes[last].bag:
+        found.setdefault("root", "root bag is not empty")
+    unforgotten = forgotten.find(0)
+    if unforgotten >= 0:
+        found.setdefault("forget", f"vertex {unforgotten} is never forgotten")
+    return TdValidation(not found, tuple(found.values()))
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
@@ -523,58 +572,3 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
 
     root = chain(top_of[root_bag_id], bags[root_bag_id], frozenset())
     return NiceTreeDecomposition(g.n, tuple(nodes), root)
-
-
-def validate_nice(g: Graph, nice: NiceTreeDecomposition) -> TdValidation:
-    """Check nice-form structure plus the underlying decomposition properties."""
-    violations: list[str] = []
-    nodes = nice.nodes
-    if nice.root != len(nodes) - 1:
-        violations.append("root is not the last node")
-    is_child = bytearray(len(nodes))
-    for i, node in enumerate(nodes):
-        for c in node.children:
-            if c >= i:
-                violations.append(f"node {i} has child {c} not preceding it")
-            else:
-                is_child[c] = 1
-        if node.kind == NodeKind.LEAF:
-            if node.children or node.bag:
-                violations.append(f"leaf node {i} must have no children and an empty bag")
-        elif node.kind == NodeKind.INTRODUCE:
-            if len(node.children) != 1:
-                violations.append(f"introduce node {i} must have one child")
-            else:
-                child = nodes[node.children[0]]
-                v = node.vertex
-                if v is None or v in child.bag or node.bag != child.bag | {v}:
-                    violations.append(f"introduce node {i} bag relation broken")
-        elif node.kind == NodeKind.FORGET:
-            if len(node.children) != 1:
-                violations.append(f"forget node {i} must have one child")
-            else:
-                child = nodes[node.children[0]]
-                v = node.vertex
-                if v is None or v not in child.bag or node.bag != child.bag - {v}:
-                    violations.append(f"forget node {i} bag relation broken")
-        else:
-            if len(node.children) != 2:
-                violations.append(f"join node {i} must have two children")
-            else:
-                c1, c2 = node.children
-                if nodes[c1].bag != node.bag or nodes[c2].bag != node.bag:
-                    violations.append(f"join node {i} children bags differ from its own")
-    if nodes[nice.root].bag:
-        violations.append("root bag is not empty")
-    for i in range(len(nodes)):
-        if not is_child[i] and i != nice.root:
-            violations.append(f"node {i} is unreachable from the root")
-            break
-
-    edges = frozenset(
-        (min(i, c), max(i, c)) for i, node in enumerate(nodes) for c in node.children
-    )
-    underlying = TreeDecomposition(nice.n, tuple(node.bag for node in nodes), edges)
-    base = validate_td(g, underlying)
-    violations.extend(base.violations)
-    return TdValidation(not violations, tuple(violations))

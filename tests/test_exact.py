@@ -15,7 +15,14 @@ from mhv.graph import Graph, PartialColouring, count_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import HeuristicConfig, solve_heuristic
 from mhv.oracle import brute_force
-from mhv.treedec import NiceNode, NiceTreeDecomposition, NodeKind, make_nice, min_fill_decompose
+from mhv.treedec import (
+    NiceNode,
+    NiceTreeDecomposition,
+    NodeKind,
+    make_nice,
+    min_fill_decompose,
+    validate_nice,
+)
 
 from corpus import fuzz_instances
 
@@ -94,23 +101,45 @@ def test_solvers_reject_a_decomposition_of_another_graph_on_the_same_vertices(n,
     assert solve_exact(sub, col, nice).happy == brute_force(sub, col).happy
 
 
+_LEAF, _INTRO, _FORGET, _JOIN = NodeKind.LEAF, NodeKind.INTRODUCE, NodeKind.FORGET, NodeKind.JOIN
+# A nice decomposition of the path 0-1-2 as (kind, bag, vertex, children)
+# rows: introduce 0 and 1, forget 0, introduce 2, forget 1 and 2.
+_PATH_ROWS = [
+    (_LEAF, (), None, ()),
+    (_INTRO, (0,), 0, (0,)),
+    (_INTRO, (0, 1), 1, (1,)),
+    (_FORGET, (1,), 0, (2,)),
+    (_INTRO, (1, 2), 2, (3,)),
+    (_FORGET, (2,), 1, (4,)),
+    (_FORGET, (), 2, (5,)),
+]
+
+
+def _rows_nice(rows, root=None):
+    """A hand-built nice decomposition for three vertices from rows like
+    ``_PATH_ROWS``; the root is the last row unless given."""
+    nodes = tuple(NiceNode(kind, frozenset(bag), v, children) for kind, bag, v, children in rows)
+    return NiceTreeDecomposition(3, nodes, len(nodes) - 1 if root is None else root)
+
+
 def _path_nice(**broken):
-    """A hand-built nice decomposition of the path 0-1-2: introduce 0 and 1,
-    forget 0, introduce 2, forget 1 and 2.  ``broken`` replaces the bag of
-    the node it names (``intro``, ``forget`` or ``root``)."""
-    f = frozenset
-    bags = {"intro": f({0, 1}), "forget": f({1}), "root": f()}
-    bags.update(broken)
-    nodes = (
-        NiceNode(NodeKind.LEAF, f(), None, ()),
-        NiceNode(NodeKind.INTRODUCE, f({0}), 0, (0,)),
-        NiceNode(NodeKind.INTRODUCE, bags["intro"], 1, (1,)),
-        NiceNode(NodeKind.FORGET, bags["forget"], 0, (2,)),
-        NiceNode(NodeKind.INTRODUCE, f({1, 2}), 2, (3,)),
-        NiceNode(NodeKind.FORGET, f({2}), 1, (4,)),
-        NiceNode(NodeKind.FORGET, bags["root"], 2, (5,)),
+    """The decomposition ``_PATH_ROWS``.  ``broken`` replaces the bag of the
+    node it names (``intro`` of 1, ``forget`` of 0 or ``root``)."""
+    rows = list(_PATH_ROWS)
+    for name, bag in broken.items():
+        at = {"intro": 2, "forget": 3, "root": 6}[name]
+        rows[at] = (rows[at][0], bag, *rows[at][2:])
+    return _rows_nice(rows)
+
+
+def _path_with_join(children, *extra):
+    """The path's decomposition with the rows ``extra`` and then a join of
+    ``children`` on bag {1} placed above the forget of 0 (node 3)."""
+    head = _PATH_ROWS[:4] + list(extra) + [(_JOIN, (1,), None, children)]
+    tail = _PATH_ROWS[4:]
+    return _rows_nice(
+        head + [(kind, bag, v, (idx,)) for idx, (kind, bag, v, _) in enumerate(tail, len(head) - 1)]
     )
-    return NiceTreeDecomposition(3, nodes, len(nodes) - 1)
 
 
 @pytest.mark.parametrize(
@@ -133,13 +162,82 @@ def _path_nice(**broken):
         _path_nice(intro=frozenset({0, 1, 2})),
         _path_nice(forget=frozenset()),
         _path_nice(root=frozenset({0})),
+        # The next five crashed both solvers with TypeError, KeyError or
+        # IndexError.
+        _path_with_join((3,)),
+        # validate_nice also reported this one valid.
+        _path_with_join((3, 3)),
+        _rows_nice([_PATH_ROWS[0], (_INTRO, (0,), 0, ())] + _PATH_ROWS[2:]),
+        _rows_nice(
+            [(_INTRO, (0,), 0, (1,)), _PATH_ROWS[0], (_INTRO, (0, 1), 1, (0,))] + _PATH_ROWS[3:]
+        ),
+        _rows_nice(
+            _PATH_ROWS[:6]
+            + [(_INTRO, (2, 3), 3, (5,)), (_FORGET, (2,), 3, (6,)), (_FORGET, (), 2, (7,))]
+        ),
+        # With a stray leaf after the root the beam DP blamed a colour and
+        # solve_exact returned an answer; with one before the root both
+        # returned one; with the root at a leaf solve_exact blamed a colour
+        # and the beam DP raised IndexError.
+        _rows_nice(_PATH_ROWS + [_PATH_ROWS[0]], root=6),
+        _rows_nice(
+            [_PATH_ROWS[0]]
+            + [(kind, bag, v, tuple(c + 1 for c in ch)) for kind, bag, v, ch in _PATH_ROWS]
+        ),
+        _rows_nice(_PATH_ROWS, root=0),
+        # Each of the rest breaks one rule only.  A join child's bag is empty.
+        _path_with_join((4, 3), _PATH_ROWS[0]),
+        # Vertex 0 is forgotten in both branches of a join.
+        _path_with_join(
+            (3, 7),
+            _PATH_ROWS[0],
+            (_INTRO, (1,), 1, (4,)),
+            (_INTRO, (0, 1), 0, (5,)),
+            (_FORGET, (1,), 0, (6,)),
+        ),
+        # 0 is introduced again after its forget and stays in the root bag.
+        _rows_nice(_PATH_ROWS + [(_INTRO, (0,), 0, (6,))]),
+        # Forgets 0 from bag {0, 1} onto bag {2}; 1 is introduced again.
+        _rows_nice(
+            _PATH_ROWS[:3]
+            + [(_FORGET, (2,), 0, (2,)), (_INTRO, (1, 2), 1, (3,)), (_FORGET, (2,), 1, (4,))]
+            + [(_FORGET, (), 2, (5,))]
+        ),
+        # Introduces 1 onto bag {0} to give {1, 2}; 0 is forgotten in the
+        # other branch of a join.
+        _rows_nice(
+            [_PATH_ROWS[0], (_INTRO, (0,), 0, (0,)), (_INTRO, (1, 2), 1, (1,))]
+            + [(_FORGET, (1,), 2, (2,))]
+            + [(_LEAF, (), None, ()), (_INTRO, (0,), 0, (4,)), (_INTRO, (0, 1), 1, (5,))]
+            + [(_FORGET, (1,), 0, (6,)), (_JOIN, (1,), None, (3, 7)), (_FORGET, (), 1, (8,))]
+        ),
     ],
-    ids=["leaf-bag", "introduce-adds-two", "forget-removes-two", "root-bag"],
+    ids=[
+        "leaf-bag",
+        "introduce-adds-two",
+        "forget-removes-two",
+        "root-bag",
+        "join-with-one-child",
+        "join-names-one-child-twice",
+        "introduce-without-child",
+        "child-after-parent",
+        "vertex-n",
+        "stray-leaf-after-root",
+        "stray-leaf-before-root",
+        "root-is-a-leaf",
+        "join-child-with-another-bag",
+        "vertex-forgotten-twice",
+        "root-bag-after-a-forget",
+        "forget-swaps-a-vertex",
+        "introduce-swaps-a-vertex",
+    ],
 )
 def test_solvers_reject_a_broken_nice_structure(nice):
     g = Graph(3, [(0, 1), (1, 2)])
     col = PartialColouring(2, {0: 1, 2: 2})
     assert solve_exact(g, col, _path_nice()).happy == brute_force(g, col).happy
+    assert validate_nice(g, _path_nice()).ok
+    assert not validate_nice(g, nice).ok
     with pytest.raises(InputError, match="^decomposition does not match the graph$"):
         solve_exact(g, col, nice)
     with pytest.raises(InputError, match="^decomposition does not match the graph$"):

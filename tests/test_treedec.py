@@ -1,5 +1,6 @@
 """Tree decompositions: validation, min-fill, PACE files, nice conversion."""
 
+import dataclasses
 import itertools
 import random
 import weakref
@@ -9,6 +10,7 @@ import pytest
 from mhv.errors import InputError, ParseError
 from mhv.graph import Graph
 from mhv.treedec import (
+    NiceTreeDecomposition,
     NodeKind,
     TreeDecomposition,
     make_nice,
@@ -345,6 +347,102 @@ def test_make_nice_structural_fuzz():
         assert validate_nice(g, nice).ok
         assert nice.width <= td.width
         assert nice.node_count <= 4 * (td.width + 2) * (n + 1)
+
+
+def _nice_reference(g, nice):
+    """The verdict of the rules as ``validate_nice`` first had them: each
+    node's kind, children and bag relation, no node with two parents, and
+    ``validate_td`` on the bag tree."""
+    nodes = nice.nodes
+    if not nodes or nice.root != len(nodes) - 1 or nodes[-1].bag:
+        return False
+    children = [c for node in nodes for c in node.children]
+    if len(set(children)) != len(children):
+        return False
+    for i, node in enumerate(nodes):
+        if any(not 0 <= c < i for c in node.children):
+            return False
+        below = [nodes[c].bag for c in node.children]
+        v = node.vertex
+        if node.kind == NodeKind.LEAF:
+            ok = not below and not node.bag
+        elif node.kind == NodeKind.INTRODUCE:
+            ok = len(below) == 1 and v not in below[0] and node.bag == below[0] | {v}
+        elif node.kind == NodeKind.FORGET:
+            ok = len(below) == 1 and v in below[0] and node.bag == below[0] - {v}
+        else:
+            ok = len(below) == 2 and below[0] == below[1] == node.bag
+        if not ok:
+            return False
+    edges = frozenset((c, i) for i, node in enumerate(nodes) for c in node.children)
+    td = TreeDecomposition(nice.n, tuple(node.bag for node in nodes), edges)
+    return validate_td(g, td).ok
+
+
+def _mutate(rng, g, nice):
+    """One random change to a node of ``nice``, or an edge or a vertex that
+    no bag holds added to ``g``."""
+    nodes = list(nice.nodes)
+    i = rng.randrange(len(nodes))
+    node = nodes[i]
+    what = rng.randrange(8)
+    if what == 0 and node.bag:
+        node = dataclasses.replace(node, bag=node.bag - {rng.choice(sorted(node.bag))})
+    elif what == 1:
+        node = dataclasses.replace(node, bag=node.bag | {rng.randrange(g.n + 1)})
+    elif what == 2:
+        node = dataclasses.replace(node, vertex=rng.randrange(-1, g.n + 1))
+    elif what == 3:
+        node = dataclasses.replace(node, kind=rng.choice(list(NodeKind)))
+    elif what == 4 and node.children:
+        children = list(node.children)
+        children[rng.randrange(len(children))] = rng.randrange(-1, len(nodes) + 1)
+        node = dataclasses.replace(node, children=tuple(children))
+    elif what == 5 and node.children:
+        children = list(node.children)
+        del children[rng.randrange(len(children))]
+        node = dataclasses.replace(node, children=tuple(children))
+    elif what == 6:
+        g = Graph(g.n + 1, g.edges)
+    elif g.n > 1:
+        u, v = sorted(rng.sample(range(g.n), 2))
+        g = Graph(g.n, [*g.edges, (u, v)])
+    nodes[i] = node
+    return g, NiceTreeDecomposition(g.n, tuple(nodes), nice.root)
+
+
+def test_validate_nice_agrees_with_the_reference_on_mutated_decompositions():
+    """One pass of validate_nice against the structural rules, one parent per
+    node and validate_td, on make_nice outputs with one random change."""
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(250):
+        g = er_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
+        nice = make_nice(min_fill_decompose(g, seed=rng.randrange(100)), g)
+        assert validate_nice(g, nice).ok
+        for _ in range(10):
+            g2, broken = _mutate(rng, g, nice)
+            report = validate_nice(g2, broken)
+            assert report.ok == _nice_reference(g2, broken), (g2.edges, broken, report)
+            assert report.ok == (not report.violations)
+            verdicts.append(report.ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_validate_nice_reports_each_rule_once_and_stops_at_a_structural_break():
+    g = Graph(3, [(0, 1), (1, 2)])
+    nice = make_nice(min_fill_decompose(g, seed=0), g)
+    nodes = list(nice.nodes)
+    # Leaf bag {0}: the introduce of 0 above it breaks the bag rule too.
+    nodes[0] = dataclasses.replace(nodes[0], bag=frozenset({0}))
+    broken = NiceTreeDecomposition(4, tuple(nodes), nice.root)
+    expected = ("decomposition is for 4 vertices, graph has 3", "leaf node 0 has a non-empty bag")
+    assert validate_nice(g, broken).violations == expected
+    nodes[-1] = dataclasses.replace(nodes[-1], children=(len(nodes) - 1,))
+    broken = NiceTreeDecomposition(4, tuple(nodes), nice.root)
+    assert validate_nice(g, broken).violations == expected + (
+        "child 6 of node 6 is not before it or has two parents",
+    )
 
 
 def test_make_nice_accepts_external_style_td():
