@@ -12,7 +12,7 @@ import time
 from enum import IntEnum
 
 from .graph import FullColouring, Graph, PartialColouring, count_happy
-from .result import SolveResult
+from .result import SolveResult, solve_result
 
 
 def greedy_mhv(g: Graph, colouring: PartialColouring) -> SolveResult:
@@ -31,15 +31,8 @@ def greedy_mhv(g: Graph, colouring: PartialColouring) -> SolveResult:
         if happy > best_happy:
             best_happy = happy
             best_colour = i
-    witness = FullColouring(colouring.k, tuple(c if c else best_colour for c in base))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveResult(
-        algorithm="greedy-mhv",
-        colouring=witness,
-        happy=best_happy,
-        provably_optimal=False,
-        time_ms=elapsed,
-    )
+    witness = [c if c else best_colour for c in base]
+    return solve_result("greedy-mhv", g, colouring, witness, start, False, happy=best_happy)
 
 
 class GrowthLabel(IntEnum):
@@ -209,13 +202,4 @@ def growth_mhv(g: Graph, colouring: PartialColouring, seed: int = 0) -> SolveRes
     run = GrowthRun(g, colouring, seed=seed)
     while not run.done:
         run.step()
-    full = FullColouring(colouring.k, tuple(run.colours))
-    happy = count_happy(g, full)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveResult(
-        algorithm="growth-mhv",
-        colouring=full,
-        happy=happy,
-        provably_optimal=False,
-        time_ms=elapsed,
-    )
+    return solve_result("growth-mhv", g, colouring, run.colours, start, False)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import time
 
 from .errors import InputError, ResourceLimitError
-from .graph import FullColouring, Graph, PartialColouring, count_happy
-from .result import SolveResult
+from .graph import Graph, PartialColouring
+from .result import SolveResult, solve_result
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -225,16 +225,5 @@ def solve_exact(
             key = (key >> low + width << low) | (key & ((1 << low) - 1))
         stack.extend((c, key) for c in node.children)
 
-    witness = FullColouring(k, tuple(colours))
-    happy = count_happy(g, witness)
-    assert happy == best_val, "witness happy count must match the table optimum"
-    assert witness.extends(colouring)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveResult(
-        algorithm="exact-dp",
-        colouring=witness,
-        happy=best_val,
-        provably_optimal=True,
-        time_ms=elapsed,
-    )
+    return solve_result("exact-dp", g, colouring, colours, start, True, happy=best_val)
 

@@ -22,9 +22,9 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 from .baselines import greedy_mhv, growth_mhv
-from .errors import InputError, MhvError
+from .errors import InputError, MhvError, ResourceLimitError
 from .exact import DEFAULT_STATE_CAP, solve_exact
-from .graph import Graph, Instance, PartialColouring, floor_fraction
+from .graph import MAX_VERTICES, Graph, Instance, PartialColouring, floor_fraction
 from .heuristic import HeuristicConfig, LabelWeights, solve_heuristic
 from .oracle import DEFAULT_CAP, brute_force
 from .result import SolveResult
@@ -62,6 +62,8 @@ class GeneratorParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InputError("n must be non-negative")
+        if self.n > MAX_VERTICES:
+            raise ResourceLimitError(f"{self.n} vertices, above the limit of {MAX_VERTICES}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError("edge probability p must lie in [0, 1]")
         if not 0.0 <= self.q <= 1.0:
@@ -107,6 +109,8 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform random labelled tree on n vertices via a Prufer sequence."""
     if n < 1:
         raise InputError("a tree needs at least one vertex")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"{n} vertices, above the limit of {MAX_VERTICES}")
     if n == 1:
         return Graph(1)
     if n == 2:

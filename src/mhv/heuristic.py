@@ -104,8 +104,8 @@ from .beam import (
     label_counts,
 )
 from .errors import InputError
-from .graph import FullColouring, Graph, PartialColouring, count_happy
-from .result import SolveResult
+from .graph import Graph, PartialColouring
+from .result import SolveResult, solve_result
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
 
@@ -1208,18 +1208,9 @@ class HeuristicSolver:
         best = max(root_beam.entries, key=entry_rank)
         # The root's bag and ring are empty: every label is a settled one.
         colours, labels = self.arrays(best)
-        full = FullColouring(self.k, tuple(colours))
-        happy = count_happy(self.g, full)
-        assert happy == best.counts[0], "root happy count must equal the HAPPY label count"
-        assert full.extends(self.colouring)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return SolveResult(
-            algorithm="heuristic-dp",
-            colouring=full,
-            happy=happy,
-            provably_optimal=self.all_below_capacity,
-            time_ms=elapsed,
-            final_labels=tuple(labels),
+        return solve_result(
+            "heuristic-dp", self.g, self.colouring, colours, start, self.all_below_capacity,
+            happy=best.counts[0], final_labels=tuple(labels),
         )
 
     # -- debug verification -------------------------------------------------

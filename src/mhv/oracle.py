@@ -10,8 +10,8 @@ import time
 from itertools import product
 
 from .errors import ResourceLimitError
-from .graph import FullColouring, Graph, PartialColouring
-from .result import SolveResult
+from .graph import Graph, PartialColouring
+from .result import SolveResult, solve_result
 
 DEFAULT_CAP = 10_000_000
 
@@ -37,7 +37,7 @@ def brute_force(g: Graph, colouring: PartialColouring, cap: int = DEFAULT_CAP) -
 
     adjacency = g.adjacency
     best = -1
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] = ()
     colours = base[:]
     for combo in product(range(1, k + 1), repeat=len(uncoloured)):
         for v, col in zip(uncoloured, combo):
@@ -53,16 +53,4 @@ def brute_force(g: Graph, colouring: PartialColouring, cap: int = DEFAULT_CAP) -
         if happy > best:
             best = happy
             witness = tuple(colours)
-    assert witness is not None or n == 0 or best >= 0
-    if witness is None:  # n == 0
-        witness = ()
-        best = 0
-    elapsed = (time.perf_counter() - start) * 1000.0
-    full = FullColouring(k, witness)
-    return SolveResult(
-        algorithm="brute-force",
-        colouring=full,
-        happy=best,
-        provably_optimal=True,
-        time_ms=elapsed,
-    )
+    return solve_result("brute-force", g, colouring, witness, start, True, happy=best)

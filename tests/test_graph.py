@@ -23,6 +23,7 @@ from mhv.graph import (
 )
 from mhv.heuristic import solve_heuristic
 from mhv.oracle import brute_force
+from mhv.result import solve_result
 from mhv.treedec import make_nice, min_fill_decompose
 
 from corpus import er_graph
@@ -230,3 +231,36 @@ _SOLVERS = {
 def test_solvers_reject_a_coloured_vertex_outside_the_graph(solver):
     with pytest.raises(InputError, match=r"^coloured vertex 7 not in graph of 3 vertices$"):
         _SOLVERS[solver](Graph(3, [(0, 1)]), PartialColouring(1, {7: 1}))
+
+
+_ALGORITHM_NAMES = {
+    "greedy_mhv": "greedy-mhv",
+    "growth_mhv": "growth-mhv",
+    "brute_force": "brute-force",
+    "solve_exact": "exact-dp",
+    "solve_heuristic": "heuristic-dp",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solver_result_contract(solver):
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5)])
+    colouring = PartialColouring(2, {0: 1, 3: 2, 6: 1})
+    result = _SOLVERS[solver](g, colouring)
+    assert result.algorithm == _ALGORITHM_NAMES[solver]
+    assert result.colouring.extends(colouring)
+    assert result.happy == count_happy(g, result.colouring)
+    assert result.time_ms >= 0
+    assert (result.final_labels is not None) == (solver == "solve_heuristic")
+
+
+def test_solve_result_rejects_a_witness_off_the_input():
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(AssertionError, match="extend"):
+        solve_result("x", g, PartialColouring(2, {0: 1}), (2, 2), 0.0, False)
+
+
+def test_solve_result_rejects_a_wrong_happy_count():
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(AssertionError, match="claims 1 happy, its witness has 2"):
+        solve_result("x", g, PartialColouring(2, {0: 1}), (1, 1), 0.0, False, happy=1)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from mhv.cli import main
-from mhv.errors import InputError
+from mhv.errors import InputError, ResourceLimitError
 from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
 from mhv.graph import (
+    MAX_VERTICES,
     Graph,
     PartialColouring,
     parse_colouring,
@@ -73,6 +74,17 @@ def test_generate_edge_count_statistics():
     mean = total / samples
     sigma_mean = math.sqrt(pairs * p * (1 - p) / samples)
     assert abs(mean - pairs * p) <= 3 * sigma_mean
+
+
+def test_generators_refuse_more_vertices_than_the_parser_accepts():
+    hardest_regime(MAX_VERTICES, 3)  # the limit itself is accepted
+    message = rf"^{MAX_VERTICES + 1} vertices, above the limit of {MAX_VERTICES}$"
+    with pytest.raises(ResourceLimitError, match=message):
+        GeneratorParams(n=MAX_VERTICES + 1, k=3, p=0.1, q=0.1)
+    with pytest.raises(ResourceLimitError, match=message):
+        hardest_regime(MAX_VERTICES + 1, 3)
+    with pytest.raises(ResourceLimitError, match=message):
+        random_tree(MAX_VERTICES + 1)
 
 
 def test_random_tree_shape():
@@ -286,6 +298,17 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     assert g.n == 12 and col.coloured_count() == 6
 
 
+def test_cli_gen_above_the_vertex_limit_exits_3_and_writes_nothing(tmp_path, capsys):
+    gp = tmp_path / "out.gr"
+    cp = tmp_path / "out.col"
+    argv = ["gen", "--n", str(MAX_VERTICES + 1), "--k", "3", "--hardest",
+            "--out-graph", str(gp), "--out-colouring", str(cp)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource limit: {MAX_VERTICES + 1} vertices, above the limit of {MAX_VERTICES}\n"
+    assert not gp.exists() and not cp.exists()
+
+
 def test_cli_decompose_and_validate(tmp_path, capsys):
     graph_path, _ = _write_instance(tmp_path)
     td_path = tmp_path / "g.td"
@@ -301,14 +324,19 @@ def test_cli_decompose_and_validate(tmp_path, capsys):
 def test_cli_solvers_agree(tmp_path, capsys):
     graph_path, colouring_path = _write_instance(tmp_path)
     results = {}
-    for sub in ("solve", "exact", "brute"):
+    for sub in ("solve", "exact", "brute", "greedy", "growth"):
         assert main([sub, str(graph_path), str(colouring_path)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         results[sub] = dict(field.split("=") for field in line.split())
     assert results["exact"]["happy"] == results["brute"]["happy"]
     assert int(results["solve"]["happy"]) <= int(results["brute"]["happy"])
-    for sub in ("greedy", "growth"):
-        assert main([sub, str(graph_path), str(colouring_path)]) == 0
+    assert {sub: fields["algorithm"] for sub, fields in results.items()} == {
+        "solve": "heuristic-dp",
+        "exact": "exact-dp",
+        "brute": "brute-force",
+        "greedy": "greedy-mhv",
+        "growth": "growth-mhv",
+    }
 
 
 def test_cli_solve_with_external_td_and_output(tmp_path, capsys):
