@@ -75,9 +75,12 @@ solutions of the two children can therefore differ in what they say about a
 vertex only inside N[bag], which both store.  A merge works on N[bag] alone;
 its counts are each side's counts away from N[bag] plus those of the merged
 labels.  Per join node the solver indexes the inner list by match key
-once and computes the bag-only distance weights at most once.  Distances are
-computed only for an outer solution without an exact partner while the main
-list is empty, the one case that uses the nearest partner.
+once.  Distances are computed only for an outer solution without an exact
+partner while the main list is empty, the one case that uses the nearest
+partner.  The first such solution fixes the join's distance masks and its
+table of the ring, N[bag] without the bag: every entry of one child colours
+the same vertices, and an uncoloured neighbour of a bag vertex is never
+UNKNOWN, so every distance weighting is fixed per side of the join.
 """
 
 from __future__ import annotations
@@ -117,18 +120,19 @@ _FIRST_IS_OUTER = {
 }
 
 
-# Neighbour tests of the distance weightings, given the neighbour, the bag and
-# the outer solution's colour and label of the neighbour.
-def _external(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
-    return u not in bag_set
+# Neighbour tests of the distance weightings, given whether the neighbour is
+# in the bag and whether the outer solution colours it.  An uncoloured
+# neighbour of a bag vertex is on the border: the bag vertex is coloured.
+def _external(in_bag: bool, coloured: bool) -> bool:
+    return not in_bag
 
 
-def _in_border(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
-    return colour == 0 and label != UNKNOWN
+def _in_border(in_bag: bool, coloured: bool) -> bool:
+    return not coloured
 
 
-def _nonborder_external(u: int, bag_set: frozenset[int], colour: int, label: int) -> bool:
-    return u not in bag_set and not _in_border(u, bag_set, colour, label)
+def _nonborder_external(in_bag: bool, coloured: bool) -> bool:
+    return not in_bag and coloured
 
 
 # Distance weighting -> (neighbour test, capped at 1).  A bag vertex weighs
@@ -147,10 +151,6 @@ _DISTANCE_RULES = {
 JOIN_LOOP_CHOICES = tuple(_FIRST_IS_OUTER)
 DISTANCE_WEIGHTINGS = tuple(_DISTANCE_RULES)
 MERGE_METHODS = ("copy_bag", "greedy_match")
-# Weightings that depend on the bag alone, not on the outer solution's border.
-BAG_ONLY_WEIGHTINGS = frozenset(
-    name for name, (test, _) in _DISTANCE_RULES.items() if test in (None, _external)
-)
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,8 @@ def exactness_width_bound(k: int, width: int) -> int:
 
 
 _EMPTY = Layout({})
+# A join's ring table: per lane off the bag, its neighbours' lanes and evidence colour.
+_Ring = dict[int, tuple[tuple[int, ...], int]]
 
 
 class HeuristicSolver:
@@ -222,6 +224,9 @@ class HeuristicSolver:
         self._colour_field = self._ones * ((1 << self._cb) - 1)
         self._label_field = self._ones * 7
         self._lanes, self._moved = self._assign_lanes()
+        # The length of an array indexed by lane; n once ``entry`` lays an
+        # entry out over every vertex.
+        self._lane_count = max(self._lanes, default=-1) + 1
         # Per node, its entries' layout while its parent is still to come.
         self._layouts: list[Layout | None] = [None] * len(nice.nodes)
         # Forget records, three ints each: (vertex, colour, older record) per
@@ -229,10 +234,6 @@ class HeuristicSolver:
         # per join; -1 ends a chain.
         self._records: list[int] = []
         self._everything: Layout | None = None
-        # The last ring table and distance masks the join helpers worked out,
-        # with what they were worked out for.
-        self._ring_for: tuple = (None, None, None)
-        self._masks_for: tuple = (None, None, None, None)
         # Per vertex, the colour its precoloured neighbours agree on: 0 for
         # none, -1 when they disagree.
         self._evidence = tuple(
@@ -261,6 +262,7 @@ class HeuristicSolver:
             layout = self._everything
             if layout is None:
                 layout = self._everything = Layout(dict(zip(range(self.n), range(self.n))))
+                self._lane_count = self.n
         else:
             layout = self.node_layout(node)
         forgotten = -1
@@ -488,57 +490,37 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _ring(self, layout: Layout, bag_set: frozenset[int]) -> dict[int, tuple[tuple, frozenset[int]]]:
-        """Per vertex of ``layout`` outside ``bag_set``, by its lane: its
-        neighbours in the layout as (lane, input colour), and the input
-        colours of its other neighbours.  The last table is kept."""
-        held_layout, held_bag, ring = self._ring_for
-        if held_layout is layout and held_bag is bag_set:
-            return ring
-        base, index = self.base, layout.index
-        ring = {
-            i: (
-                tuple((index[u], base[u]) for u in self.adj[v] if u in index),
-                frozenset(base[u] for u in self.adj[v] if u not in index) - {0},
-            )
+    def _ring(self, layout: Layout, bag_set: frozenset[int]) -> _Ring:
+        """The ring table of the vertices of ``layout`` outside ``bag_set``."""
+        index, evidence = layout.index, self._evidence
+        return {
+            i: (tuple(index[u] for u in self.adj[v] if u in index), evidence[v])
             for v, i in index.items()
             if v not in bag_set
         }
-        self._ring_for = (layout, bag_set, ring)
-        return ring
 
     @staticmethod
-    def _ring_label(colours: bytearray, near: tuple, far: frozenset[int]) -> int:
-        """``_border_label`` of an uncoloured ring vertex, from ``_ring``'s
-        view of its neighbours: UNKNOWN without a committed one, UNHAPPY
-        when the committed and input colours around it differ, else
-        MAYBE_HAPPY."""
+    def _ring_label(colours: bytearray, near: tuple[int, ...], evidence: int) -> int:
+        """``_border_label`` of an uncoloured ring vertex, from the colours
+        by lane of its neighbours in N[bag], which hold all its committed
+        ones, and its evidence colour: UNKNOWN without a committed
+        neighbour, MAYBE_HAPPY when the committed colours and the evidence
+        are one colour, else UNHAPPY."""
         first = 0
-        clash = False
-        committed = False
-        for j, b in near:
+        for j in near:
             c = colours[j]
             if c:
-                committed = True
-            elif b:
-                c = b
-            else:
-                continue
-            if not first:
-                first = c
-            elif c != first:
-                clash = True
-                if committed:
+                if not first:
+                    first = c
+                elif c != first:
                     return UNHAPPY
-        if not committed:
+        if not first:
             return UNKNOWN
-        if clash or far - {first}:
-            return UNHAPPY
-        return MAYBE_HAPPY
+        return MAYBE_HAPPY if evidence in (0, first) else UNHAPPY
 
     def _unpack(self, sol: PartialSolution) -> tuple[bytearray, bytearray]:
         """An entry's colours and labels, each an array indexed by lane."""
-        colours, labels = bytearray(self.n), bytearray(self.n)
+        colours, labels = bytearray(self._lane_count), bytearray(self._lane_count)
         state, cb, lw = sol.state, self._cb, self._lw
         low = (1 << cb) - 1
         for lane in sol.layout.index.values():
@@ -849,15 +831,14 @@ class HeuristicSolver:
         list ends empty.  The returned list is the one offered to the node's
         beam, in one selection.
 
-        Both children hold the same vertices in the same lanes; the node
-        takes its first child's layout, and a heuristic merge lays a second
-        child's entry out on it.
+        Both children hold the same vertices in the same lanes, so the node
+        takes its first child's layout and its helpers read an entry of
+        either child on it.  The first outer solution without a partner
+        fixes the distance masks and the ring table (module docstring).
         """
         node = self.nice.nodes[idx]
-        bag_set = node.bag
-        bag = tuple(sorted(bag_set))
+        bag = tuple(sorted(node.bag))
         layout = self.node_layout(idx)
-        second_layout = self.node_layout(node.children[1])
         first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
         outer, inner = (first, second) if first_is_outer else (second, first)
         # Match key: bag colours plus happiness designation, label bit 0 of a
@@ -877,40 +858,23 @@ class HeuristicSolver:
         partners: dict[int, PartialSolution] = {}
         for inner_sol in inner_entries:
             partners.setdefault(inner_sol.state & key_mask, inner_sol)
-        # Entries of the second child laid out on the node, by identity.
-        aligned: dict[int, PartialSolution] = {}
         exact: list[tuple[int, PartialSolution]] = []
         backup: list[tuple[int, PartialSolution]] = []
-        weights: tuple[int, ...] | None = None
-        per_outer = self.config.join_distance_weighting not in BAG_ONLY_WEIGHTINGS
+        masks = ring = None
         for outer_sol in outer:
             partner = partners.get(outer_sol.state & key_mask)
             if partner is not None:
                 # The union does not depend on the order of its sides; the
                 # first child's side first gives it the node's layout.
                 pair = (outer_sol, partner) if first_is_outer else (partner, outer_sol)
-                merged = self.merge_exact(*pair, bag_set)
+                merged = self.merge_exact(*pair)
                 exact.append((merged.score, merged))
             elif not exact:
-                if weights is None or per_outer:
-                    weights = self.distance_weights(bag, outer_sol)
+                if masks is None:
+                    masks, ring = self.distance_masks(bag, outer_sol), self._ring(layout, node.bag)
                 # The first nearest in best-first order.
-                nearest = min(
-                    inner_entries, key=lambda sol: self.tuple_distance(bag, outer_sol, sol, weights)
-                )
-                # Both on the node's layout, the outer side first.
-                pair = [outer_sol, nearest]
-                side = 1 if first_is_outer else 0
-                made = aligned.get(id(pair[side]))
-                if made is None:
-                    sol = pair[side]
-                    made = aligned[id(sol)] = (
-                        sol
-                        if second_layout is layout
-                        else PartialSolution(sol.state, sol.counts, sol.score, layout, sol.forgotten)
-                    )
-                pair[side] = made
-                for merged in self.merge_heuristic(*pair, bag, bag_set):
+                nearest = min(inner_entries, key=lambda sol: self.tuple_distance(outer_sol, sol, masks))
+                for merged in self.merge_heuristic(outer_sol, nearest, bag, ring, layout):
                     backup.append((merged.score, merged))
         # One selection, of the list the node returns.
         beam = Beam(self.config.width)
@@ -922,33 +886,16 @@ class HeuristicSolver:
     # -- join helpers -----------------------------------------------------
 
     def tuple_distance(
-        self,
-        bag: tuple[int, ...],
-        a: PartialSolution,
-        b: PartialSolution,
-        weights: tuple[int, ...] | None = None,
+        self, a: PartialSolution, b: PartialSolution, masks: tuple[tuple[int, int], ...]
     ) -> int:
         """Weighted disagreement between two solutions on the bag, whose
-        lanes they share.
+        lanes they share; ``masks`` is ``distance_masks(bag, a)``.
 
         Each bag vertex contributes its weight once for a colour mismatch and
-        once for a label mismatch.  Border-based weights are taken with
-        respect to the first solution; ``weights``, when given, must be
-        ``distance_weights(bag, a)``.  The states' XOR is folded to a
+        once for a label mismatch.  The states' XOR is folded to a
         colour-differs bit (bit 0) and a label-differs bit (bit 1) per lane,
         and each distinct weight counts its lanes' bits by popcount.
         """
-        if weights is None:
-            weights = self.distance_weights(bag, a)
-        held_layout, held_bag, held_weights, masks = self._masks_for
-        if held_layout is not a.layout or held_bag is not bag or held_weights is not weights:
-            # Per distinct weight, bits 0 and 1 of its bag vertices' lanes.
-            by_weight: dict[int, int] = {}
-            for w, v in zip(weights, bag):
-                if w:
-                    by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * a.layout.index[v]
-            masks = tuple(by_weight.items())
-            self._masks_for = (a.layout, bag, weights, masks)
         diff = a.state ^ b.state
         labels = diff >> self._cb & self._label_field
         differs = self._coloured(diff) | ((labels | labels >> 1 | labels >> 2) & self._ones) << 1
@@ -957,31 +904,40 @@ class HeuristicSolver:
             total += w * (differs & mask).bit_count()
         return total
 
+    def distance_masks(
+        self, bag: tuple[int, ...], outer: PartialSolution
+    ) -> tuple[tuple[int, int], ...]:
+        """Per distinct non-zero weight of ``distance_weights(bag, outer)``,
+        the weight and bits 0 and 1 of its bag vertices' lanes."""
+        by_weight: dict[int, int] = {}
+        index = outer.layout.index
+        for w, v in zip(self.distance_weights(bag, outer), bag):
+            if w:
+                by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * index[v]
+        return tuple(by_weight.items())
+
     def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
         """The weight of each bag vertex in ``tuple_distance``, in bag order.
 
-        Only the border modes read ``outer``; the modes in
-        ``BAG_ONLY_WEIGHTINGS`` give the same weights for every solution.
+        A neighbour's test reads only whether it is in the bag and whether
+        ``outer`` colours it, so all entries of one join child give the same
+        weights.
         """
         test, capped = _DISTANCE_RULES[self.config.join_distance_weighting]
         if test is None:
             return (1,) * len(bag)
         bag_set = frozenset(bag)
         index = outer.layout.index
-        state, cb, lw = outer.state, self._cb, self._lw
-        low = (1 << cb) - 1
+        coloured, lw = self._coloured(outer.state), self._lw
         weights = []
         for v in bag:
             count = 0
             for u in self.adj[v]:
-                bits = state >> lw * index[u]
-                count += test(u, bag_set, bits & low, bits >> cb & 7)
+                count += test(u in bag_set, bool(coloured >> lw * index[u] & 1))
             weights.append(min(count, 1) if capped else count)
         return tuple(weights)
 
-    def merge_exact(
-        self, a: PartialSolution, b: PartialSolution, bag_set: frozenset[int]
-    ) -> PartialSolution:
+    def merge_exact(self, a: PartialSolution, b: PartialSolution) -> PartialSolution:
         """Union two solutions of a join's children that agree on the bag's
         colours and designations, laid out as ``a`` and in ``a``'s lanes.
 
@@ -1022,9 +978,11 @@ class HeuristicSolver:
         outer: PartialSolution,
         inner: PartialSolution,
         bag: tuple[int, ...],
-        bag_set: frozenset[int],
+        ring: _Ring,
+        layout: Layout,
     ) -> list[PartialSolution]:
-        """Force two non-matching solutions, laid out on one layout, together.
+        """Force two non-matching solutions in the lanes of ``layout``
+        together, into entries over it; ``ring`` is its ring table.
 
         ``copy_bag`` keeps one side's bag decisions wholesale and produces a
         solution per role assignment; ``greedy_match`` keeps whatever the two
@@ -1032,10 +990,10 @@ class HeuristicSolver:
         """
         if self.config.join_merge_method == "copy_bag":
             return [
-                self._merge_copy(outer, inner, bag_set),
-                self._merge_copy(inner, outer, bag_set),
+                self._merge_copy(outer, inner, ring, layout),
+                self._merge_copy(inner, outer, ring, layout),
             ]
-        return [self._merge_greedy(outer, inner, bag, bag_set)]
+        return [self._merge_greedy(outer, inner, bag, ring, layout)]
 
     def _merged(
         self, layout: Layout, state: int, a: PartialSolution, b: PartialSolution
@@ -1055,11 +1013,8 @@ class HeuristicSolver:
         return PartialSolution(state, counts, evaluate(self.weights, counts), layout, self._joined(a, b))
 
     def _merge_copy(
-        self, primary: PartialSolution, secondary: PartialSolution, bag_set: frozenset[int]
+        self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring, layout: Layout
     ) -> PartialSolution:
-        layout = primary.layout
-        ring = self._ring(layout, bag_set)
-        bag_lanes = {layout.index[v] for v in bag_set}
         cb, lw = self._cb, self._lw
         low = (1 << cb) - 1
         p, s = primary.state, secondary.state
@@ -1078,12 +1033,13 @@ class HeuristicSolver:
             moved &= moved - 1
             cv = state >> at & low
             conflict = False
-            for j, _ in ring[at // lw][0]:
+            for j in ring[at // lw][0]:
                 cu = state >> lw * j & low
                 if cu and cu != cv:
                     conflict = True
                     label = state >> lw * j + cb & 7
-                    if j in bag_lanes and label in (HAPPY, ASSUMED_UNHAPPY):
+                    # A lane of the layout off the ring is a bag lane.
+                    if j not in ring and label in (HAPPY, ASSUMED_UNHAPPY):
                         state ^= (label ^ UNHAPPY) << lw * j + cb
             label = state >> at + cb & 7
             if label != FAR_UNHAPPY:
@@ -1095,12 +1051,11 @@ class HeuristicSolver:
         a: PartialSolution,
         b: PartialSolution,
         bag: tuple[int, ...],
-        bag_set: frozenset[int],
+        ring: _Ring,
+        layout: Layout,
     ) -> PartialSolution:
-        layout = a.layout
-        index, ring = layout.index, self._ring(layout, bag_set)
-        colours = bytearray(self.n)
-        labels = bytearray(self.n)
+        index = layout.index
+        colours, labels = bytearray(self._lane_count), bytearray(self._lane_count)
         a_col, a_lab = self._unpack(a)
         b_col, b_lab = self._unpack(b)
         for i in ring:
@@ -1139,7 +1094,7 @@ class HeuristicSolver:
             if lab in (HAPPY, ASSUMED_UNHAPPY):
                 for u in adj[vertex_at[i]]:
                     j = index[u]
-                    if u in bag_set and colours[j] == 0:
+                    if j not in ring and colours[j] == 0:
                         colours[j] = colours[i]
 
         changed = True
@@ -1166,12 +1121,12 @@ class HeuristicSolver:
         # Ring labels must reflect the possibly re-decided bag colours; away
         # from N[bag] nothing a vertex sees has changed, and a clash there
         # stays, marked FAR_UNHAPPY.
-        for i, (near, far) in ring.items():
+        for i, (near, evidence) in ring.items():
             cv = colours[i]
             if not cv:
-                labels[i] = self._ring_label(colours, near, far)
+                labels[i] = self._ring_label(colours, near, evidence)
             elif labels[i] != FAR_UNHAPPY:
-                conflict = any(colours[j] not in (0, cv) for j, _ in near)
+                conflict = any(colours[j] not in (0, cv) for j in near)
                 labels[i] = UNHAPPY if conflict else HAPPY
         cb, lw = self._cb, self._lw
         state = 0

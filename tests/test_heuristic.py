@@ -9,6 +9,7 @@ from mhv.graph import Graph, PartialColouring, count_happy, is_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import (
     ASSUMED_UNHAPPY,
+    DISTANCE_WEIGHTINGS,
     FAR_UNHAPPY,
     HAPPY,
     MAYBE_HAPPY,
@@ -399,7 +400,7 @@ def _distance_fixture():
 
 def test_distance_identical_is_zero():
     solver, a, _ = _distance_fixture()
-    assert solver.tuple_distance((0, 1), a, a) == 0
+    assert solver.tuple_distance(a, a, solver.distance_masks((0, 1), a)) == 0
 
 
 def test_distance_all_ones_counts_colour_and_label():
@@ -411,9 +412,9 @@ def test_distance_all_ones_counts_colour_and_label():
         HeuristicConfig(width=8, join_distance_weighting="all_ones"),
     )
     # vertex 1 differs in colour only; labels agree.
-    assert solver.tuple_distance((0, 1), a, b) == 1
+    assert solver.tuple_distance(a, b, solver.distance_masks((0, 1), a)) == 1
     c = solver.entry(solver.arrays(b)[0], [ASSUMED_UNHAPPY, UNHAPPY, HAPPY, UNKNOWN])
-    assert solver.tuple_distance((0, 1), a, c) == 2
+    assert solver.tuple_distance(a, c, solver.distance_masks((0, 1), a)) == 2
 
 
 def test_distance_blind_when_no_external_neighbour():
@@ -426,9 +427,9 @@ def test_distance_blind_when_no_external_neighbour():
     )
     # Vertex 0 has no neighbour outside the bag {0, 1}: weight 0.
     c = solver.entry([2, 1, 1, 0], [UNHAPPY, HAPPY, HAPPY, UNKNOWN])
-    assert solver.tuple_distance((0, 1), a, c) == 0
+    assert solver.tuple_distance(a, c, solver.distance_masks((0, 1), a)) == 0
     # Vertex 1 has external neighbour 2: weight 1 per differing dimension.
-    assert solver.tuple_distance((0, 1), a, b) == 1
+    assert solver.tuple_distance(a, b, solver.distance_masks((0, 1), a)) == 1
 
 
 # -- merges -------------------------------------------------------------------
@@ -449,9 +450,14 @@ def _merge_fixture():
     return solver, outer, inner
 
 
+def _ring(solver, sol, bag_set):
+    """The ring table and layout that a join's heuristic merge is given."""
+    return solver._ring(sol.layout, bag_set), sol.layout
+
+
 def test_merge_exact_two_sided():
     solver, outer, inner = _merge_fixture()
-    merged = solver.merge_exact(outer, inner, frozenset({3, 4}))
+    merged = solver.merge_exact(outer, inner)
     colours, labels = solver.arrays(merged)
     assert colours == bytes([0, 0, 0, 1, 2, 1, 1, 2, 2])
     assert labels[0] == UNKNOWN
@@ -468,7 +474,7 @@ def test_merge_exact_with_bag_only_inner_keeps_outer_counts():
         [0, 0, 0, 1, 2, 0, 0, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, MAYBE_HAPPY, UNKNOWN],
     )
-    merged = solver.merge_exact(outer, bag_only, frozenset({3, 4}))
+    merged = solver.merge_exact(outer, bag_only)
     assert solver.arrays(merged)[0] == solver.arrays(outer)[0]
     assert merged.counts == outer.counts
 
@@ -479,9 +485,9 @@ def test_merge_exact_unhappy_dominates_assumed_unhappy():
     # Bag = {0}; side a saw a conflict with its interior 1, side b did not.
     a = solver.entry([1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY])
     b = solver.entry([1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
-    merged = solver.merge_exact(b, a, frozenset({0}))
+    merged = solver.merge_exact(b, a)
     assert solver.arrays(merged)[1][0] == UNHAPPY
-    merged2 = solver.merge_exact(a, b, frozenset({0}))
+    merged2 = solver.merge_exact(a, b)
     assert solver.arrays(merged2)[1][0] == UNHAPPY
 
 
@@ -497,7 +503,7 @@ def test_merge_copy_flips_conflicting_labels():
     # with interior 2 happy.
     outer = solver.entry([1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
     inner = solver.entry([2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
-    merged = solver._merge_copy(outer, inner, frozenset({0}))
+    merged = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({0})))
     colours, labels = solver.arrays(merged)
     assert colours == bytes([1, 1, 2])
     assert labels[1] == HAPPY
@@ -512,7 +518,7 @@ def test_merge_copy_upgrades_vanished_conflicts():
     outer = solver.entry([2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
     # Inner committed 0 to colour 1, so its interior 2 (colour 2) was unhappy.
     inner = solver.entry([1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY])
-    merged = solver._merge_copy(outer, inner, frozenset({0}))
+    merged = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({0})))
     # With the outer's bag colour the conflict is gone: 2 is genuinely happy.
     colours, labels = solver.arrays(merged)
     assert colours == bytes([2, 2, 2])
@@ -521,10 +527,10 @@ def test_merge_copy_upgrades_vanished_conflicts():
 
 def test_merge_methods_degenerate_to_exact_on_identical_bags():
     solver, outer, inner = _merge_fixture()
-    exact = solver.merge_exact(outer, inner, frozenset({3, 4}))
-    copy1 = solver._merge_copy(outer, inner, frozenset({3, 4}))
-    copy2 = solver._merge_copy(inner, outer, frozenset({3, 4}))
-    greedy = solver._merge_greedy(outer, inner, (3, 4), frozenset({3, 4}))
+    exact = solver.merge_exact(outer, inner)
+    copy1 = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({3, 4})))
+    copy2 = solver._merge_copy(inner, outer, *_ring(solver, inner, frozenset({3, 4})))
+    greedy = solver._merge_greedy(outer, inner, (3, 4), *_ring(solver, outer, frozenset({3, 4})))
     for merged in (copy1, copy2, greedy):
         assert solver.arrays(merged)[0] == solver.arrays(exact)[0]
         assert merged.counts == exact.counts
@@ -536,7 +542,7 @@ def test_merge_greedy_invariants_on_mismatched_tuples():
         bytes([0, 0, 0, 2, 1, 0, 0, 1, 1]),
         bytes([UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY]),
     )
-    merged = solver._merge_greedy(outer, flipped, (3, 4), frozenset({3, 4}))
+    merged = solver._merge_greedy(outer, flipped, (3, 4), *_ring(solver, outer, frozenset({3, 4})))
     assert merged.counts == _derived_counts(solver, merged)
     colours, labels = solver.arrays(merged)
     for v in range(9):
@@ -641,6 +647,67 @@ def test_join_mismatch_only_lists_use_backup():
     assert len(out) == 2  # copy_bag yields both role assignments
     for sol in out:
         assert sol.counts == _derived_counts(solver, sol)
+
+
+class _JoinPremiseSolver(HeuristicSolver):
+    """Checks at every join the two premises that let the join work out its
+    tables once, and counts the ``distance_weights`` calls of the join."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.joins = self.ring_lanes = self.weight_calls = self.most_weight_calls = 0
+
+    def distance_weights(self, bag, outer):
+        self.weight_calls += 1
+        return super().distance_weights(bag, outer)
+
+    def handle_join(self, idx, first, second):
+        node = self.nice.nodes[idx]
+        bag = tuple(sorted(node.bag))
+        ring = self._ring(self.node_layout(idx), node.bag)
+        for side in (first, second):
+            # The weights are fixed per side of the join.
+            weights = {HeuristicSolver.distance_weights(self, bag, sol) for sol in side}
+            assert len(weights) == 1, f"node {idx}: one side gives weights {weights}"
+            for sol in side:
+                colours = self.arrays(sol)[0]
+                by_lane = self._unpack(sol)[0]
+                for v, lane in sol.layout.index.items():
+                    if lane in ring and not colours[v]:
+                        want = self._border_label(v, colours)
+                        assert self._ring_label(by_lane, *ring[lane]) == want, f"node {idx}: {v}"
+                        self.ring_lanes += 1
+        self.joins += 1
+        self.weight_calls = 0
+        beam = super().handle_join(idx, first, second)
+        self.most_weight_calls = max(self.most_weight_calls, self.weight_calls)
+        return beam
+
+
+@pytest.mark.parametrize("weighting", DISTANCE_WEIGHTINGS)
+def test_join_tables_rest_on_premises_that_hold(weighting):
+    """Under every distance weighting, every entry of one join child gives
+    the same distance weights, ``_ring_label`` agrees with ``_border_label``
+    on every uncoloured ring vertex, and a join works out its weights at most
+    once."""
+    rng = random.Random(2020)
+    instances = [tree_instance(rng, 30, q=0.3)]
+    instances += fuzz_instances(3, seed=2021, n_lo=10, n_hi=14, p_lo=0.15, p_hi=0.35)
+    config = HeuristicConfig(
+        width=4,
+        join_distance_weighting=weighting,
+        join_merge_method="greedy_match",
+        check_invariants=True,
+    )
+    joins = ring_lanes = 0
+    for inst in instances:
+        nice = make_nice(min_fill_decompose(inst.graph, seed=0), inst.graph)
+        solver = _JoinPremiseSolver(inst.graph, inst.colouring, nice, config)
+        solver.solve()
+        assert solver.most_weight_calls <= 1
+        joins += solver.joins
+        ring_lanes += solver.ring_lanes
+    assert joins and ring_lanes
 
 
 # -- beam ---------------------------------------------------------------------
