@@ -245,8 +245,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_instance(inst)
     print(
         f"n={report.n_vertices} m={report.n_edges} k={report.k} "
-        f"coloured={report.n_coloured} components={report.n_components} "
-        f"exact_available={report.exact_solver_available}"
+        f"coloured={report.n_coloured} components={report.n_components}"
     )
     for note in report.notes:
         print(f"note: {note}")

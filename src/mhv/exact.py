@@ -1,13 +1,14 @@
 """Exact dynamic program over a nice tree decomposition.
 
-Every bag is read with the anchors added, one precoloured vertex per colour,
-so each bag meets every colour class.  Anchors stay in every bag, so a node
-that introduces or forgets one hands its child's table on.  Table states
-pair a bag colouring with a happy/assumed-unhappy designation per bag
-vertex; values are the best number of happy vertices in the processed
-subgraph outside the assumed-unhappy set.  States that admit no consistent
-completion are never stored (all recurrences map missing states to missing
-states).
+The standard table DP: table states pair a bag colouring with a
+happy/assumed-unhappy designation per bag vertex; values are the best number
+of happy vertices in the processed subgraph outside the assumed-unhappy set.
+States that admit no consistent completion are never stored (all recurrences
+map missing states to missing states).  A vertex is designated happy in a
+colour only if its precoloured neighbours agree on that colour
+(``precoloured_evidence``), so a conflict with a precoloured neighbour is
+cut when the vertex is introduced, whether that neighbour is in the bag or
+not.
 
 State encoding: bags are kept sorted and a state is one int.  Lane p, of
 ``(2k+1).bit_length()`` bits, holds bag position p's code ``colour << 1 |
@@ -19,8 +20,7 @@ Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
 table is dropped once its parent's is built.  Alive at any time are only the
 tables of open subtrees, the forget back-pointers that the traceback reads,
 and the root table.  The state cap counts the states of every table built,
-freed or not.  A leaf's bag is empty, so all leaves share one table over the
-anchors; it is built once and counted at every leaf.
+freed or not, a leaf's single empty state included.
 """
 
 from __future__ import annotations
@@ -28,29 +28,11 @@ from __future__ import annotations
 import time
 
 from .errors import InputError, ResourceLimitError
-from .graph import Graph, PartialColouring
+from .graph import Graph, PartialColouring, precoloured_evidence
 from .result import SolveResult, solve_result
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
 DEFAULT_STATE_CAP = 2_000_000
-
-
-def _anchors(colouring: PartialColouring) -> frozenset[int]:
-    """The lowest-numbered precoloured vertex of each colour.
-
-    Raises InputError when some colour class is empty; the exact algorithm
-    needs an anchor per colour.
-    """
-    anchors: dict[int, int] = {}
-    for v in sorted(colouring.assignment):
-        anchors.setdefault(colouring.assignment[v], v)
-    missing = [c for c in range(1, colouring.k + 1) if c not in anchors]
-    if missing:
-        raise InputError(
-            "exact solver needs every colour used by the initial colouring; "
-            f"missing colour(s) {missing}"
-        )
-    return frozenset(anchors.values())
 
 
 def solve_exact(
@@ -62,58 +44,22 @@ def solve_exact(
     """Optimal extension of the partial colouring via the table DP.
 
     Aborts with ResourceLimitError, naming the node, when the total number
-    of states built exceeds ``state_cap``; a node that introduces or forgets
-    an anchor builds none.  The returned colouring extends the input and its
-    happy count is the proven optimum.
+    of states built exceeds ``state_cap``.  The returned colouring extends
+    the input and its happy count is the proven optimum.
     """
     check_decomposes(g, nice)
     start = time.perf_counter()
     base = colouring.as_array(g.n)
-    anchors = _anchors(colouring)
+    evidence = precoloured_evidence(g, colouring)
     k = colouring.k
     adjacency, nodes = g.adjacency, nice.nodes
-    bags = [tuple(sorted(node.bag | anchors)) for node in nodes]
+    bags = [tuple(sorted(node.bag)) for node in nodes]
     width = (2 * k + 1).bit_length()
     lane = (1 << width) - 1
-
-    def over_cap(total, idx):
-        return ResourceLimitError(
-            f"exact DP exceeded the state cap ({total} > {state_cap} states) "
-            f"at node {idx} ({nodes[idx].kind.name.lower()}, bag of {len(bags[idx])})"
-        )
-
-    # Every leaf's bag is the anchor set, so all leaves share one table.  An
-    # anchor may be designated happy when no anchor next to it has another
-    # colour.
-    s_star = sorted(anchors)
-    leaf_key, leaf_flags = 0, []
-    for p, v in enumerate(s_star):
-        shift = width * (len(s_star) - 1 - p)
-        leaf_key |= base[v] << 1 << shift
-        if all(base[u] == base[v] for u in adjacency[v] if u in anchors):
-            leaf_flags.append(1 << shift)
-    leaf_table = None
-
-    def leaf(idx):
-        # The cap is checked before the table is first built; the walk below
-        # counts its states at every leaf.
-        nonlocal leaf_table
-        total = total_states + (1 << len(leaf_flags))
-        if total > state_cap:
-            raise over_cap(total, idx)
-        if leaf_table is None:
-            leaf_table = {leaf_key: 0}
-            for flag in leaf_flags:
-                leaf_table = {
-                    s | f: val + d for s, val in leaf_table.items() for f, d in ((0, 0), (flag, 1))
-                }
-        return leaf_table
 
     forget_pred = {}
 
     def forget(idx, child_table):
-        if nodes[idx].vertex in anchors:
-            return child_table
         child_bag = bags[nodes[idx].children[0]]
         low = width * (len(child_bag) - 1 - child_bag.index(nodes[idx].vertex))
         high, low_mask = low + width, (1 << low) - 1
@@ -126,7 +72,7 @@ def solve_exact(
         forget_pred[idx] = pred
         return table
 
-    def plan_for(pattern, shifts, allowed, low):
+    def plan_for(pattern, shifts, allowed, ev, low):
         # (code in the vertex's lane, value gain) pairs, in recurrence order.
         seen = happy = 0  # bit c: a neighbour (designated happy) has colour c
         for s in shifts:
@@ -137,30 +83,31 @@ def solve_exact(
         plan = []
         for colour in allowed:
             # A happy neighbour of another colour rules out both designations,
-            # any neighbour of another colour the happy one.
+            # any neighbour of another colour, in the bag or precoloured, the
+            # happy one.
             if not happy & ~(1 << colour):
                 plan.append((colour << 1 << low, 0))
-                if not seen & ~(1 << colour):
+                if ev in (0, colour) and not seen & ~(1 << colour):
                     plan.append(((colour << 1 | 1) << low, 1))
         return plan
 
     def introduce(idx, child_table):
         vertex, bag = nodes[idx].vertex, bags[idx]
-        if vertex in anchors:
-            return child_table
         low = width * (len(bag) - 1 - bag.index(vertex))
         high, low_mask = low + width, (1 << low) - 1
         nbrs = set(adjacency[vertex])
         shifts = [width * (len(bag) - 1 - p) for p, u in enumerate(bag) if u in nbrs]
         nbr_mask = sum(lane << s for s in shifts)
         allowed = (base[vertex],) if base[vertex] else range(1, k + 1)
+        ev = evidence[vertex]
         plans, table = {}, {}
         for key, val in child_table.items():
             # The child's lanes, spread around an empty lane for the vertex.
             spread = (key >> low << high) | (key & low_mask)
-            plan = plans.get(spread & nbr_mask)
+            pattern = spread & nbr_mask
+            plan = plans.get(pattern)
             if plan is None:
-                plan = plans[spread & nbr_mask] = plan_for(spread & nbr_mask, shifts, allowed, low)
+                plan = plans[pattern] = plan_for(pattern, shifts, allowed, ev, low)
             for code, gain in plan:
                 table[spread | code] = val + gain
         return table
@@ -179,19 +126,19 @@ def solve_exact(
         return table
 
     handlers = {
-        NodeKind.LEAF: leaf,
+        NodeKind.LEAF: lambda idx: {0: 0},
         NodeKind.INTRODUCE: introduce,
         NodeKind.FORGET: forget,
         NodeKind.JOIN: join,
     }
     total_states = 0
     for idx, table in nice.walk(handlers):
-        # A node that introduces or forgets an anchor hands its child's table
-        # on and builds no state.
-        if nodes[idx].vertex not in anchors:
-            total_states += len(table)
-            if total_states > state_cap:
-                raise over_cap(total_states, idx)
+        total_states += len(table)
+        if total_states > state_cap:
+            raise ResourceLimitError(
+                f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
+                f"at node {idx} ({nodes[idx].kind.name.lower()}, bag of {len(bags[idx])})"
+            )
         if idx == nice.root:
             root_table = table
 
@@ -213,12 +160,9 @@ def solve_exact(
             codes >>= width
             assert colours[v] in (0, col), "inconsistent reconstruction"
             colours[v] = col
-        # Joins and the nodes that move an anchor hand their key to their
-        # children, leaves have none.
+        # Joins hand their key to their children, leaves have none.
         node = nodes[idx]
-        if node.vertex in anchors:
-            pass
-        elif node.kind == NodeKind.FORGET:
+        if node.kind == NodeKind.FORGET:
             key = forget_pred[idx][key]
         elif node.kind == NodeKind.INTRODUCE:
             low = width * (len(bag) - 1 - bag.index(node.vertex))
@@ -226,4 +170,3 @@ def solve_exact(
         stack.extend((c, key) for c in node.children)
 
     return solve_result("exact-dp", g, colouring, colours, start, True, happy=best_val)
-

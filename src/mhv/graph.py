@@ -166,6 +166,17 @@ def count_happy(g: Graph, col: FullColouring) -> int:
     return happy
 
 
+def precoloured_evidence(g: Graph, colouring: PartialColouring) -> tuple[int, ...]:
+    """Per vertex, the colour its precoloured neighbours agree on: 0 when it
+    has none, -1 when they disagree.  A vertex can be happy only in that
+    colour, or in any colour when it is 0."""
+    base = colouring.as_array(g.n)
+    return tuple(
+        -1 if len(seen) > 1 else max(seen, default=0)
+        for seen in ({base[u] for u in nbrs} - {0} for nbrs in g.adjacency)
+    )
+
+
 def happy_fraction(g: Graph, col: FullColouring) -> float:
     """count_happy as a fraction of the vertex count (1.0 for the empty graph)."""
     if g.n == 0:
@@ -309,25 +320,21 @@ class InstanceReport:
     k: int
     n_coloured: int
     missing_colours: tuple[int, ...]
-    exact_solver_available: bool
     connected: bool
     n_components: int
     notes: tuple[str, ...]
 
 
 def validate_instance(inst: Instance) -> InstanceReport:
-    """Report structural facts a solver run would care about.
-
-    The exact solver needs every colour class nonempty; heuristics and
-    baselines run on any instance.
-    """
+    """Report structural facts a solver run would care about; every solver
+    runs on any instance."""
     g, col = inst.graph, inst.colouring
     used = col.colours_used()
     missing = tuple(c for c in range(1, col.k + 1) if c not in used)
     notes: list[str] = []
     if missing:
         classes = ",".join(str(c) for c in missing)
-        notes.append(f"colour classes {classes} empty; exact solver unavailable")
+        notes.append(f"colour classes {classes} empty")
     if not col.assignment:
         notes.append("no vertices precoloured")
     n_components = _count_components(g)
@@ -340,7 +347,6 @@ def validate_instance(inst: Instance) -> InstanceReport:
         k=col.k,
         n_coloured=col.coloured_count(),
         missing_colours=missing,
-        exact_solver_available=not missing,
         connected=connected,
         n_components=n_components,
         notes=tuple(notes),

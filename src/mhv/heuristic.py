@@ -107,7 +107,7 @@ from .beam import (
     label_counts,
 )
 from .errors import InputError
-from .graph import Graph, PartialColouring
+from .graph import Graph, PartialColouring, precoloured_evidence
 from .result import SolveResult, solve_result
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
 
@@ -234,12 +234,7 @@ class HeuristicSolver:
         # per join; -1 ends a chain.
         self._records: list[int] = []
         self._everything: Layout | None = None
-        # Per vertex, the colour its precoloured neighbours agree on: 0 for
-        # none, -1 when they disagree.
-        self._evidence = tuple(
-            -1 if len(seen) > 1 else max(seen, default=0)
-            for seen in ({self.base[u] for u in self.adj[v]} - {0} for v in range(self.n))
-        )
+        self._evidence = precoloured_evidence(g, colouring)
 
     # -- entry format -----------------------------------------------------
 

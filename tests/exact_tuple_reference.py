@@ -3,19 +3,16 @@
 The exact table DP as first written: a state is a tuple with one code per
 sorted-bag position, ``code = colour << 1 | designated_happy``.  A forget
 slices the tuple, an introduce builds two new tuples per colour and a join
-sums the designations code by code.  It picks its own anchors and runs its
-own post-order loop, with a "pass" kind for a node that introduces or
-forgets an anchor, so it shares no DP code with ``mhv.exact.solve_exact``,
-which packs a state into one int and plans each introduce per neighbour
-pattern.
-It still enumerates a leaf's designations before comparing anything with
-the state cap, so keep its caps to small anchor sets.
+sums the designations code by code.  It writes out its own rule that a
+vertex is designated happy only in a colour all its precoloured neighbours
+have, and runs its own post-order loop, so it shares no DP code with
+``mhv.exact.solve_exact``, which packs a state into one int, plans each
+introduce per neighbour pattern and reads ``precoloured_evidence``.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import product
 
 from mhv.errors import InputError, ResourceLimitError
 from mhv.exact import DEFAULT_STATE_CAP
@@ -34,9 +31,8 @@ def reference_solve_exact(
     and the number of states it built.
 
     Aborts with ResourceLimitError, naming the node, when the total number
-    of states built exceeds ``state_cap``; a "pass" node builds none.  The
-    returned colouring extends the input and its happy count is the proven
-    optimum.
+    of states built exceeds ``state_cap``.  The returned colouring extends
+    the input and its happy count is the proven optimum.
     """
     check_decomposes(g, nice)
     start = time.perf_counter()
@@ -44,11 +40,8 @@ def reference_solve_exact(
     base = colouring.as_array(g.n)
     adjacency = g.adjacency
     nodes = nice.nodes
-    s_star = _anchor_set(colouring)
-    bags = [tuple(sorted(node.bag | s_star)) for node in nodes]
-    # An anchor is never introduced or forgotten: such a node passes its
-    # child's table on.
-    kinds = ["pass" if node.vertex in s_star else node.kind.name.lower() for node in nodes]
+    bags = [tuple(sorted(node.bag)) for node in nodes]
+    kinds = [node.kind.name.lower() for node in nodes]
 
     forget_pred: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     tables: dict[int, dict[tuple[int, ...], int]] = {}
@@ -57,9 +50,7 @@ def reference_solve_exact(
         below = [tables.pop(c) for c in node.children]
         kind = kinds[idx]
         if kind == "leaf":
-            table = _leaf_table(adjacency, base, bags[idx])
-        elif kind == "pass":
-            table = below[0]
+            table = {(): 0}
         elif kind == "introduce":
             table = _introduce_table(adjacency, base, k, bags[idx], node.vertex, below[0])
         elif kind == "forget":
@@ -68,13 +59,12 @@ def reference_solve_exact(
         else:
             table = _join_table(*below)
         tables[idx] = table
-        if kind != "pass":
-            total_states += len(table)
-            if total_states > state_cap:
-                raise ResourceLimitError(
-                    f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
-                    f"at node {idx} ({kind}, bag of {len(bags[idx])})"
-                )
+        total_states += len(table)
+        if total_states > state_cap:
+            raise ResourceLimitError(
+                f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
+                f"at node {idx} ({kind}, bag of {len(bags[idx])})"
+            )
     root_table = tables[nice.root]
 
     if not root_table:
@@ -97,7 +87,7 @@ def reference_solve_exact(
         children = nodes[idx].children
         if kind == "leaf":
             continue
-        if kind in ("pass", "join"):
+        if kind == "join":
             for c in children:
                 stack.append((c, key))
         elif kind == "introduce":
@@ -123,21 +113,6 @@ def reference_solve_exact(
     return result, total_states
 
 
-def _anchor_set(colouring: PartialColouring) -> frozenset[int]:
-    """The first vertex of each colour in ascending vertex order."""
-    first: dict[int, int] = {}
-    for v, colour in sorted(colouring.assignment.items()):
-        if colour not in first:
-            first[colour] = v
-    missing = [c for c in range(1, colouring.k + 1) if c not in first]
-    if missing:
-        raise InputError(
-            "exact solver needs every colour used by the initial colouring; "
-            f"missing colour(s) {missing}"
-        )
-    return frozenset(first.values())
-
-
 def _forget_table(
     pos: int, child_table: dict[tuple[int, ...], int]
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], tuple[int, ...]]]:
@@ -151,30 +126,6 @@ def _forget_table(
             table[nk] = val
             pred[nk] = key
     return table, pred
-
-
-def _leaf_table(
-    adjacency: tuple[tuple[int, ...], ...], base: bytes, bag: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Enumerate designations over the anchor set.
-
-    A designated-happy anchor must already be happy within the subgraph the
-    anchors induce; the value counts the happy anchors not assumed unhappy.
-    """
-    bag_set = set(bag)
-    happy_here: list[bool] = []
-    for v in bag:
-        cv = base[v]
-        happy_here.append(
-            all(base[u] == cv for u in adjacency[v] if u in bag_set)
-        )
-    table: dict[tuple[int, ...], int] = {}
-    for flags in product((0, 1), repeat=len(bag)):
-        if any(f and not h for f, h in zip(flags, happy_here)):
-            continue
-        key = tuple((base[v] << 1) | f for v, f in zip(bag, flags))
-        table[key] = sum(flags)
-    return table
 
 
 def _join_table(
@@ -207,6 +158,9 @@ def _introduce_table(
     child_index = {v: i for i, v in enumerate(bag[:pos] + bag[pos + 1 :])}
     nbr_pos = [child_index[u] for u in adjacency[vertex] if u in child_index]
     allowed = (base[vertex],) if base[vertex] else tuple(range(1, k + 1))
+    # Happy in colour i needs every precoloured neighbour, in the bag or not,
+    # to have colour i.
+    precoloured = {base[u] for u in adjacency[vertex] if base[u]}
 
     table: dict[tuple[int, ...], int] = {}
     for key, val in child_table.items():
@@ -226,6 +180,6 @@ def _introduce_table(
                 continue
             prefix, suffix = key[:pos], key[pos:]
             table[prefix + (i << 1,) + suffix] = val
-            if not conflict_coloured:
+            if not conflict_coloured and precoloured <= {i}:
                 table[prefix + ((i << 1) | 1,) + suffix] = val + 1
     return table

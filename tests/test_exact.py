@@ -1,16 +1,15 @@
-"""Exact bounded-treewidth solver: its anchors, its state cap and its optimum
-against the brute-force oracle.
+"""Exact bounded-treewidth solver: its state cap, its pruning by precoloured
+neighbours and its optimum against the brute-force oracle.
 
-The DP reads every bag of the plain nice decomposition with one precoloured
-vertex per colour added; a node that introduces or forgets such an anchor
-hands its child's table on and builds no state."""
+The DP reads the bags of the plain nice decomposition as they are, and every
+node builds a table, each leaf one empty state."""
 
 import re
 
 import pytest
 
 from mhv.errors import InputError, ResourceLimitError
-from mhv.exact import _anchors, solve_exact
+from mhv.exact import DEFAULT_STATE_CAP, solve_exact
 from mhv.graph import Graph, PartialColouring, count_happy
 from mhv.harness import generate, hardest_regime
 from mhv.heuristic import HeuristicConfig, solve_heuristic
@@ -31,11 +30,6 @@ def _nice_for(g, seed=0):
     return make_nice(min_fill_decompose(g, seed=seed), g)
 
 
-def test_anchors_are_the_lowest_vertex_of_each_colour():
-    assert _anchors(PartialColouring(2, {4: 1, 1: 1, 3: 2, 2: 2})) == {1, 2}
-    assert _anchors(PartialColouring(1, {2: 1})) == {2}
-
-
 def test_exact_path_example():
     g = Graph(3, [(0, 1), (1, 2)])
     col = PartialColouring(2, {0: 1, 2: 2})
@@ -54,10 +48,19 @@ def test_exact_fully_precoloured():
     assert result.colouring.colours == (1, 1, 2, 2)
 
 
-def test_exact_requires_all_colours():
-    g = Graph(3, [(0, 1)])
-    with pytest.raises(InputError, match=r"missing colour\(s\) \[2, 3\]$"):
-        solve_exact(g, PartialColouring(3, {0: 1}), _nice_for(g))
+@pytest.mark.parametrize(
+    "g, col",
+    [
+        (Graph(3, [(0, 1)]), PartialColouring(3, {0: 1})),
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), PartialColouring(3, {0: 1})),
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), PartialColouring(2)),
+    ],
+    ids=["one-class-of-three", "one-class-on-a-tree", "nothing-precoloured"],
+)
+def test_exact_runs_with_empty_colour_classes(g, col):
+    result = solve_exact(g, col, _nice_for(g))
+    assert result.provably_optimal
+    assert result.happy == brute_force(g, col).happy
 
 
 @pytest.mark.parametrize("graph_n, nice_n", [(4, 6), (6, 4)], ids=["fewer-vertices", "more-vertices"])
@@ -250,14 +253,13 @@ def test_exact_state_cap():
         solve_exact(inst.graph, inst.colouring, _nice_for(inst.graph), state_cap=3)
 
 
-# The totals count the states of every table built, freed or not, and skip
-# the nodes that introduce or forget an anchor, which hand their child's table
-# on.  Counting those nodes too gave 109 and 219 171.
+# The totals count the states of every table built, freed or not, a leaf's
+# one empty state included.
 @pytest.mark.parametrize(
     "make, cap, total",
     [
-        (lambda: fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0], 100, 108),
-        (lambda: generate(hardest_regime(30, 3, seed=30)), 200_000, 205_085),
+        (lambda: fuzz_instances(1, seed=601, n_lo=9, n_hi=9, p_lo=0.4, p_hi=0.5)[0], 100, 104),
+        (lambda: generate(hardest_regime(30, 3, seed=30)), 200_000, 215_003),
     ],
     ids=["fuzz-601", "hardest-30"],
 )
@@ -275,24 +277,21 @@ def test_exact_state_cap_counts_every_table(make, cap, total):
     )
     assert match, message
     assert (int(match[1]), int(match[2])) == (total, cap)
-    anchors = _anchors(col)
     node = nice.nodes[int(match[3])]
     assert match[4] == node.kind.name.lower()
-    assert node.vertex not in anchors
-    assert int(match[5]) == len(node.bag | anchors)
+    assert int(match[5]) == len(node.bag)
 
 
-def test_exact_state_cap_counts_every_leaf_of_the_shared_table():
-    """Six isolated vertices, two of them anchors that may both be designated
-    happy: every leaf holds the same 4 states and each counts them."""
-    g = Graph(6)
-    col = PartialColouring(2, {0: 1, 1: 2})
-    nice = _nice_for(g)
-    leaves = [node for node in nice.nodes if node.kind == NodeKind.LEAF]
-    assert len(leaves) > 1
-    with pytest.raises(ResourceLimitError) as err:
-        solve_exact(g, col, nice, state_cap=23)
-    assert str(err.value).endswith("(24 > 23 states) at node 2 (leaf, bag of 2)")
+def test_exact_prunes_by_precoloured_neighbours():
+    """Hardest-regime ER n = 30 at width 9.  Without the rule that a vertex
+    is designated happy only in the colour its precoloured neighbours agree
+    on, the DP builds more than the default cap's states here."""
+    inst = generate(hardest_regime(30, 3, seed=0))
+    nice = _nice_for(inst.graph)
+    assert nice.width == 9
+    result = solve_exact(inst.graph, inst.colouring, nice, state_cap=DEFAULT_STATE_CAP)
+    assert result.provably_optimal
+    assert result.happy == 21
 
 
 def test_exact_matches_oracle_fuzz():

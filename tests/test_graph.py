@@ -172,22 +172,21 @@ def test_full_colouring_extends():
 def test_validate_instance_all_colours_present():
     g = Graph(4, [(0, 1)])
     report = validate_instance(Instance(g, PartialColouring(3, {0: 1, 1: 2, 2: 3})))
-    assert report.exact_solver_available
     assert report.missing_colours == ()
+    assert report.notes == ("graph has 3 connected components",)
 
 
 def test_validate_instance_missing_colours():
     g = Graph(4, [(0, 1)])
     report = validate_instance(Instance(g, PartialColouring(3, {0: 1})))
-    assert not report.exact_solver_available
     assert report.missing_colours == (2, 3)
-    assert any("2,3" in note and "exact" in note for note in report.notes)
+    assert report.notes[0] == "colour classes 2,3 empty"
 
 
 def test_validate_instance_empty_colouring():
     g = Graph(3, [(0, 1), (1, 2)])
     report = validate_instance(Instance(g, PartialColouring(2)))
-    assert not report.exact_solver_available
+    assert report.missing_colours == (1, 2)
     assert report.n_coloured == 0
     assert report.connected
 

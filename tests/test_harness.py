@@ -15,8 +15,6 @@ from mhv.errors import InputError, ResourceLimitError
 from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
 from mhv.graph import (
     MAX_VERTICES,
-    Graph,
-    PartialColouring,
     parse_colouring,
     parse_graph,
     write_colouring,
@@ -526,19 +524,19 @@ def test_cli_graph_header_above_vertex_limit_exits_3(tmp_path):
     ]
 
 
-def test_cli_exact_state_cap_checked_before_a_leaf_enumerates(tmp_path):
-    """Forty isolated anchors give every leaf 2^40 designations.  The cap is
-    compared with that count before one is built, so the run ends at once."""
-    k = 40
+def test_cli_exact_state_cap_exits_3_at_the_node_that_passes_it(tmp_path):
+    """Hardest-regime ER n = 30 passes a cap of 200 000 states at an
+    introduce; the run exits 3 with the one-line message naming it."""
+    inst = generate(hardest_regime(30, 3, seed=30))
     graph_path = tmp_path / "g.gr"
-    graph_path.write_text(write_graph(Graph(k + 2, [(k, k + 1)])))
+    graph_path.write_text(write_graph(inst.graph))
     colouring_path = tmp_path / "g.col"
-    colouring_path.write_text(write_colouring(PartialColouring(k, {v: v + 1 for v in range(k)})))
-    proc = _run_capped(["exact", str(graph_path), str(colouring_path), "--state-cap", "1000"])
+    colouring_path.write_text(write_colouring(inst.colouring))
+    proc = _run_capped(["exact", str(graph_path), str(colouring_path), "--state-cap", "200000"])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.splitlines() == [
-        f"resource limit: exact DP exceeded the state cap ({2**k} > 1000 states) "
-        f"at node 0 (leaf, bag of {k})"
+        "resource limit: exact DP exceeded the state cap (215003 > 200000 states) "
+        "at node 95 (introduce, bag of 11)"
     ]
 
 
@@ -636,8 +634,7 @@ def test_cli_bench_manifest_not_an_object(tmp_path, capsys):
 def test_cli_validate_subcommand(tmp_path, capsys):
     graph_path, colouring_path = _write_instance(tmp_path)
     assert main(["validate", str(graph_path), str(colouring_path)]) == 0
-    out = capsys.readouterr().out
-    assert "exact_available=True" in out
+    assert capsys.readouterr().out.splitlines() == ["n=9 m=11 k=2 coloured=4 components=1"]
 
 
 def test_bench_tree_instances_with_width_64_all_proved_optimal():
