@@ -3,8 +3,7 @@
 A beam entry (``PartialSolution``) stands for a colouring of the processed
 subgraph and a label per vertex; ``mhv.heuristic`` says what it stores and
 builds every entry.  This module holds the label values, the score weights,
-the entry and its ``Layout``, and ``Beam``, the score-sorted list a node
-keeps its entries in.
+the entry, and ``Beam``, the score-sorted list a node keeps its entries in.
 """
 
 from __future__ import annotations
@@ -60,29 +59,18 @@ class LabelWeights:
             raise InputError("unhappy weight must not exceed either potential label")
 
 
-class Layout:
-    """The vertices an entry stores, ``vertices``, and ``index``, which maps
-    each one to its lane."""
-
-    __slots__ = ("vertices", "index")
-
-    def __init__(self, index: dict[int, int]) -> None:
-        self.vertices = tuple(index)
-        self.index = index
-
-
 class PartialSolution:
     """One beam entry.
 
-    ``state`` packs the colours and labels of ``layout.vertices`` into one
-    int, a lane per vertex at the bits its ``layout.index`` lane gives (see
-    ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.  ``counts``
-    holds the totals over all vertices for the four scored labels in enum
-    order.  ``forgotten`` is the newest of the solver's forget records, which
-    hold the colours of the coloured vertices outside the layout, -1 for
-    none.  At the node that holds it, the coloured vertices are exactly those
-    of the bags below.  ``layout`` may be left out for an entry that is only
-    ranked, never read.
+    ``layout`` maps each vertex the entry stores to its lane, and ``state``
+    packs their colours and labels into one int, a vertex's at the bits of
+    its lane (see ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.
+    ``counts`` holds the totals over all vertices for the four scored labels
+    in enum order.  ``forgotten`` is the newest of the solver's forget
+    records, which hold the colours of the coloured vertices outside the
+    layout, -1 for none.  At the node that holds it, the coloured vertices
+    are exactly those of the bags below.  ``layout`` may be left out for an
+    entry that is only ranked, never read.
     """
 
     __slots__ = ("state", "counts", "score", "layout", "forgotten")
@@ -92,7 +80,7 @@ class PartialSolution:
         state: int,
         counts: tuple[int, int, int, int],
         score: int,
-        layout: Layout | None = None,
+        layout: dict[int, int] | None = None,
         forgotten: int = -1,
     ) -> None:
         self.state = state

@@ -373,7 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         InputError,
         OSError,  # a missing file, a directory, an unwritable output path
         json.JSONDecodeError,
-        KeyError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -184,6 +184,16 @@ def happy_fraction(g: Graph, col: FullColouring) -> float:
     return count_happy(g, col) / g.n
 
 
+def _as_text(text: str | bytes) -> str:
+    """A parser's input as text; bytes that are not UTF-8 are a parse error."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse a PACE-2017 style ``.gr`` file.
 
@@ -193,8 +203,7 @@ def parse_graph(text: str | bytes) -> Graph:
     declaring more than ``MAX_VERTICES`` vertices raises
     ``ResourceLimitError``.
     """
-    if isinstance(text, bytes):
-        text = text.decode()
+    text = _as_text(text)
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -263,8 +272,7 @@ def parse_colouring(text: str | bytes, g: Graph) -> PartialColouring:
     Format: comment lines start with ``c``; one header ``k <k>``; then lines
     ``<vertex> <colour>`` with 1-indexed vertices and colours in 1..k.
     """
-    if isinstance(text, bytes):
-        text = text.decode()
+    text = _as_text(text)
     k = -1
     assignment: dict[int, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):

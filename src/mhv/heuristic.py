@@ -23,11 +23,12 @@ label per vertex:
 
 Labels of uncoloured vertices are a pure function of the colouring (committed
 colours plus precoloured neighbours).  A ``greedy_match`` merge, which
-re-decides bag colours, recomputes them (``_ring_label``).  The introduce
-handler instead applies a delta rule to the introduced vertex's neighbours:
-colouring it can only turn an UNKNOWN neighbour MAYBE_HAPPY or UNHAPPY, a
-MAYBE_HAPPY neighbour bound to another colour UNHAPPY, and a coloured
-ASSUMED_UNHAPPY neighbour of another colour UNHAPPY.  The rule rests on two
+re-decides bag colours, recomputes them from the merged state
+(``_ring_label``).  The introduce handler instead applies a delta rule to
+the introduced vertex's neighbours: colouring it can only turn an UNKNOWN
+neighbour MAYBE_HAPPY or UNHAPPY, a MAYBE_HAPPY neighbour bound to another
+colour UNHAPPY, and a coloured ASSUMED_UNHAPPY neighbour of another colour
+UNHAPPY.  The rule rests on two
 premises that ``check_invariants`` asserts: committed colours only grow and
 extend the input, and every stored label equals ``_border_label``.  The
 introduce works out what colouring the vertex changes once per colour and
@@ -37,13 +38,13 @@ alone and builds only the survivors, each as its child's state XOR the
 change.
 
 An entry stores only what can still change: the colours and labels of its
-node's closed neighbourhood N[bag] (its ``Layout``) packed into one int, its
-four label counts over all vertices, its score, and the number of its newest
-forget record.  Every vertex has one lane for the whole solve,
-``k.bit_length()`` colour bits and then 3 label bits, and a lane outside the
-node's N[bag] is zero.  One pass from the root (``_assign_lanes``) gives
-each vertex the lowest lane free where it enters N[bag], so vertices that
-share an N[bag] never share a lane.
+node's closed neighbourhood N[bag] packed into one int, its four label counts
+over all vertices, its score, and the number of its newest forget record.
+Its layout is a dict from each vertex of N[bag] to its lane.  Every vertex
+has one lane for the whole solve, ``k.bit_length()`` colour bits and then 3
+label bits, and a lane outside the node's N[bag] is zero.  One pass from the
+root (``_assign_lanes``) gives each vertex the lowest lane free where it
+enters N[bag], so vertices that share an N[bag] never share a lane.
 So the vertices an introduce adds to N[bag] find their lanes zero, that is
 uncoloured and UNKNOWN; a forget clears the lanes of those that leave; and a
 join's two children hold its bag in the same lanes, so that its keys and
@@ -72,15 +73,17 @@ vertex has had all its neighbours introduced.  So at every node an uncoloured
 vertex with a label other than UNKNOWN is a neighbour of the bag, and the
 coloured territories of a join's two children meet only on the bag.  Two
 solutions of the two children can therefore differ in what they say about a
-vertex only inside N[bag], which both store.  A merge works on N[bag] alone;
-its counts are each side's counts away from N[bag] plus those of the merged
-labels.  Per join node the solver indexes the inner list by match key
-once.  Distances are computed only for an outer solution without an exact
-partner while the main list is empty, the one case that uses the nearest
-partner.  The first such solution fixes the join's distance masks and its
-table of the ring, N[bag] without the bag: every entry of one child colours
-the same vertices, and an uncoloured neighbour of a bag vertex is never
-UNKNOWN, so every distance weighting is fixed per side of the join.
+vertex only inside N[bag], which both store.  A merge works on N[bag] alone,
+in the packed states: it takes each side's territory by one lane mask and
+visits only the lanes it decides or relabels.  Its counts are each side's
+counts away from N[bag] plus those of the merged labels.  Per join node the
+solver indexes the inner list by match key once.  Distances are computed
+only for an outer solution without an exact partner while the main list is
+empty, the one case that uses the nearest partner.  The first such solution
+fixes the join's distance masks and its table of the ring, N[bag] without
+the bag: every entry of one child colours the same vertices, and an
+uncoloured neighbour of a bag vertex is never UNKNOWN, so every distance
+weighting is fixed per side of the join.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ from .beam import (
     Beam,
     Label,
     LabelWeights,
-    Layout,
     PartialSolution,
     entry_rank,
     evaluate,
@@ -185,7 +187,6 @@ def exactness_width_bound(k: int, width: int) -> int:
     return (2 * k) ** (width + 1)
 
 
-_EMPTY = Layout({})
 # A join's ring table: per lane off the bag, its neighbours' lanes and evidence colour.
 _Ring = dict[int, tuple[tuple[int, ...], int]]
 
@@ -224,16 +225,13 @@ class HeuristicSolver:
         self._colour_field = self._ones * ((1 << self._cb) - 1)
         self._label_field = self._ones * 7
         self._lanes, self._moved = self._assign_lanes()
-        # The length of an array indexed by lane; n once ``entry`` lays an
-        # entry out over every vertex.
-        self._lane_count = max(self._lanes, default=-1) + 1
         # Per node, its entries' layout while its parent is still to come.
-        self._layouts: list[Layout | None] = [None] * len(nice.nodes)
+        self._layouts: list[dict[int, int] | None] = [None] * len(nice.nodes)
         # Forget records, three ints each: (vertex, colour, older record) per
         # vertex that leaves N[bag], and (-1, one side's newest, the other's)
         # per join; -1 ends a chain.
         self._records: list[int] = []
-        self._everything: Layout | None = None
+        self._everything: dict[int, int] | None = None
         self._evidence = precoloured_evidence(g, colouring)
 
     # -- entry format -----------------------------------------------------
@@ -256,17 +254,16 @@ class HeuristicSolver:
         if node is None:
             layout = self._everything
             if layout is None:
-                layout = self._everything = Layout(dict(zip(range(self.n), range(self.n))))
-                self._lane_count = self.n
+                layout = self._everything = dict(zip(range(self.n), range(self.n)))
         else:
             layout = self.node_layout(node)
         forgotten = -1
         for v, c in enumerate(colours):
-            if c and v not in layout.index:
+            if c and v not in layout:
                 forgotten = self._record(v, c, forgotten)
         cb, lw = self._cb, self._lw
         state = 0
-        for v, lane in layout.index.items():
+        for v, lane in layout.items():
             state |= (colours[v] | labels[v] << cb) << lw * lane
         return PartialSolution(state, counts_t, evaluate(self.weights, counts_t), layout, forgotten)
 
@@ -283,11 +280,11 @@ class HeuristicSolver:
         """(vertex, colour, label) per vertex that ``sol`` stores."""
         state, cb, lw = sol.state, self._cb, self._lw
         low = (1 << cb) - 1
-        for v, lane in sol.layout.index.items():
+        for v, lane in sol.layout.items():
             bits = state >> lw * lane
             yield v, bits & low, bits >> cb & 7
 
-    def _lane_counts(self, state: int) -> tuple[int, int, int, int]:
+    def _state_counts(self, state: int) -> tuple[int, int, int, int]:
         """The four scored label counts over the lanes of ``state``, by
         popcount: HAPPY 001, UNHAPPY 010 and FAR_UNHAPPY 101, MAYBE_HAPPY 011
         and ASSUMED_UNHAPPY 100."""
@@ -369,11 +366,11 @@ class HeuristicSolver:
             stack.extend(node.children)
         return lanes, moved
 
-    def node_layout(self, idx: int) -> Layout:
-        """The layout of node ``idx``'s entries: N[bag], each vertex in its
-        lane.  An introduce adds the vertices new to N[bag]; a forget drops
-        each vertex that no longer touches the bag; a join takes its first
-        child's layout.  Worked out from the nearest known layout below,
+    def node_layout(self, idx: int) -> dict[int, int]:
+        """The layout of node ``idx``'s entries: each vertex of N[bag] mapped
+        to its lane.  An introduce adds the vertices new to N[bag]; a forget
+        drops each vertex that no longer touches the bag; a join takes its
+        first child's layout.  Worked out from the nearest known layout below,
         iteratively; a handler lets go of its children's layouts once it has
         used them."""
         layouts = self._layouts
@@ -391,22 +388,22 @@ class HeuristicSolver:
             layouts[j] = self._derived_layout(j)
         return layouts[idx]
 
-    def _derived_layout(self, idx: int) -> Layout:
+    def _derived_layout(self, idx: int) -> dict[int, int]:
         """Node ``idx``'s layout from its first child's (see ``node_layout``)."""
         node = self.nice.nodes[idx]
         if node.kind == NodeKind.LEAF:
-            return _EMPTY
+            return {}
         child = self._layouts[node.children[0]]
         moved = self._moved[idx]
         if not moved:
             return child
-        index = child.index.copy()
+        layout = child.copy()
         if node.kind == NodeKind.INTRODUCE:
-            index.update(zip(moved, map(self._lanes.__getitem__, moved)))
+            layout.update(zip(moved, map(self._lanes.__getitem__, moved)))
         else:
             for u in moved:
-                del index[u]
-        return Layout(index)
+                del layout[u]
+        return layout
 
     def _record(self, vertex: int, colour: int, older: int) -> int:
         """A new forget record; its number."""
@@ -485,25 +482,25 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _ring(self, layout: Layout, bag_set: frozenset[int]) -> _Ring:
+    def _ring(self, layout: dict[int, int], bag_set: frozenset[int]) -> _Ring:
         """The ring table of the vertices of ``layout`` outside ``bag_set``."""
-        index, evidence = layout.index, self._evidence
+        evidence = self._evidence
         return {
-            i: (tuple(index[u] for u in self.adj[v] if u in index), evidence[v])
-            for v, i in index.items()
+            i: (tuple(layout[u] for u in self.adj[v] if u in layout), evidence[v])
+            for v, i in layout.items()
             if v not in bag_set
         }
 
-    @staticmethod
-    def _ring_label(colours: bytearray, near: tuple[int, ...], evidence: int) -> int:
+    def _ring_label(self, state: int, near: tuple[int, ...], evidence: int) -> int:
         """``_border_label`` of an uncoloured ring vertex, from the colours
-        by lane of its neighbours in N[bag], which hold all its committed
-        ones, and its evidence colour: UNKNOWN without a committed
-        neighbour, MAYBE_HAPPY when the committed colours and the evidence
-        are one colour, else UNHAPPY."""
+        in ``state`` of its neighbours' lanes ``near`` in N[bag], which hold
+        all its committed ones, and its evidence colour: UNKNOWN without a
+        committed neighbour, MAYBE_HAPPY when the committed colours and the
+        evidence are one colour, else UNHAPPY."""
+        lw, low = self._lw, (1 << self._cb) - 1
         first = 0
         for j in near:
-            c = colours[j]
+            c = state >> lw * j & low
             if c:
                 if not first:
                     first = c
@@ -512,17 +509,6 @@ class HeuristicSolver:
         if not first:
             return UNKNOWN
         return MAYBE_HAPPY if evidence in (0, first) else UNHAPPY
-
-    def _unpack(self, sol: PartialSolution) -> tuple[bytearray, bytearray]:
-        """An entry's colours and labels, each an array indexed by lane."""
-        colours, labels = bytearray(self._lane_count), bytearray(self._lane_count)
-        state, cb, lw = sol.state, self._cb, self._lw
-        low = (1 << cb) - 1
-        for lane in sol.layout.index.values():
-            bits = state >> lw * lane
-            colours[lane] = bits & low
-            labels[lane] = bits >> cb & 7
-        return colours, labels
 
     # -- node handlers ----------------------------------------------------
 
@@ -786,13 +772,12 @@ class HeuristicSolver:
             return beam
         if vtx in gone:
             promote = 0
-        index = layout.index
         kept = ~sum(full << lw * lanes[u] for u in gone)
         leaving = [(u, lw * lanes[u]) for u in gone]
         # (the label shift of a ring vertex next to one that leaves, the
         # colour shifts of both).
         marks = [
-            (lw * lanes[v] + cb, lw * lanes[v], at) for u, at in leaving for v in self.adj[u] if v in index
+            (lw * lanes[v] + cb, lw * lanes[v], at) for u, at in leaving for v in self.adj[u] if v in layout
         ]
         check = self.config.check_invariants
         records = self._records
@@ -905,10 +890,10 @@ class HeuristicSolver:
         """Per distinct non-zero weight of ``distance_weights(bag, outer)``,
         the weight and bits 0 and 1 of its bag vertices' lanes."""
         by_weight: dict[int, int] = {}
-        index = outer.layout.index
+        layout = outer.layout
         for w, v in zip(self.distance_weights(bag, outer), bag):
             if w:
-                by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * index[v]
+                by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * layout[v]
         return tuple(by_weight.items())
 
     def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
@@ -922,13 +907,13 @@ class HeuristicSolver:
         if test is None:
             return (1,) * len(bag)
         bag_set = frozenset(bag)
-        index = outer.layout.index
+        layout = outer.layout
         coloured, lw = self._coloured(outer.state), self._lw
         weights = []
         for v in bag:
             count = 0
             for u in self.adj[v]:
-                count += test(u in bag_set, bool(coloured >> lw * index[u] & 1))
+                count += test(u in bag_set, bool(coloured >> lw * layout[u] & 1))
             weights.append(min(count, 1) if capped else count)
         return tuple(weights)
 
@@ -955,7 +940,7 @@ class HeuristicSolver:
         # Bag lanes whose label bit 1 (UNHAPPY) only b has: a's 100 to 010.
         fix = (sb & ~sa) >> cb + 1 & a_coloured & b_coloured
         state = sa ^ taken ^ (fix * 6) << cb
-        dropped = self._lane_counts(sb ^ taken)
+        dropped = self._state_counts(sb ^ taken)
         fixed = fix.bit_count()
         ca, cb_ = a.counts, b.counts
         counts = (
@@ -974,7 +959,7 @@ class HeuristicSolver:
         inner: PartialSolution,
         bag: tuple[int, ...],
         ring: _Ring,
-        layout: Layout,
+        layout: dict[int, int],
     ) -> list[PartialSolution]:
         """Force two non-matching solutions in the lanes of ``layout``
         together, into entries over it; ``ring`` is its ring table.
@@ -991,13 +976,13 @@ class HeuristicSolver:
         return [self._merge_greedy(outer, inner, bag, ring, layout)]
 
     def _merged(
-        self, layout: Layout, state: int, a: PartialSolution, b: PartialSolution
+        self, layout: dict[int, int], state: int, a: PartialSolution, b: PartialSolution
     ) -> PartialSolution:
         """The entry over ``layout`` of a join's heuristic merge of ``a`` and
         ``b`` whose N[bag] is ``state``.  Its counts are each side's counts
         away from N[bag], where the two sides never overlap, plus those of
         ``state``."""
-        ta, tb, tn = self._lane_counts(a.state), self._lane_counts(b.state), self._lane_counts(state)
+        ta, tb, tn = self._state_counts(a.state), self._state_counts(b.state), self._state_counts(state)
         ca, cb = a.counts, b.counts
         counts = (
             ca[0] + cb[0] - ta[0] - tb[0] + tn[0],
@@ -1008,7 +993,7 @@ class HeuristicSolver:
         return PartialSolution(state, counts, evaluate(self.weights, counts), layout, self._joined(a, b))
 
     def _merge_copy(
-        self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring, layout: Layout
+        self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring, layout: dict[int, int]
     ) -> PartialSolution:
         cb, lw = self._cb, self._lw
         low = (1 << cb) - 1
@@ -1047,36 +1032,27 @@ class HeuristicSolver:
         b: PartialSolution,
         bag: tuple[int, ...],
         ring: _Ring,
-        layout: Layout,
+        layout: dict[int, int],
     ) -> PartialSolution:
-        index = layout.index
-        colours, labels = bytearray(self._lane_count), bytearray(self._lane_count)
-        a_col, a_lab = self._unpack(a)
-        b_col, b_lab = self._unpack(b)
-        for i in ring:
-            if a_col[i]:
-                colours[i] = a_col[i]
-                labels[i] = a_lab[i]
-            elif b_col[i]:
-                colours[i] = b_col[i]
-                labels[i] = b_lab[i]
-        # Bag lanes in the order of ``bag``, which the adoption and the RNG
-        # draws follow.
-        order = [index[v] for v in bag]
-        vertex_at = dict(zip(order, bag))
-        matched = set()
-        for i in order:
-            if a_col[i] == b_col[i]:
-                colours[i] = a_col[i]
-                matched.add(i)
+        cb, lw = self._cb, self._lw
+        low, full = (1 << cb) - 1, (1 << lw) - 1
+        sa, sb = a.state, b.state
+        adj, base = self.adj, self.base
+        # Bag lanes, as (shift, vertex), in the order of ``bag``, which the
+        # adoption and the RNG draws follow.
+        order = [(lw * layout[v], v) for v in bag]
+        bag_set = set(bag)
+        bag_lanes = sum(full << at for at, _ in order)
+        # The ring lanes as ``_merge_copy`` takes them; the bag lanes cleared
+        # but for the colours both sides give.
+        moved = self._coloured(sb) & ~self._coloured(sa)
+        agreed = bag_lanes & ~(self._coloured(sa ^ sb) * full)
+        state = (sa ^ (sa ^ sb) & moved * full) & ~bag_lanes | sa & agreed & self._colour_field
 
-        adj = self.adj
-        base = self.base
-
-        def consistent(i: int) -> bool:
-            cv = colours[i]
-            for u in adj[vertex_at[i]]:
-                cu = colours[index[u]]
+        def consistent(at: int, v: int) -> bool:
+            cv = state >> at & low
+            for u in adj[v]:
+                cu = state >> lw * layout[u] & low
                 if cu:
                     if cu != cv:
                         return False
@@ -1084,49 +1060,51 @@ class HeuristicSolver:
                     return False
             return True
 
-        def adopt(i: int, lab: int) -> None:
-            labels[i] = lab
-            if lab in (HAPPY, ASSUMED_UNHAPPY):
-                for u in adj[vertex_at[i]]:
-                    j = index[u]
-                    if j not in ring and colours[j] == 0:
-                        colours[j] = colours[i]
-
         changed = True
         while changed:
             changed = False
-            for i in order:
-                if colours[i] == 0 or labels[i] != UNKNOWN:
+            for at, v in order:
+                cv = state >> at & low
+                if not cv or state >> at + cb & 7:
                     continue
-                offered = {a_lab[i], b_lab[i]} if i in matched else {HAPPY}
-                if HAPPY in offered and consistent(i):
-                    adopt(i, HAPPY)
-                elif ASSUMED_UNHAPPY in offered and consistent(i):
-                    adopt(i, ASSUMED_UNHAPPY)
+                offered = (sa >> at + cb & 7, sb >> at + cb & 7) if agreed >> at & 1 else (HAPPY,)
+                if HAPPY in offered and consistent(at, v):
+                    label = HAPPY
+                elif ASSUMED_UNHAPPY in offered and consistent(at, v):
+                    label = ASSUMED_UNHAPPY
                 else:
-                    labels[i] = UNHAPPY
+                    label = UNHAPPY
+                state |= label << at + cb
+                if label != UNHAPPY:
+                    # Its uncoloured bag neighbours adopt its colour.
+                    for u in adj[v]:
+                        if u in bag_set:
+                            s = lw * layout[u]
+                            if not state >> s & low:
+                                state |= cv << s
                 changed = True
         # Vertices in components of the bag untouched by any label choice.
-        for i in order:
-            if colours[i] == 0:
-                colours[i] = a_col[i] if self.rng.random() < 0.5 else b_col[i]
-        for i in order:
-            if labels[i] == UNKNOWN:
-                labels[i] = HAPPY if consistent(i) else UNHAPPY
+        for at, _ in order:
+            if not state >> at & low:
+                state |= ((sa if self.rng.random() < 0.5 else sb) >> at & low) << at
+        for at, v in order:
+            if not state >> at + cb & 7:
+                state |= (HAPPY if consistent(at, v) else UNHAPPY) << at + cb
         # Ring labels must reflect the possibly re-decided bag colours; away
         # from N[bag] nothing a vertex sees has changed, and a clash there
         # stays, marked FAR_UNHAPPY.
-        for i, (near, evidence) in ring.items():
-            cv = colours[i]
+        for lane, (near, evidence) in ring.items():
+            at = lw * lane
+            cv = state >> at & low
+            old = state >> at + cb & 7
             if not cv:
-                labels[i] = self._ring_label(colours, near, evidence)
-            elif labels[i] != FAR_UNHAPPY:
-                conflict = any(colours[j] not in (0, cv) for j in near)
-                labels[i] = UNHAPPY if conflict else HAPPY
-        cb, lw = self._cb, self._lw
-        state = 0
-        for i in index.values():
-            state |= (colours[i] | labels[i] << cb) << lw * i
+                label = self._ring_label(state, near, evidence)
+            elif old == FAR_UNHAPPY:
+                continue
+            else:
+                conflict = any(state >> lw * j & low not in (0, cv) for j in near)
+                label = UNHAPPY if conflict else HAPPY
+            state ^= (old ^ label) << at + cb
         return self._merged(layout, state, a, b)
 
     # -- full solve ---------------------------------------------------------
@@ -1175,9 +1153,8 @@ class HeuristicSolver:
         another colour.  ``promoted`` is the forgotten vertex if its label
         turns from ASSUMED_UNHAPPY to HAPPY, else -1."""
         colours = self._colouring(sol)
-        index = sol.layout.index
         for u in gone:
-            stored = HAPPY if u == promoted else sol.state >> self._lw * index[u] + self._cb & 7
+            stored = HAPPY if u == promoted else sol.state >> self._lw * sol.layout[u] + self._cb & 7
             clash = any(colours[w] != colours[u] for w in self.adj[u])
             assert stored == (UNHAPPY if clash else HAPPY) or (clash and stored == FAR_UNHAPPY), (
                 f"vertex {u} leaves N[bag] labelled {stored}, its colouring says otherwise"
@@ -1190,16 +1167,14 @@ class HeuristicSolver:
         near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         assert len(beam) <= self.config.width
-        assert set(layout.vertices) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
+        assert set(layout) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
             # Laid out on the node, or over every vertex when made from arrays,
             # with no bits outside its lanes.
             laid = sol.layout
-            assert laid is self._everything or laid.index == layout.index, (
-                f"node {idx}: foreign layout"
-            )
-            lanes = sum(((1 << self._lw) - 1) << self._lw * lane for lane in laid.index.values())
+            assert laid is self._everything or laid == layout, f"node {idx}: foreign layout"
+            lanes = sum(((1 << self._lw) - 1) << self._lw * lane for lane in laid.values())
             assert type(sol.state) is int and not sol.state & ~lanes, f"node {idx}: stray lanes"
             full_colours, full_labels = self.arrays(sol)
             assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from labels"
@@ -1208,7 +1183,7 @@ class HeuristicSolver:
             # conflicting neighbour outside the layout.
             for v, cv, lab in self._read(sol):
                 far_clash = cv and any(
-                    full_colours[u] != cv for u in self.adj[v] if u not in laid.index
+                    full_colours[u] != cv for u in self.adj[v] if u not in laid
                 )
                 assert (lab == FAR_UNHAPPY) == bool(far_clash), (
                     f"node {idx}: vertex {v} labelled {lab}, conflict away from N[bag] {far_clash}"

@@ -17,7 +17,7 @@ from enum import IntEnum
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import InputError, ParseError
-from .graph import Graph, reachable
+from .graph import Graph, _as_text, reachable
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,7 @@ def parse_td(text: str | bytes, g: Graph) -> TreeDecomposition:
     Header ``s td <#bags> <width+1> <n>``; bag lines ``b <id> <v...>``;
     remaining lines are bag-tree edges.  Bags without a line are empty.
     """
-    if isinstance(text, bytes):
-        text = text.decode()
+    text = _as_text(text)
     nb_bags = -1
     declared_width_plus1 = 0
     bag_lines: dict[int, frozenset[int]] = {}

@@ -48,7 +48,7 @@ def test_entry_arrays_round_trip(k):
         idx = rng.randrange(len(solver.nice.nodes))
         got_colours, got_labels = solver.arrays(solver.entry(colours, labels, node=idx))
         assert got_colours == bytes(colours)
-        for v in solver.node_layout(idx).vertices:
+        for v in solver.node_layout(idx):
             assert got_labels[v] == public[v]
 
 

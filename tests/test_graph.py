@@ -24,7 +24,7 @@ from mhv.graph import (
 from mhv.heuristic import solve_heuristic
 from mhv.oracle import brute_force
 from mhv.result import solve_result
-from mhv.treedec import make_nice, min_fill_decompose
+from mhv.treedec import make_nice, min_fill_decompose, parse_td
 
 from corpus import er_graph
 
@@ -69,6 +69,20 @@ def test_parse_comments_and_blank_lines():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        parse_graph,
+        lambda text: parse_colouring(text, Graph(2, [(0, 1)])),
+        lambda text: parse_td(text, Graph(2, [(0, 1)])),
+    ],
+    ids=["graph", "colouring", "td"],
+)
+def test_parsers_reject_bytes_that_are_not_utf8(parse):
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse(b"\xff")
 
 
 def test_parse_error_names_line():

@@ -1,5 +1,6 @@
 """Instance generation, benchmark harness, CSV output and the CLI."""
 
+import dataclasses
 import io
 import json
 import math
@@ -457,6 +458,23 @@ def test_cli_malformed_input_is_one_input_error_line(tmp_path, capsys, argv):
     for flag in ("--cap", "--state-cap", "--workers"):
         if flag in raw_argv:
             assert f"input error: {flag} must be at least 1, got " in err[0], err
+
+
+def test_cli_program_fault_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    """A KeyError from inside a solver is a fault of the program: it
+    propagates from ``main`` instead of exiting 2 as bad input."""
+    import mhv.harness
+
+    graph_path, colouring_path = _write_instance(tmp_path)
+
+    def faulty(inst, nice, spec, seed):
+        raise KeyError("fault")
+
+    row = dataclasses.replace(mhv.harness.SOLVERS["greedy"], run=faulty)
+    monkeypatch.setitem(mhv.harness.SOLVERS, "greedy", row)
+    with pytest.raises(KeyError, match="fault"):
+        main(["greedy", str(graph_path), str(colouring_path)])
+    assert "input error:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -340,8 +340,8 @@ def _dropping_forget(solver):
         if node.kind != NodeKind.FORGET:
             continue
         child = node.children[0]
-        kept = set(solver.node_layout(idx).vertices)
-        for u in sorted(set(solver.node_layout(child).vertices) - kept):
+        kept = set(solver.node_layout(idx))
+        for u in sorted(set(solver.node_layout(child)) - kept):
             for v in sorted(solver.adj[u]):
                 if v in kept:
                     return idx, child, u, v
@@ -671,11 +671,10 @@ class _JoinPremiseSolver(HeuristicSolver):
             assert len(weights) == 1, f"node {idx}: one side gives weights {weights}"
             for sol in side:
                 colours = self.arrays(sol)[0]
-                by_lane = self._unpack(sol)[0]
-                for v, lane in sol.layout.index.items():
+                for v, lane in sol.layout.items():
                     if lane in ring and not colours[v]:
                         want = self._border_label(v, colours)
-                        assert self._ring_label(by_lane, *ring[lane]) == want, f"node {idx}: {v}"
+                        assert self._ring_label(sol.state, *ring[lane]) == want, f"node {idx}: {v}"
                         self.ring_lanes += 1
         self.joins += 1
         self.weight_calls = 0

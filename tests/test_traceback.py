@@ -92,7 +92,7 @@ def test_entries_store_only_the_closed_neighbourhood_of_the_bag(make):
         near = len(bag.union(*(g.adjacency[v] for v in bag)))
         for sol in beam:
             # At most |N[bag]| lanes, no two vertices in one, no bit outside.
-            lanes = list(sol.layout.index.values())
+            lanes = list(sol.layout.values())
             held = sum(lane << solver._lw * at for at in lanes)
             assert len(set(lanes)) == len(lanes) <= near, f"node {idx}"
             assert not sol.state & ~held, f"node {idx}"
