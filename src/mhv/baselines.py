@@ -7,6 +7,7 @@ always serving the most promising label class first.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from enum import IntEnum
@@ -97,8 +98,27 @@ def _uncoloured_label(
     return GrowthLabel.CAN_BE_HAPPY
 
 
+# The classes ``GrowthRun.step`` picks a vertex from, each with its heap.
+_PICKED = (
+    GrowthLabel.GROWING,
+    GrowthLabel.CAN_BE_HAPPY,
+    GrowthLabel.CANNOT_BE_HAPPY,
+    GrowthLabel.FREE,
+)
+
+
 class GrowthRun:
-    """Stepwise Growth-MHV execution; exposed so tests can audit each step."""
+    """Stepwise Growth-MHV execution; exposed so tests can audit each step.
+
+    ``labels`` is kept current after every step by relabelling only the two
+    hops around what the step coloured, which is as far as a label can
+    change (``_relabel_around`` says why).  Each class that ``step`` picks
+    from keeps a heap of ``(-degree, vertex)`` keys, so a pick costs
+    O(log n) amortised instead of a scan of every vertex: a vertex is pushed
+    whenever its label changes to that class, and an entry whose vertex has
+    since left the class is dropped when it reaches the top.  A run on
+    bounded degrees then costs O(n log n).
+    """
 
     def __init__(self, g: Graph, colouring: PartialColouring, seed: int = 0) -> None:
         self.g = g
@@ -108,22 +128,25 @@ class GrowthRun:
         self.labels: list[GrowthLabel] = list(compute_growth_labels(g, colouring))
         self.uncoloured = sum(1 for c in self.colours if c == 0)
         self.iterations = 0
+        self._heaps: dict[GrowthLabel, list[tuple[int, int]]] = {
+            label: [] for label in _PICKED
+        }
+        for v, label in enumerate(self.labels):
+            if label in self._heaps:
+                self._heaps[label].append((-g.degrees[v], v))
+        for heap in self._heaps.values():
+            heapq.heapify(heap)
 
     @property
     def done(self) -> bool:
         return self.uncoloured == 0
 
     def _pick(self, wanted: GrowthLabel) -> int | None:
-        best = None
-        best_key: tuple[int, int] | None = None
-        for v in range(self.g.n):
-            if self.labels[v] != wanted:
-                continue
-            key = (-self.g.degrees[v], v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        return best
+        """The vertex labelled ``wanted`` of highest degree, lowest id first."""
+        heap, labels = self._heaps[wanted], self.labels
+        while heap and labels[heap[0][1]] != wanted:
+            heapq.heappop(heap)
+        return heap[0][1] if heap else None
 
     def step(self) -> None:
         """Colour at least one vertex following the label priority cascade."""
@@ -172,23 +195,39 @@ class GrowthRun:
         self._relabel_around(newly + [centre])
 
     def _relabel_around(self, sources: list[int]) -> None:
-        # Labels can shift up to three edges away from a coloured vertex.
-        region = set(sources)
-        frontier = list(region)
-        for _ in range(3):
-            nxt: list[int] = []
-            for v in frontier:
-                for u in self.g.adjacency[v]:
-                    if u not in region:
-                        region.add(u)
-                        nxt.append(u)
-            frontier = nxt
+        """Bring ``labels`` up to date after the vertices in ``sources`` (the
+        newly coloured ones and the centre) were handled.
+
+        A coloured label reads only the colours of its neighbours, so it can
+        change only within one hop of a newly coloured vertex.  An uncoloured
+        label reads the colours of its neighbours and the labels of its
+        coloured neighbours, so it can change only within two hops.  Coloured
+        labels are recomputed first, since uncoloured ones read them.
+        """
+        g, colours, labels = self.g, self.colours, self.labels
+        near = set(sources)
+        for v in sources:
+            near.update(g.adjacency[v])
+        region = set(near)
+        for v in near:
+            region.update(g.adjacency[v])
+        changed = []
+        for v in near:
+            if colours[v]:
+                label = _coloured_label(g, colours, v)
+                if label != labels[v]:
+                    labels[v] = label
+                    changed.append(v)
         for v in region:
-            if self.colours[v]:
-                self.labels[v] = _coloured_label(self.g, self.colours, v)
-        for v in region:
-            if not self.colours[v]:
-                self.labels[v] = _uncoloured_label(self.g, self.colours, self.labels, v)
+            if not colours[v]:
+                label = _uncoloured_label(g, colours, labels, v)
+                if label != labels[v]:
+                    labels[v] = label
+                    changed.append(v)
+        for v in changed:
+            heap = self._heaps.get(labels[v])
+            if heap is not None:
+                heapq.heappush(heap, (-g.degrees[v], v))
 
 
 def growth_mhv(g: Graph, colouring: PartialColouring, seed: int = 0) -> SolveResult:

@@ -1090,10 +1090,24 @@ class HeuristicSolver:
         for at, v in order:
             if not state >> at + cb & 7:
                 state |= (HAPPY if consistent(at, v) else UNHAPPY) << at + cb
-        # Ring labels must reflect the possibly re-decided bag colours; away
-        # from N[bag] nothing a vertex sees has changed, and a clash there
-        # stays, marked FAR_UNHAPPY.
-        for lane, (near, evidence) in ring.items():
+        # Ring labels must reflect the re-decided bag colours.  A ring lane
+        # comes from one side (b where it moved, else a), and its neighbours
+        # off the bag are coloured on that side alone, if at all, since
+        # vertices forgotten below different children are never adjacent.
+        # So its label can change only next to a bag lane whose merged
+        # colour differs from that side's.  Away from N[bag] nothing a vertex
+        # sees has changed, and a clash there stays, marked FAR_UNHAPPY.
+        off_a = self._coloured(state ^ sa) & bag_lanes
+        off_b = self._coloured(state ^ sb) & bag_lanes
+        stale = set()
+        for at, v in order:
+            if (off_a | off_b) >> at & 1:
+                for u in adj[v]:
+                    lane = layout[u]
+                    if lane in ring and (off_b if moved >> lw * lane & 1 else off_a) >> at & 1:
+                        stale.add(lane)
+        for lane in stale:
+            near, evidence = ring[lane]
             at = lw * lane
             cv = state >> at & low
             old = state >> at + cb & 7

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mhv.baselines import GrowthRun, growth_mhv
 from mhv.cli import main
 from mhv.errors import InputError, ResourceLimitError
 from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
@@ -168,6 +169,24 @@ def test_beam_dp_runs_through_its_class_hooks(monkeypatch):
         "join": [stats.join_count],
     }
     assert yielded == list(range(nice.node_count))
+
+
+# perfbench counts Growth-MHV's iterations by patching GrowthRun.step, so
+# growth_mhv must call it through the class, once per iteration.
+def test_growth_runs_through_its_class_step(monkeypatch):
+    runs = []
+    original = GrowthRun.step
+
+    def step(run):
+        runs.append(run)
+        original(run)
+
+    monkeypatch.setattr(GrowthRun, "step", step)
+    inst = generate(GeneratorParams(n=14, k=3, p=0.25, q=0.5, seed=2))
+    growth_mhv(inst.graph, inst.colouring)
+    assert len(runs) > 1
+    assert all(run is runs[0] for run in runs)
+    assert len(runs) == runs[0].iterations
 
 
 def test_bench_run_decomposes_through_its_module_once_per_instance(monkeypatch):
