@@ -65,6 +65,8 @@ class PartialSolution:
     ``layout`` maps each vertex the entry stores to its lane, and ``state``
     packs their colours and labels into one int, a vertex's at the bits of
     its lane (see ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.
+    The entries of a node are the only holders of its layout, which the
+    parent's handler derives its own from.
     ``counts`` holds the totals over all vertices for the four scored labels
     in enum order.  ``forgotten`` is the newest of the solver's forget
     records, which hold the colours of the coloured vertices outside the

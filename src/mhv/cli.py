@@ -10,6 +10,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -330,6 +331,7 @@ def _check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], 
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     manifest_path = Path(args.manifest)
     entries, algorithms, options = _check_manifest(json.loads(_read_text(manifest_path)))
     # The flag overrides the manifest, which overrides the environment.
@@ -359,26 +361,33 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        # Every other subcommand runs a solver.
-        return _COMMANDS.get(args.command, _cmd_solve)(args)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (
-        ParseError,
-        InputError,
-        OSError,  # a missing file, a directory, an unwritable output path
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MhvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # A warning is one line, without the source line that raised it.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            # Every other subcommand runs a solver.
+            return _COMMANDS.get(args.command, _cmd_solve)(args)
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except (
+            ParseError,
+            InputError,
+            OSError,  # a missing file, a directory, an unwritable output path
+            json.JSONDecodeError,
+        ) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except MhvError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

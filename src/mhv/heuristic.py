@@ -40,7 +40,11 @@ change.
 An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] packed into one int, its four label counts
 over all vertices, its score, and the number of its newest forget record.
-Its layout is a dict from each vertex of N[bag] to its lane.  Every vertex
+Its layout is a dict from each vertex of N[bag] to its lane, held by the
+entries alone: each handler derives its node's from its child's first entry,
+and no beam is ever empty (a leaf has one entry, an introduce keeps its
+backups while its main list is empty, a forget one entry per key, and a join
+without an exact match merges heuristically).  Every vertex
 has one lane for the whole solve, ``k.bit_length()`` colour bits and then 3
 label bits, and a lane outside the node's N[bag] is zero.  One pass from the
 root (``_assign_lanes``) gives each vertex the lowest lane free where it
@@ -225,8 +229,6 @@ class HeuristicSolver:
         self._colour_field = self._ones * ((1 << self._cb) - 1)
         self._label_field = self._ones * 7
         self._lanes, self._moved = self._assign_lanes()
-        # Per node, its entries' layout while its parent is still to come.
-        self._layouts: list[dict[int, int] | None] = [None] * len(nice.nodes)
         # Forget records, three ints each: (vertex, colour, older record) per
         # vertex that leaves N[bag], and (-1, one side's newest, the other's)
         # per join; -1 ends a chain.
@@ -367,38 +369,22 @@ class HeuristicSolver:
         return lanes, moved
 
     def node_layout(self, idx: int) -> dict[int, int]:
-        """The layout of node ``idx``'s entries: each vertex of N[bag] mapped
-        to its lane.  An introduce adds the vertices new to N[bag]; a forget
-        drops each vertex that no longer touches the bag; a join takes its
-        first child's layout.  Worked out from the nearest known layout below,
-        iteratively; a handler lets go of its children's layouts once it has
-        used them."""
-        layouts = self._layouts
-        if layouts[idx] is not None:
-            return layouts[idx]
-        nodes = self.nice.nodes
-        path = []
-        j = idx
-        while layouts[j] is None:
-            path.append(j)
-            if not nodes[j].children:
-                break
-            j = nodes[j].children[0]
-        for j in reversed(path):
-            layouts[j] = self._derived_layout(j)
-        return layouts[idx]
+        """The layout of node ``idx``'s entries by definition: each vertex of
+        N[bag] mapped to its lane.  The handlers derive the same layout from
+        their child's entries instead (``_derived_layout``)."""
+        lanes, adj = self._lanes, self.adj
+        return {u: lanes[u] for v in self.nice.nodes[idx].bag for u in (v, *adj[v])}
 
-    def _derived_layout(self, idx: int) -> dict[int, int]:
-        """Node ``idx``'s layout from its first child's (see ``node_layout``)."""
-        node = self.nice.nodes[idx]
-        if node.kind == NodeKind.LEAF:
-            return {}
-        child = self._layouts[node.children[0]]
+    def _derived_layout(self, idx: int, child: dict[int, int]) -> dict[int, int]:
+        """Introduce or forget node ``idx``'s layout from its child's,
+        ``child``: an introduce adds the vertices new to N[bag], a forget
+        drops those that no longer touch the bag, and ``child`` itself serves
+        when none moves."""
         moved = self._moved[idx]
         if not moved:
             return child
         layout = child.copy()
-        if node.kind == NodeKind.INTRODUCE:
+        if self.nice.nodes[idx].kind == NodeKind.INTRODUCE:
             layout.update(zip(moved, map(self._lanes.__getitem__, moved)))
         else:
             for u in moved:
@@ -515,7 +501,7 @@ class HeuristicSolver:
     def handle_leaf(self, idx: int) -> Beam:
         """The unique empty partial solution: nothing coloured, all UNKNOWN."""
         beam = Beam(self.config.width)
-        beam.insert(PartialSolution(0, (0, 0, 0, 0), 0, self.node_layout(idx)), self.rng)
+        beam.insert(PartialSolution(0, (0, 0, 0, 0), 0, {}), self.rng)
         return beam
 
     def handle_introduce(self, idx: int, child_beam: Beam) -> Beam:
@@ -690,16 +676,14 @@ class HeuristicSolver:
             backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
-        beam = self._materialise(main if main_offers else backup, idx)
-        self._layouts[node.children[0]] = None
-        return beam
+        layout = self._derived_layout(idx, child_beam.entries[0].layout)
+        return self._materialise(main if main_offers else backup, layout)
 
-    def _materialise(self, beam: Beam, idx: int) -> Beam:
-        """Replace each (child solution, change) offer in introduce node
-        ``idx``'s result by its finished entry: the child's state XOR the
-        change's, its counts plus the change's.  A vertex new to N[bag] has a
-        zero lane in the child, so no child state needs padding."""
-        layout = self.node_layout(idx)
+    def _materialise(self, beam: Beam, layout: dict[int, int]) -> Beam:
+        """Replace each (child solution, change) offer in an introduce's
+        result by its finished entry over ``layout``: the child's state XOR
+        the change's, its counts plus the change's.  A vertex new to N[bag]
+        has a zero lane in the child, so no child state needs padding."""
         entries = []
         for (sol, (xor, change)), score in zip(beam.entries, beam.scores):
             c = sol.counts
@@ -726,8 +710,7 @@ class HeuristicSolver:
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        child = node.children[0]
-        layout = self.node_layout(idx)
+        layout = self._derived_layout(idx, child_beam.entries[0].layout)
         lanes, cb, lw = self._lanes, self._cb, self._lw
         low, full = (1 << cb) - 1, (1 << lw) - 1
         # The lanes of the bag without the forgotten vertex.
@@ -768,7 +751,6 @@ class HeuristicSolver:
                     sol = PartialSolution(sol.state ^ promote, counts, score, layout, sol.forgotten)
                 entries.append(sol)
             beam.entries = entries
-            self._layouts[child] = None
             return beam
         if vtx in gone:
             promote = 0
@@ -799,7 +781,6 @@ class HeuristicSolver:
                 forgotten = newest
             entries.append(PartialSolution(settled, counts, score, layout, forgotten))
         beam.entries = entries
-        self._layouts[child] = None
         return beam
 
     def handle_join(self, idx: int, first: Beam, second: Beam) -> Beam:
@@ -811,14 +792,15 @@ class HeuristicSolver:
         list ends empty.  The returned list is the one offered to the node's
         beam, in one selection.
 
-        Both children hold the same vertices in the same lanes, so the node
-        takes its first child's layout and its helpers read an entry of
-        either child on it.  The first outer solution without a partner
-        fixes the distance masks and the ring table (module docstring).
+        Both children hold the same vertices in the same lanes, so an entry
+        of either is laid out on the node, and each merge keeps its first
+        entry's layout.  ``merge_exact`` gives the same union in either
+        order, so the outer solution goes first.  The first outer solution
+        without a partner fixes the distance masks and the ring table
+        (module docstring).
         """
         node = self.nice.nodes[idx]
         bag = tuple(sorted(node.bag))
-        layout = self.node_layout(idx)
         first_is_outer = _FIRST_IS_OUTER[self.config.join_loop_choice](self.rng, first, second)
         outer, inner = (first, second) if first_is_outer else (second, first)
         # Match key: bag colours plus happiness designation, label bit 0 of a
@@ -844,23 +826,19 @@ class HeuristicSolver:
         for outer_sol in outer:
             partner = partners.get(outer_sol.state & key_mask)
             if partner is not None:
-                # The union does not depend on the order of its sides; the
-                # first child's side first gives it the node's layout.
-                pair = (outer_sol, partner) if first_is_outer else (partner, outer_sol)
-                merged = self.merge_exact(*pair)
+                merged = self.merge_exact(outer_sol, partner)
                 exact.append((merged.score, merged))
             elif not exact:
                 if masks is None:
-                    masks, ring = self.distance_masks(bag, outer_sol), self._ring(layout, node.bag)
+                    masks = self.distance_masks(bag, outer_sol)
+                    ring = self._ring(outer_sol.layout, node.bag)
                 # The first nearest in best-first order.
                 nearest = min(inner_entries, key=lambda sol: self.tuple_distance(outer_sol, sol, masks))
-                for merged in self.merge_heuristic(outer_sol, nearest, bag, ring, layout):
+                for merged in self.merge_heuristic(outer_sol, nearest, bag, ring):
                     backup.append((merged.score, merged))
         # One selection, of the list the node returns.
         beam = Beam(self.config.width)
         beam.extend(exact or backup, self.rng)
-        for child in node.children:
-            self._layouts[child] = None
         return beam
 
     # -- join helpers -----------------------------------------------------
@@ -959,10 +937,10 @@ class HeuristicSolver:
         inner: PartialSolution,
         bag: tuple[int, ...],
         ring: _Ring,
-        layout: dict[int, int],
     ) -> list[PartialSolution]:
-        """Force two non-matching solutions in the lanes of ``layout``
-        together, into entries over it; ``ring`` is its ring table.
+        """Force two non-matching solutions of a join's children together,
+        each merge into an entry laid out as its first solution; ``ring`` is
+        the join's ring table.
 
         ``copy_bag`` keeps one side's bag decisions wholesale and produces a
         solution per role assignment; ``greedy_match`` keeps whatever the two
@@ -970,16 +948,14 @@ class HeuristicSolver:
         """
         if self.config.join_merge_method == "copy_bag":
             return [
-                self._merge_copy(outer, inner, ring, layout),
-                self._merge_copy(inner, outer, ring, layout),
+                self._merge_copy(outer, inner, ring),
+                self._merge_copy(inner, outer, ring),
             ]
-        return [self._merge_greedy(outer, inner, bag, ring, layout)]
+        return [self._merge_greedy(outer, inner, bag, ring)]
 
-    def _merged(
-        self, layout: dict[int, int], state: int, a: PartialSolution, b: PartialSolution
-    ) -> PartialSolution:
-        """The entry over ``layout`` of a join's heuristic merge of ``a`` and
-        ``b`` whose N[bag] is ``state``.  Its counts are each side's counts
+    def _merged(self, state: int, a: PartialSolution, b: PartialSolution) -> PartialSolution:
+        """The entry, laid out as ``a``, of a join's heuristic merge of ``a``
+        and ``b`` whose N[bag] is ``state``.  Its counts are each side's counts
         away from N[bag], where the two sides never overlap, plus those of
         ``state``."""
         ta, tb, tn = self._state_counts(a.state), self._state_counts(b.state), self._state_counts(state)
@@ -990,11 +966,9 @@ class HeuristicSolver:
             ca[2] + cb[2] - ta[2] - tb[2] + tn[2],
             ca[3] + cb[3] - ta[3] - tb[3] + tn[3],
         )
-        return PartialSolution(state, counts, evaluate(self.weights, counts), layout, self._joined(a, b))
+        return PartialSolution(state, counts, evaluate(self.weights, counts), a.layout, self._joined(a, b))
 
-    def _merge_copy(
-        self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring, layout: dict[int, int]
-    ) -> PartialSolution:
+    def _merge_copy(self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring) -> PartialSolution:
         cb, lw = self._cb, self._lw
         low = (1 << cb) - 1
         p, s = primary.state, secondary.state
@@ -1024,19 +998,14 @@ class HeuristicSolver:
             label = state >> at + cb & 7
             if label != FAR_UNHAPPY:
                 state ^= (label ^ (UNHAPPY if conflict else HAPPY)) << at + cb
-        return self._merged(layout, state, primary, secondary)
+        return self._merged(state, primary, secondary)
 
     def _merge_greedy(
-        self,
-        a: PartialSolution,
-        b: PartialSolution,
-        bag: tuple[int, ...],
-        ring: _Ring,
-        layout: dict[int, int],
+        self, a: PartialSolution, b: PartialSolution, bag: tuple[int, ...], ring: _Ring
     ) -> PartialSolution:
         cb, lw = self._cb, self._lw
         low, full = (1 << cb) - 1, (1 << lw) - 1
-        sa, sb = a.state, b.state
+        sa, sb, layout = a.state, b.state, a.layout
         adj, base = self.adj, self.base
         # Bag lanes, as (shift, vertex), in the order of ``bag``, which the
         # adoption and the RNG draws follow.
@@ -1119,7 +1088,7 @@ class HeuristicSolver:
                 conflict = any(state >> lw * j & low not in (0, cv) for j in near)
                 label = UNHAPPY if conflict else HAPPY
             state ^= (old ^ label) << at + cb
-        return self._merged(layout, state, a, b)
+        return self._merged(state, a, b)
 
     # -- full solve ---------------------------------------------------------
 
@@ -1178,10 +1147,8 @@ class HeuristicSolver:
         node = self.nice.nodes[idx]
         bag_set = node.bag
         layout = self.node_layout(idx)
-        near_bag = {u for v in bag_set for u in self.adj[v]}
         base = self.base
         assert len(beam) <= self.config.width
-        assert set(layout) == bag_set | near_bag, f"node {idx}: layout is not N[bag]"
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
             # Laid out on the node, or over every vertex when made from arrays,
@@ -1220,7 +1187,7 @@ class HeuristicSolver:
                             )
                 else:
                     # The premise the joins rely on (module docstring).
-                    assert lab == UNKNOWN or v in near_bag, (
+                    assert lab == UNKNOWN or v in layout, (
                         f"node {idx}: uncoloured vertex {v} is labelled "
                         f"{Label(lab).name} but lies outside N(bag)"
                     )

@@ -140,11 +140,11 @@ def min_fill_decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
     buckets: dict[tuple[int, int], set[int]] = {}
     for x, kx in enumerate(key):
         buckets.setdefault(kx, set()).add(x)
+    # Bags and the elimination order grow in lockstep: vertex order[i] has
+    # bag i, its closed neighbourhood when eliminated, and pos[order[i]] = i.
     bags: list[frozenset[int]] = []
-    bag_of: dict[int, int] = {}
-    elim_pos: dict[int, int] = {}
-    elim_nb: dict[int, frozenset[int]] = {}
     order: list[int] = []
+    pos = [0] * n
 
     while buckets:
         best = min(buckets)
@@ -157,10 +157,8 @@ def min_fill_decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
             candidates.remove(v)
 
         neighbours = nb[v]
-        bag_of[v] = len(bags)
+        pos[v] = len(bags)
         bags.append(frozenset(neighbours | {v}))
-        elim_nb[v] = frozenset(neighbours)
-        elim_pos[v] = len(order)
         order.append(v)
         touched = set(neighbours)
         nbl = sorted(neighbours)
@@ -196,14 +194,13 @@ def min_fill_decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
 
     edges: set[tuple[int, int]] = set()
     roots: list[int] = []
-    for v in order:
-        remaining = elim_nb[v]
+    for i, v in enumerate(order):
+        remaining = bags[i] - {v}
         if remaining:
-            parent_vertex = min(remaining, key=lambda u: elim_pos[u])
-            a, b = sorted((bag_of[v], bag_of[parent_vertex]))
-            edges.add((a, b))
+            # The neighbour eliminated first, after v, holds the parent bag.
+            edges.add((i, min(pos[u] for u in remaining)))
         else:
-            roots.append(bag_of[v])
+            roots.append(i)
     if len(roots) > 1:
         connector = len(bags)
         bags.append(frozenset())
@@ -530,14 +527,6 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         nodes.append(NiceNode(kind, bag, vertex, children))
         return len(nodes) - 1
 
-    def leaf_chain(target: frozenset[int]) -> int:
-        cur = add(NodeKind.LEAF, frozenset(), None, ())
-        bag: set[int] = set()
-        for v in sorted(target):
-            bag.add(v)
-            cur = add(NodeKind.INTRODUCE, frozenset(bag), v, (cur,))
-        return cur
-
     def chain(from_id: int, from_bag: frozenset[int], target: frozenset[int]) -> int:
         cur = from_id
         bag = set(from_bag)
@@ -564,7 +553,7 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         bag = bags[node]
         kids = [c for c in adj[node] if c != parent]
         if not kids:
-            top_of[node] = leaf_chain(bag)
+            top_of[node] = chain(add(NodeKind.LEAF, frozenset(), None, ()), frozenset(), bag)
             continue
         branches = [chain(top_of[c], bags[c], bag) for c in kids]
         top = branches[0]

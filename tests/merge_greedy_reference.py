@@ -137,4 +137,4 @@ def reference_merge_greedy(
     state = 0
     for i in index.values():
         state |= (colours[i] | labels[i] << cb) << lw * i
-    return solver._merged(layout, state, a, b)
+    return solver._merged(state, a, b)

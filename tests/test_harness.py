@@ -503,6 +503,7 @@ def test_cli_program_fault_is_not_an_input_error(tmp_path, capsys, monkeypatch):
         ["decompose", "{tmp}/g.gr", "--out", "{tmp}/missing/o.td"],
         *([cmd, "{tmp}/g.gr", "{tmp}/g.col", "--out", "{tmp}/missing/o.col"]
           for cmd in ("solve", "exact", "greedy", "growth", "brute")),
+        ["bench", "{tmp}/m.json", "--out", "{tmp}/missing/o.csv"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -518,6 +519,31 @@ def test_cli_checks_output_paths_before_any_work(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     missing = argv[-1].format(tmp=tmp_path)
     assert err == [f"input error: [Errno 2] No such file or directory: {missing!r}"], err
+
+
+@pytest.mark.parametrize(
+    "argv,files,warning",
+    [
+        (
+            ["greedy", "{tmp}/g.gr", "{tmp}/g.col"],
+            {"g.gr": "p tw 2 2\n1 2\n2 1\n", "g.col": "k 2\n1 1\n"},
+            "1 duplicate edge line(s) collapsed",
+        ),
+        (
+            ["decompose", "{tmp}/g.gr", "--td", "{tmp}/g.td"],
+            {"g.gr": "p tw 2 1\n1 2\n", "g.td": "s td 1 5 2\nb 1 1 2\n"},
+            "declared width+1 5 but bags give 2",
+        ),
+    ],
+    ids=["greedy", "decompose"],
+)
+def test_cli_prints_each_warning_as_one_line(tmp_path, capsys, argv, files, warning):
+    """A parser warning reaches stderr as one ``warning:`` line, without the
+    source location, and the command still succeeds."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {warning}"]
 
 
 def test_cli_usage_exit_code_subprocess():

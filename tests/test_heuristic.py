@@ -451,8 +451,8 @@ def _merge_fixture():
 
 
 def _ring(solver, sol, bag_set):
-    """The ring table and layout that a join's heuristic merge is given."""
-    return solver._ring(sol.layout, bag_set), sol.layout
+    """The ring table that a join's heuristic merge is given."""
+    return solver._ring(sol.layout, bag_set)
 
 
 def test_merge_exact_two_sided():
@@ -503,7 +503,7 @@ def test_merge_copy_flips_conflicting_labels():
     # with interior 2 happy.
     outer = solver.entry([1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
     inner = solver.entry([2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
-    merged = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({0})))
+    merged = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({0})))
     colours, labels = solver.arrays(merged)
     assert colours == bytes([1, 1, 2])
     assert labels[1] == HAPPY
@@ -518,7 +518,7 @@ def test_merge_copy_upgrades_vanished_conflicts():
     outer = solver.entry([2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
     # Inner committed 0 to colour 1, so its interior 2 (colour 2) was unhappy.
     inner = solver.entry([1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY])
-    merged = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({0})))
+    merged = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({0})))
     # With the outer's bag colour the conflict is gone: 2 is genuinely happy.
     colours, labels = solver.arrays(merged)
     assert colours == bytes([2, 2, 2])
@@ -528,9 +528,9 @@ def test_merge_copy_upgrades_vanished_conflicts():
 def test_merge_methods_degenerate_to_exact_on_identical_bags():
     solver, outer, inner = _merge_fixture()
     exact = solver.merge_exact(outer, inner)
-    copy1 = solver._merge_copy(outer, inner, *_ring(solver, outer, frozenset({3, 4})))
-    copy2 = solver._merge_copy(inner, outer, *_ring(solver, inner, frozenset({3, 4})))
-    greedy = solver._merge_greedy(outer, inner, (3, 4), *_ring(solver, outer, frozenset({3, 4})))
+    copy1 = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({3, 4})))
+    copy2 = solver._merge_copy(inner, outer, _ring(solver, inner, frozenset({3, 4})))
+    greedy = solver._merge_greedy(outer, inner, (3, 4), _ring(solver, outer, frozenset({3, 4})))
     for merged in (copy1, copy2, greedy):
         assert solver.arrays(merged)[0] == solver.arrays(exact)[0]
         assert merged.counts == exact.counts
@@ -542,7 +542,7 @@ def test_merge_greedy_invariants_on_mismatched_tuples():
         bytes([0, 0, 0, 2, 1, 0, 0, 1, 1]),
         bytes([UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY]),
     )
-    merged = solver._merge_greedy(outer, flipped, (3, 4), *_ring(solver, outer, frozenset({3, 4})))
+    merged = solver._merge_greedy(outer, flipped, (3, 4), _ring(solver, outer, frozenset({3, 4})))
     assert merged.counts == _derived_counts(solver, merged)
     colours, labels = solver.arrays(merged)
     for v in range(9):

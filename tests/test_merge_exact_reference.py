@@ -1,5 +1,5 @@
-"""The N[bag] exact merge against the full-scan reference, on every exact join
-of a few seeded solves."""
+"""The N[bag] exact merge against the full-scan reference, and against itself
+with its sides swapped, on every exact join of a few seeded solves."""
 
 import random
 
@@ -14,7 +14,9 @@ from merge_exact_reference import reference_merge_exact
 
 
 class _CheckedSolver(HeuristicSolver):
-    """Compares every exact merge with the reference before using it."""
+    """Compares every exact merge with the reference before using it, and
+    with the merge of its sides swapped: the join may hand them in either
+    order."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -27,6 +29,13 @@ class _CheckedSolver(HeuristicSolver):
             *self.arrays(want),
             want.counts,
             want.score,
+        )
+        swapped = super().merge_exact(b, a)
+        assert (got.state, *self.arrays(got), got.counts, got.score) == (
+            swapped.state,
+            *self.arrays(swapped),
+            swapped.counts,
+            swapped.score,
         )
         self.merges += 1
         return got

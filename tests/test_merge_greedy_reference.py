@@ -21,12 +21,12 @@ class _CheckedSolver(HeuristicSolver):
         super().__init__(*args)
         self.merges = 0
 
-    def merge_heuristic(self, outer, inner, bag, ring, layout):
+    def merge_heuristic(self, outer, inner, bag, ring):
         start = self.rng.getstate()
-        (got,) = super().merge_heuristic(outer, inner, bag, ring, layout)
+        (got,) = super().merge_heuristic(outer, inner, bag, ring)
         after = self.rng.getstate()
         self.rng.setstate(start)
-        want = reference_merge_greedy(self, outer, inner, bag, ring, layout)
+        want = reference_merge_greedy(self, outer, inner, bag, ring, outer.layout)
         assert self.rng.getstate() == after
         assert (*self.arrays(got), got.counts, got.score) == (
             *self.arrays(want),
