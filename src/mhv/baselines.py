@@ -151,44 +151,31 @@ class GrowthRun:
     def step(self) -> None:
         """Colour at least one vertex following the label priority cascade."""
         assert not self.done
-        newly: list[int] = []
-        centre = self._pick(GrowthLabel.GROWING)
-        if centre is not None:
-            cv = self.colours[centre]
-            for u in self.g.adjacency[centre]:
-                if self.colours[u] == 0:
-                    self.colours[u] = cv
-                    newly.append(u)
-        else:
-            centre = self._pick(GrowthLabel.CAN_BE_HAPPY)
+        for label in _PICKED:
+            centre = self._pick(label)
             if centre is not None:
-                donor = next(
-                    u
-                    for u in self.g.adjacency[centre]
-                    if self.colours[u] and self.labels[u] == GrowthLabel.UNHAPPY
-                )
-                cv = self.colours[donor]
-                self.colours[centre] = cv
-                newly.append(centre)
-                for u in self.g.adjacency[centre]:
-                    if self.colours[u] == 0:
-                        self.colours[u] = cv
-                        newly.append(u)
-            else:
-                centre = self._pick(GrowthLabel.CANNOT_BE_HAPPY)
-                if centre is not None:
-                    donor = next(
-                        u
-                        for u in self.g.adjacency[centre]
-                        if self.colours[u] and self.labels[u] == GrowthLabel.UNHAPPY
-                    )
-                    self.colours[centre] = self.colours[donor]
-                    newly.append(centre)
-                else:
-                    centre = self._pick(GrowthLabel.FREE)
-                    assert centre is not None, "an uncoloured vertex must carry some label"
-                    self.colours[centre] = self.rng.randint(1, self.k)
-                    newly.append(centre)
+                break
+        else:
+            raise AssertionError("an uncoloured vertex must carry some label")
+        colours, adjacency = self.colours, self.g.adjacency[centre]
+        # The colour comes from the centre, from an UNHAPPY neighbour or from
+        # the RNG; every class but GROWING colours the centre itself, and
+        # GROWING and CAN_BE_HAPPY also colour its uncoloured neighbours.
+        if label is GrowthLabel.GROWING:
+            cv = colours[centre]
+        elif label is GrowthLabel.FREE:
+            cv = self.rng.randint(1, self.k)
+        else:
+            cv = next(colours[u] for u in adjacency if self.labels[u] == GrowthLabel.UNHAPPY)
+        newly: list[int] = []
+        if label is not GrowthLabel.GROWING:
+            colours[centre] = cv
+            newly.append(centre)
+        if label is GrowthLabel.GROWING or label is GrowthLabel.CAN_BE_HAPPY:
+            for u in adjacency:
+                if colours[u] == 0:
+                    colours[u] = cv
+                    newly.append(u)
         self.uncoloured -= len(newly)
         self.iterations += 1
         assert self.iterations <= self.g.n, "growth must colour something every iteration"

@@ -32,6 +32,7 @@ from .harness import (
     AlgorithmSpec,
     GeneratorParams,
     bench_to_csv,
+    check_manifest,
     default_workers,
     generate,
     hardest_regime,
@@ -283,57 +284,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Optional manifest fields: the bench_to_csv keyword each sets and its JSON type.
-_MANIFEST_OPTIONS = {
-    "repetitions": int,
-    "include_timing": bool,
-    "include_decomposition_time": bool,
-    "workers": int,
-    "td_seed": int,
-}
-
-
-def _check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], dict]:
-    """Check a bench manifest before any instance is read or decomposed.
-
-    Returns the instance entries, the algorithm specs and the options for
-    ``bench_to_csv``; anything malformed raises InputError.
-    """
-    if not isinstance(manifest, dict):
-        raise InputError("the manifest must be a JSON object")
-    unknown = sorted(set(manifest) - {"instances", "algorithms", *_MANIFEST_OPTIONS})
-    if unknown:
-        raise InputError(f"unknown manifest field(s): {', '.join(unknown)}")
-    for key in ("instances", "algorithms"):
-        if not isinstance(manifest.get(key), list):
-            raise InputError(f"the manifest needs an {key!r} list")
-    for entry in manifest["instances"]:
-        if not (
-            isinstance(entry, dict)
-            and all(isinstance(entry.get(f), str) for f in ("id", "graph", "colouring"))
-        ):
-            raise InputError(
-                f"instance entry needs string 'id', 'graph' and 'colouring' fields: {entry!r}"
-            )
-    algorithms = [AlgorithmSpec.from_manifest(entry) for entry in manifest["algorithms"]]
-    options = {}
-    for key, kind in _MANIFEST_OPTIONS.items():
-        value = manifest.get(key)
-        if value is None:
-            continue
-        if type(value) is not kind:
-            raise InputError(f"manifest field {key!r} must be {kind.__name__}, got {value!r}")
-        options[key] = value
-    for key in ("repetitions", "workers"):
-        if options.get(key, 1) < 1:
-            raise InputError(f"{key} must be at least 1, got {options[key]}")
-    return manifest["instances"], algorithms, options
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
     manifest_path = Path(args.manifest)
-    entries, algorithms, options = _check_manifest(json.loads(_read_text(manifest_path)))
+    entries, algorithms, options = check_manifest(json.loads(_read_text(manifest_path)))
     # The flag overrides the manifest, which overrides the environment.
     if args.workers is not None:
         if args.workers < 1:

@@ -206,9 +206,6 @@ def parse_graph(text: str | bytes) -> Graph:
     text = _as_text(text)
     n = m = -1
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    raw_edges = 0
-    duplicates = 0
     for ln, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("c"):
@@ -242,20 +239,15 @@ def parse_graph(text: str | bytes) -> Graph:
                 raise ParseError(f"line {ln}: vertex id out of range 1..{n}")
             if u == v:
                 raise ParseError(f"line {ln}: self-loop at vertex {u}")
-            raw_edges += 1
-            a, b = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if (a, b) in seen:
-                duplicates += 1
-            else:
-                seen.add((a, b))
-                edges.append((a, b))
+            edges.append((u - 1, v - 1))
     if n < 0:
         raise ParseError("missing 'p tw' header")
-    if raw_edges != m:
-        raise ParseError(f"header declares {m} edges but file contains {raw_edges}")
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate edge line(s) collapsed", stacklevel=2)
-    return Graph(n, edges)
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges but file contains {len(edges)}")
+    g = Graph(n, edges)
+    if len(g.edges) < m:
+        warnings.warn(f"{m - len(g.edges)} duplicate edge line(s) collapsed", stacklevel=2)
+    return g
 
 
 def write_graph(g: Graph) -> str:

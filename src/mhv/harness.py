@@ -17,14 +17,14 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO, get_type_hints
 
 from .baselines import greedy_mhv, growth_mhv
 from .errors import InputError, MhvError, ResourceLimitError
 from .exact import DEFAULT_STATE_CAP, solve_exact
-from .graph import MAX_VERTICES, Graph, Instance, PartialColouring, floor_fraction
+from .graph import MAX_COLOURS, MAX_VERTICES, Graph, Instance, PartialColouring, floor_fraction
 from .heuristic import HeuristicConfig, LabelWeights, solve_heuristic
 from .oracle import DEFAULT_CAP, brute_force
 from .result import SolveResult
@@ -32,21 +32,6 @@ from .treedec import NiceTreeDecomposition, make_nice, min_fill_decompose, td_st
 
 WORKERS_ENV_VAR = "MHV_WORKERS"
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "schema_version",
-    "instance_id",
-    "algorithm",
-    "config",
-    "n",
-    "happy",
-    "percent_happy",
-    "provably_optimal",
-    "time_ms",
-    "td_width",
-    "td_nodes",
-    "status",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -64,6 +49,8 @@ class GeneratorParams:
             raise InputError("n must be non-negative")
         if self.n > MAX_VERTICES:
             raise ResourceLimitError(f"{self.n} vertices, above the limit of {MAX_VERTICES}")
+        if self.k > MAX_COLOURS:
+            raise InputError(f"at most {MAX_COLOURS} colours are supported")
         if not 0.0 <= self.p <= 1.0:
             raise InputError("edge probability p must lie in [0, 1]")
         if not 0.0 <= self.q <= 1.0:
@@ -167,26 +154,12 @@ class AlgorithmSpec:
     def from_manifest(cls, entry: object) -> AlgorithmSpec:
         """Build a spec from one manifest entry: a JSON object whose keys are
         this class's fields.  Anything else raises InputError."""
-        if not isinstance(entry, dict):
-            raise InputError(f"algorithm entry must be a JSON object, got {entry!r}")
-        unknown = sorted(set(entry) - set(_SPEC_FIELD_TYPES))
-        if unknown:
-            raise InputError(f"unknown algorithm field(s) {', '.join(unknown)} in {entry!r}")
-        if "algorithm" not in entry:
-            raise InputError(f"algorithm entry needs an 'algorithm' field: {entry!r}")
-        values = dict(entry)
-        for name, value in entry.items():
-            if name == "weights":
-                if not (
-                    isinstance(value, list)
-                    and len(value) == 4
-                    and all(type(x) is int for x in value)
-                ):
-                    raise InputError(f"'weights' must be a list of four integers, got {value!r}")
-                values[name] = tuple(value)
-            elif type(value) is not _SPEC_FIELD_TYPES[name]:
-                kind = _SPEC_FIELD_TYPES[name].__name__
-                raise InputError(f"algorithm field {name!r} must be {kind}, got {value!r}")
+        values = dict(_fields(entry, _SPEC_FIELD_TYPES, "algorithm entry", ("algorithm",)))
+        if "weights" in values:
+            weights = values["weights"]
+            if not (len(weights) == 4 and all(type(x) is int for x in weights)):
+                raise InputError(f"'weights' must be a list of four integers, got {weights!r}")
+            values["weights"] = tuple(weights)
         return cls(**values)
 
     def label(self) -> str:
@@ -204,9 +177,59 @@ class AlgorithmSpec:
         )
 
 
-# The type of each AlgorithmSpec field; a manifest value must have exactly
-# this JSON type (bool is not an int).  ``weights`` is checked on its own.
-_SPEC_FIELD_TYPES = get_type_hints(AlgorithmSpec)
+# The JSON type of each AlgorithmSpec field in a manifest entry; the
+# length and items of ``weights`` are checked by ``from_manifest``.
+_SPEC_FIELD_TYPES = {**get_type_hints(AlgorithmSpec), "weights": list}
+# The manifest's fields; all but the two lists are bench_to_csv keywords.
+_MANIFEST_FIELDS = {
+    "instances": list,
+    "algorithms": list,
+    "repetitions": int,
+    "include_timing": bool,
+    "include_decomposition_time": bool,
+    "workers": int,
+    "td_seed": int,
+}
+_INSTANCE_FIELDS = {"id": str, "graph": str, "colouring": str}
+
+
+def _fields(entry: object, types: dict[str, type], what: str, required: Iterable[str]) -> dict:
+    """Return ``entry`` if it is a JSON object whose keys are in ``types`` and
+    include ``required``, and whose values have exactly their JSON type (a
+    bool is not an int, and null matches no type); else raise InputError."""
+    if not isinstance(entry, dict):
+        raise InputError(f"{what} must be a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - set(types))
+    if unknown:
+        raise InputError(f"unknown {what} field(s) {', '.join(unknown)} in {entry!r}")
+    missing = [name for name in required if name not in entry]
+    if missing:
+        raise InputError(f"{what} needs field(s) {', '.join(missing)}: {entry!r}")
+    for name, value in entry.items():
+        if type(value) is not types[name]:
+            raise InputError(f"{what} field {name!r} must be {types[name].__name__}, got {value!r}")
+    return entry
+
+
+def check_manifest(manifest: object) -> tuple[list[dict], list[AlgorithmSpec], dict]:
+    """Check a bench manifest before any instance is read or decomposed.
+
+    Returns the instance entries, the algorithm specs and the options for
+    ``bench_to_csv``; anything malformed raises InputError.
+    """
+    options = dict(_fields(manifest, _MANIFEST_FIELDS, "manifest", ("instances", "algorithms")))
+    entries = options.pop("instances")
+    ids = set()
+    for entry in entries:
+        _fields(entry, _INSTANCE_FIELDS, "instance entry", _INSTANCE_FIELDS)
+        if entry["id"] in ids:
+            raise InputError(f"duplicate instance id {entry['id']!r}")
+        ids.add(entry["id"])
+    specs = [AlgorithmSpec.from_manifest(entry) for entry in options.pop("algorithms")]
+    for key in ("repetitions", "workers"):
+        if options.get(key, 1) < 1:
+            raise InputError(f"{key} must be at least 1, got {options[key]}")
+    return entries, specs, options
 
 
 @dataclass(frozen=True)
@@ -282,6 +305,9 @@ class BenchRecord:
     td_nodes: int
     status: str = "ok"
     error: str = ""
+
+
+CSV_COLUMNS = ("schema_version", *(f.name for f in fields(BenchRecord)))
 
 
 def _run_instance(
@@ -398,23 +424,13 @@ def write_csv_header(out: TextIO) -> None:
 
 
 def write_csv_record(out: TextIO, record: BenchRecord, include_timing: bool = True) -> None:
-    csv.writer(out, lineterminator="\n").writerow(
-        (
-            CSV_SCHEMA_VERSION,
-            record.instance_id,
-            record.algorithm,
-            record.config,
-            record.n,
-            record.happy,
-            f"{record.percent_happy:.6f}",
-            "true" if record.provably_optimal else "false",
-            f"{record.time_ms:.3f}" if include_timing else "",
-            record.td_width,
-            record.td_nodes,
-            record.status,
-            record.error,
-        )
+    row = asdict(record)
+    row.update(
+        percent_happy=f"{record.percent_happy:.6f}",
+        provably_optimal="true" if record.provably_optimal else "false",
+        time_ms=f"{record.time_ms:.3f}" if include_timing else "",
     )
+    csv.writer(out, lineterminator="\n").writerow((CSV_SCHEMA_VERSION, *row.values()))
 
 
 def bench_to_csv(

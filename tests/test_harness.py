@@ -16,6 +16,7 @@ from mhv.cli import main
 from mhv.errors import InputError, ResourceLimitError
 from mhv.heuristic import HeuristicConfig, HeuristicSolver, solve_heuristic
 from mhv.graph import (
+    MAX_COLOURS,
     MAX_VERTICES,
     parse_colouring,
     parse_graph,
@@ -23,13 +24,16 @@ from mhv.graph import (
     write_graph,
 )
 from mhv.harness import (
+    CSV_COLUMNS,
     AlgorithmSpec,
+    BenchRecord,
     GeneratorParams,
     bench_run,
     bench_to_csv,
     generate,
     hardest_regime,
     random_tree,
+    write_csv_record,
 )
 from mhv.treedec import make_nice, min_fill_decompose, parse_td, td_stats, validate_td
 
@@ -85,6 +89,14 @@ def test_generators_refuse_more_vertices_than_the_parser_accepts():
         hardest_regime(MAX_VERTICES + 1, 3)
     with pytest.raises(ResourceLimitError, match=message):
         random_tree(MAX_VERTICES + 1)
+
+
+def test_generator_refuses_more_colours_than_supported_before_drawing():
+    """The colour limit is checked with the parameters, not after every
+    edge of a large instance has been drawn."""
+    GeneratorParams(n=3000, k=MAX_COLOURS, p=0.5, q=0.5)  # the limit itself is accepted
+    with pytest.raises(InputError, match=rf"^at most {MAX_COLOURS} colours are supported$"):
+        GeneratorParams(n=3000, k=MAX_COLOURS + 1, p=0.5, q=0.5)
 
 
 def test_random_tree_shape():
@@ -219,6 +231,38 @@ def test_bench_csv_deterministic_without_timing():
     assert out1.getvalue() == out2.getvalue()
     header = out1.getvalue().splitlines()[0]
     assert header.startswith("schema_version,instance_id,algorithm,config")
+
+
+def test_csv_columns_and_record_bytes_are_pinned():
+    """The CSV row is derived from BenchRecord's fields, so reordering them
+    must fail here rather than change the format unnoticed."""
+    assert CSV_COLUMNS == (
+        "schema_version",
+        "instance_id",
+        "algorithm",
+        "config",
+        "n",
+        "happy",
+        "percent_happy",
+        "provably_optimal",
+        "time_ms",
+        "td_width",
+        "td_nodes",
+        "status",
+        "error",
+    )
+    records = [
+        BenchRecord("a,b", "heuristic", "W=8;seed=1", 9, 4, 400 / 9, True, 12.3456, 2, 17),
+        BenchRecord("c", "brute", "cap=1", 7, -1, 0.0, False, 0.0, 3, 9, "error", "E: x"),
+    ]
+    for include_timing, time_ms in ((True, "12.346"), (False, "")):
+        out = io.StringIO()
+        for record in records:
+            write_csv_record(out, record, include_timing=include_timing)
+        assert out.getvalue() == (
+            f'1,"a,b",heuristic,W=8;seed=1,9,4,44.444444,true,{time_ms},2,17,ok,\n'
+            f"1,c,brute,cap=1,7,-1,0.000000,false,{time_ms and '0.000'},3,9,error,E: x\n"
+        )
 
 
 def test_bench_timing_rows_match_aside_from_time():
@@ -637,6 +681,8 @@ def test_cli_bench_manifest(tmp_path, capsys):
 
 
 _GOOD_ALGORITHMS = [{"algorithm": "greedy"}]
+# The instance that _write_instance writes.
+_GOOD_INSTANCE = {"id": "x", "graph": "g.gr", "colouring": "g.col"}
 
 
 @pytest.mark.parametrize(
@@ -655,6 +701,10 @@ _GOOD_ALGORITHMS = [{"algorithm": "greedy"}]
         pytest.param({"algorithms": [{"seed": 1}]}, id="no-algorithm"),
         pytest.param({"algorithms": {"algorithm": "greedy"}}, id="algorithms-object"),
         pytest.param({"instances": [{"id": "x"}]}, id="instance-fields"),
+        pytest.param({"instances": [_GOOD_INSTANCE, _GOOD_INSTANCE]}, id="duplicate-id"),
+        pytest.param({"instances": [{**_GOOD_INSTANCE, "colourng": "typo.col"}]}, id="instance-typo"),
+        pytest.param({"instances": ["g.gr"]}, id="instance-string"),
+        pytest.param({"td_seed": None}, id="option-null"),
         pytest.param({"include_timing": "yes"}, id="timing-string"),
         pytest.param({"td_seed": True}, id="td-seed-bool"),
         pytest.param({"repetiton": 2}, id="unknown-option"),
