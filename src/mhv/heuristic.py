@@ -81,13 +81,17 @@ vertex only inside N[bag], which both store.  A merge works on N[bag] alone,
 in the packed states: it takes each side's territory by one lane mask and
 visits only the lanes it decides or relabels.  Its counts are each side's
 counts away from N[bag] plus those of the merged labels.  Per join node the
-solver indexes the inner list by match key once.  Distances are computed
-only for an outer solution without an exact partner while the main list is
-empty, the one case that uses the nearest partner.  The first such solution
-fixes the join's distance masks and its table of the ring, N[bag] without
-the bag: every entry of one child colours the same vertices, and an
-uncoloured neighbour of a bag vertex is never UNKNOWN, so every distance
-weighting is fixed per side of the join.
+solver indexes the inner list by match key once and makes every exact merge
+first.  Heuristic backups, each outer solution merged with its nearest inner
+one, are built only when no outer solution has an exact partner, the one
+case whose list the node returns; otherwise they would be thrown away.  Then
+the first outer solution fixes the join's distance masks and its table of
+the ring, N[bag] without the bag: every entry of one child colours the same
+vertices, and an uncoloured neighbour of a bag vertex is never UNKNOWN, so
+every distance weighting is fixed per side of the join.  The exception is
+``greedy_match``, whose merges draw from the RNG: it still builds, and
+drops, the backups of the outer solutions before the first with an exact
+partner, because the order of draws is part of the behaviour.
 """
 
 from __future__ import annotations
@@ -786,11 +790,14 @@ class HeuristicSolver:
     def handle_join(self, idx: int, first: Beam, second: Beam) -> Beam:
         """Pair up solutions of the two children.
 
-        Exact bag matches merge losslessly; while no exact merge has happened
-        yet, each unmatched outer solution is heuristically merged with its
-        nearest inner solution into a backup list, returned only if the main
-        list ends empty.  The returned list is the one offered to the node's
-        beam, in one selection.
+        Exact bag matches merge losslessly, all of them first.  Only if none
+        exists is each outer solution heuristically merged with its nearest
+        inner solution into a backup list, which the node then returns: a
+        backup built beside an exact merge would be thrown away.  But
+        ``greedy_match`` merges draw from the RNG, so that merge method still
+        builds the backups of the outer solutions before the first with an
+        exact partner, for their draws, and drops them.  The returned list is
+        the one offered to the node's beam, in one selection.
 
         Both children hold the same vertices in the same lanes, so an entry
         of either is laid out on the node, and each merge keeps its first
@@ -821,17 +828,23 @@ class HeuristicSolver:
         for inner_sol in inner_entries:
             partners.setdefault(inner_sol.state & key_mask, inner_sol)
         exact: list[tuple[int, PartialSolution]] = []
-        backup: list[tuple[int, PartialSolution]] = []
-        masks = ring = None
+        # The outer solutions before the first with an exact partner: all of
+        # them when none has one.
+        unmatched: list[PartialSolution] = []
         for outer_sol in outer:
             partner = partners.get(outer_sol.state & key_mask)
             if partner is not None:
                 merged = self.merge_exact(outer_sol, partner)
                 exact.append((merged.score, merged))
             elif not exact:
-                if masks is None:
-                    masks = self.distance_masks(bag, outer_sol)
-                    ring = self._ring(outer_sol.layout, node.bag)
+                unmatched.append(outer_sol)
+        backup: list[tuple[int, PartialSolution]] = []
+        # ``greedy_match`` backups are made even beside an exact merge, for
+        # their RNG draws.
+        if unmatched and (not exact or self.config.join_merge_method == "greedy_match"):
+            masks = self.distance_masks(bag, unmatched[0])
+            ring = self._ring(unmatched[0].layout, node.bag)
+            for outer_sol in unmatched:
                 # The first nearest in best-first order.
                 nearest = min(inner_entries, key=lambda sol: self.tuple_distance(outer_sol, sol, masks))
                 for merged in self.merge_heuristic(outer_sol, nearest, bag, ring):

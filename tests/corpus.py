@@ -38,6 +38,15 @@ def fuzz_instances(count: int, seed: int, **kwargs) -> list[Instance]:
     return [random_instance(rng, **kwargs) for _ in range(count)]
 
 
+# The acceptance criteria's oracle-equivalence corpus: n <= 9, k in {2, 3}.
+ACCEPTANCE_SIZE = 1000
+ACCEPTANCE_SEED = 20240 + 1
+
+
+def acceptance_corpus() -> list[Instance]:
+    return fuzz_instances(ACCEPTANCE_SIZE, seed=ACCEPTANCE_SEED)
+
+
 def tree_instance(rng: random.Random, n: int, k: int = 3, q: float = 0.1) -> Instance:
     """Random tree with the small-graph colouring rule.
 

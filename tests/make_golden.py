@@ -103,6 +103,15 @@ OTHER_K: dict[str, Callable[[], Instance]] = {
 INSTANCES.update(OTHER_K)
 
 
+# Every join-loop x distance x merge combination, and a cover of 7 of them in
+# which every knob value appears at least once.
+FULL = list(itertools.product(JOIN_LOOP_CHOICES, DISTANCE_WEIGHTINGS, MERGE_METHODS))
+COVER = [
+    (JOIN_LOOP_CHOICES[i % 3], dist, MERGE_METHODS[i % 2])
+    for i, dist in enumerate(DISTANCE_WEIGHTINGS)
+]
+
+
 def heuristic_configs(name: str) -> Iterator[tuple[str, HeuristicConfig]]:
     if name in OTHER_K:
         for width in WEIGHT_WIDTHS:
@@ -110,13 +119,8 @@ def heuristic_configs(name: str) -> Iterator[tuple[str, HeuristicConfig]]:
         greedy = HeuristicConfig(width=4, join_loop_choice="random", join_merge_method="greedy_match")
         yield "heuristic:W=4:random:greedy_match", greedy
         return
-    full = list(itertools.product(JOIN_LOOP_CHOICES, DISTANCE_WEIGHTINGS, MERGE_METHODS))
-    cover = [
-        (JOIN_LOOP_CHOICES[i % 3], dist, MERGE_METHODS[i % 2])
-        for i, dist in enumerate(DISTANCE_WEIGHTINGS)
-    ]
     for width in WIDTHS:
-        combos = cover if width == 67 and name in HARDEST else full
+        combos = COVER if width == 67 and name in HARDEST else FULL
         for loop, dist, merge in combos:
             config = HeuristicConfig(
                 width=width,

@@ -34,11 +34,8 @@ from mhv.exact import solve_exact
 from mhv.oracle import brute_force
 from mhv.treedec import make_nice, min_fill_decompose, validate_nice, validate_td
 
-from corpus import er_graph, fuzz_instances, random_instance, tree_instance
+from corpus import acceptance_corpus, er_graph, random_instance, tree_instance
 from plain_dp_reference import reference_tables
-
-CORPUS_SIZE = 1000
-CORPUS_SEED = 20240 + 1
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -50,7 +47,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def corpus():
-    instances = fuzz_instances(CORPUS_SIZE, seed=CORPUS_SEED)
+    instances = acceptance_corpus()
     assert all(inst.graph.n <= 9 and inst.graph.max_degree <= 8 for inst in instances)
     assert all(inst.colouring.k in (2, 3) for inst in instances)
     return instances

@@ -649,6 +649,52 @@ def test_join_mismatch_only_lists_use_backup():
         assert sol.counts == _derived_counts(solver, sol)
 
 
+def test_join_builds_backups_only_without_an_exact_merge(monkeypatch):
+    """Under the default knobs a join that makes an exact merge computes no
+    distance and makes no heuristic merge.  One that makes none works out its
+    distance masks once and, per outer entry, searches the nearest inner
+    entry (one ``tuple_distance`` per inner entry) and makes one
+    ``merge_heuristic`` call, two ``copy_bag`` entries.  Calls are counted by
+    patching the class, as perfbench's tracer does."""
+    calls = dict.fromkeys(
+        ("merge_exact", "distance_masks", "tuple_distance", "merge_heuristic", "_merge_copy"), 0
+    )
+    for name in calls:
+        def counted(self, *args, name=name, original=getattr(HeuristicSolver, name)):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(HeuristicSolver, name, counted)
+    joins = []
+    handle_join = HeuristicSolver.handle_join
+
+    def counted_join(self, idx, first, second):
+        before = dict(calls)
+        beam = handle_join(self, idx, first, second)
+        # The smaller list is the outer one by default.
+        sizes = sorted((len(first), len(second)))
+        joins.append((*sizes, {name: calls[name] - before[name] for name in calls}))
+        return beam
+
+    monkeypatch.setattr(HeuristicSolver, "handle_join", counted_join)
+    for seed in (61, 62):
+        inst = generate(hardest_regime(30, 3, seed=seed))
+        _solver(inst.graph, inst.colouring, width=4).solve()
+    matched = unmatched = 0
+    for outer, inner, made in joins:
+        if made["merge_exact"]:
+            matched += 1
+            assert made["distance_masks"] == made["tuple_distance"] == 0
+            assert made["merge_heuristic"] == made["_merge_copy"] == 0
+        else:
+            unmatched += 1
+            assert made["distance_masks"] == 1
+            assert made["tuple_distance"] == outer * inner
+            assert made["merge_heuristic"] == outer
+            assert made["_merge_copy"] == 2 * outer
+    assert matched and unmatched
+
+
 class _JoinPremiseSolver(HeuristicSolver):
     """Checks at every join the two premises that let the join work out its
     tables once, and counts the ``distance_weights`` calls of the join."""
