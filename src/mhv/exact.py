@@ -10,11 +10,15 @@ colour only if its precoloured neighbours agree on that colour
 cut when the vertex is introduced, whether that neighbour is in the bag or
 not.
 
-State encoding: bags are kept sorted and a state is one int.  Lane p, of
-``(2k+1).bit_length()`` bits, holds bag position p's code ``colour << 1 |
-designated_happy``, lane 0 the most significant.  Every code fits its lane
-and a table's states have one lane per bag vertex, so int order is the order
-of the code tuples.
+State encoding: a state is one int.  Every vertex holds one lane of
+``(2k+1).bit_length()`` bits for the whole solve, given by the
+decomposition's lane pass over the bags (``NiceTreeDecomposition.lanes``,
+the pass that lays out the beam DP's entries): vertices that share a bag
+hold different lanes.  A bag vertex's lane holds its code ``colour << 1 |
+designated_happy``, and every other lane is zero.  So an introduce ORs the
+vertex's code into its lane, a forget clears that lane with a mask, and a
+join's designated-happy bits are bit 0 of the bag's lanes.  Ties go to the
+state inserted first: a table's order is its child's order.
 
 Memory: the tables run through ``NiceTreeDecomposition.walk``, so a child's
 table is dropped once its parent's is built.  Alive at any time are only the
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import time
 
-from .errors import InputError, ResourceLimitError
+from .errors import ResourceLimitError
 from .graph import Graph, PartialColouring, precoloured_evidence
 from .result import SolveResult, solve_result
 from .treedec import NiceTreeDecomposition, NodeKind, check_decomposes
@@ -53,19 +57,18 @@ def solve_exact(
     evidence = precoloured_evidence(g, colouring)
     k = colouring.k
     adjacency, nodes = g.adjacency, nice.nodes
-    bags = [tuple(sorted(node.bag)) for node in nodes]
     width = (2 * k + 1).bit_length()
     lane = (1 << width) - 1
+    # Per vertex the shift of its lane.
+    at = [width * index for index in nice.lanes([(v,) for v in range(g.n)])[0]]
 
     forget_pred = {}
 
     def forget(idx, child_table):
-        child_bag = bags[nodes[idx].children[0]]
-        low = width * (len(child_bag) - 1 - child_bag.index(nodes[idx].vertex))
-        high, low_mask = low + width, (1 << low) - 1
+        keep = ~(lane << at[nodes[idx].vertex])
         table, pred = {}, {}
         for key, val in child_table.items():
-            nk = (key >> high << low) | (key & low_mask)
+            nk = key & keep
             if val > table.get(nk, -1):
                 table[nk] = val
                 pred[nk] = key
@@ -92,30 +95,27 @@ def solve_exact(
         return plan
 
     def introduce(idx, child_table):
-        vertex, bag = nodes[idx].vertex, bags[idx]
-        low = width * (len(bag) - 1 - bag.index(vertex))
-        high, low_mask = low + width, (1 << low) - 1
-        nbrs = set(adjacency[vertex])
-        shifts = [width * (len(bag) - 1 - p) for p, u in enumerate(bag) if u in nbrs]
+        node = nodes[idx]
+        vertex = node.vertex
+        shifts = [at[u] for u in adjacency[vertex] if u in node.bag]
         nbr_mask = sum(lane << s for s in shifts)
         allowed = (base[vertex],) if base[vertex] else range(1, k + 1)
         ev = evidence[vertex]
         plans, table = {}, {}
         for key, val in child_table.items():
-            # The child's lanes, spread around an empty lane for the vertex.
-            spread = (key >> low << high) | (key & low_mask)
-            pattern = spread & nbr_mask
+            # The vertex's lane is zero in the child's key.
+            pattern = key & nbr_mask
             plan = plans.get(pattern)
             if plan is None:
-                plan = plans[pattern] = plan_for(pattern, shifts, allowed, ev, low)
+                plan = plans[pattern] = plan_for(pattern, shifts, allowed, ev, at[vertex])
             for code, gain in plan:
-                table[spread | code] = val + gain
+                table[key | code] = val + gain
         return table
 
     def join(idx, t1, t2):
         # Both children count the designated-happy bag vertices (bit 0 of
-        # each lane), so they are taken off once.
-        designated = ((1 << width * len(bags[idx])) - 1) // lane
+        # each bag lane), so they are taken off once.
+        designated = sum(1 << at[v] for v in nodes[idx].bag)
         if len(t1) > len(t2):
             t1, t2 = t2, t1
         table = {}
@@ -137,36 +137,29 @@ def solve_exact(
         if total_states > state_cap:
             raise ResourceLimitError(
                 f"exact DP exceeded the state cap ({total_states} > {state_cap} states) "
-                f"at node {idx} ({nodes[idx].kind.name.lower()}, bag of {len(bags[idx])})"
+                f"at node {idx} ({nodes[idx].kind.name.lower()}, bag of {len(nodes[idx].bag)})"
             )
-        if idx == nice.root:
-            root_table = table
+    # The root bag is empty (``validate_nice``) and the all-assumed-unhappy
+    # state survives every recurrence, so the last table, the root's, holds
+    # key 0 alone.
+    assert table.keys() == {0}, "exact DP produced no feasible state"
+    best_val = table[0]
 
-    if not root_table:
-        # Cannot happen for a valid instance: the all-assumed-unhappy state
-        # survives every recurrence.
-        raise InputError("exact DP produced no feasible state")
-    best_key = max(root_table, key=lambda s: (root_table[s], s))
-    best_val = root_table[best_key]
-
+    # Each vertex is forgotten once, below the empty root: read its colour
+    # from the forget's child key.  Joins hand their key to their children,
+    # an introduce clears its vertex's lane, and leaves have none.
     colours = bytearray(base)
-    stack = [(nice.root, best_key)]
+    stack = [(nice.root, 0)]
     while stack:
         idx, key = stack.pop()
-        bag = bags[idx]
-        codes = key
-        for v in reversed(bag):
-            col = (codes & lane) >> 1
-            codes >>= width
-            assert colours[v] in (0, col), "inconsistent reconstruction"
-            colours[v] = col
-        # Joins hand their key to their children, leaves have none.
         node = nodes[idx]
         if node.kind == NodeKind.FORGET:
             key = forget_pred[idx][key]
+            col = (key >> at[node.vertex] & lane) >> 1
+            assert colours[node.vertex] in (0, col), "inconsistent reconstruction"
+            colours[node.vertex] = col
         elif node.kind == NodeKind.INTRODUCE:
-            low = width * (len(bag) - 1 - bag.index(node.vertex))
-            key = (key >> low + width << low) | (key & ((1 << low) - 1))
+            key &= ~(lane << at[node.vertex])
         stack.extend((c, key) for c in node.children)
 
     return solve_result("exact-dp", g, colouring, colours, start, True, happy=best_val)

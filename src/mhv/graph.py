@@ -54,9 +54,6 @@ class Graph:
         self.degrees = tuple(len(a) for a in self.adjacency)
         self.max_degree = max(self.degrees, default=0)
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Graph):
             return self.n == other.n and self.edges == other.edges

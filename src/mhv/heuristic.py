@@ -46,9 +46,11 @@ and no beam is ever empty (a leaf has one entry, an introduce keeps its
 backups while its main list is empty, a forget one entry per key, and a join
 without an exact match merges heuristically).  Every vertex
 has one lane for the whole solve, ``k.bit_length()`` colour bits and then 3
-label bits, and a lane outside the node's N[bag] is zero.  One pass from the
-root (``_assign_lanes``) gives each vertex the lowest lane free where it
-enters N[bag], so vertices that share an N[bag] never share a lane.
+label bits, and a lane outside the node's N[bag] is zero.  The
+decomposition's lane pass (``NiceTreeDecomposition.lanes``, with each
+vertex reaching its closed neighbourhood) gives each vertex the lowest lane
+free where it enters N[bag], so vertices that share an N[bag] never share a
+lane; ``solve_exact`` runs the same pass over the bags alone.
 So the vertices an introduce adds to N[bag] find their lanes zero, that is
 uncoloured and UNKNOWN; a forget clears the lanes of those that leave; and a
 join's two children hold its bag in the same lanes, so that its keys and
@@ -232,7 +234,7 @@ class HeuristicSolver:
         self._ones = ((1 << self._lw * max(self.n, 1)) - 1) // ((1 << self._lw) - 1)
         self._colour_field = self._ones * ((1 << self._cb) - 1)
         self._label_field = self._ones * 7
-        self._lanes, self._moved = self._assign_lanes()
+        self._lanes, self._moved = nice.lanes([(v, *a) for v, a in enumerate(self.adj)])
         # Forget records, three ints each: (vertex, colour, older record) per
         # vertex that leaves N[bag], and (-1, one side's newest, the other's)
         # per join; -1 ends a chain.
@@ -310,67 +312,6 @@ class HeuristicSolver:
         for shift in range(1, self._cb):
             folded |= colours >> shift
         return folded & self._ones
-
-    def _assign_lanes(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        """Per vertex its lane, and per introduce (forget) node the vertices
-        that it adds to (drops from) N[bag].
-
-        One pass from the root keeps, per vertex, how many of its closed
-        neighbourhood the bag holds.  A vertex takes the lowest free lane
-        where it enters N[bag] on the way down, below a forget, and frees it
-        where it leaves, below an introduce, and again on the way back up.
-        The nodes whose N[bag] holds a vertex form one subtree
-        (``check_decomposes``), so it enters once, and vertices that share an
-        N[bag] hold different lanes.
-        """
-        nodes, adj = self.nice.nodes, self.adj
-        forget, introduce = NodeKind.FORGET, NodeKind.INTRODUCE
-        lanes = [0] * self.n
-        moved: list[tuple[int, ...]] = [()] * len(nodes)
-        near = [0] * self.n
-        taken = bytearray(self.n + 1)
-        stack = [self.nice.root]
-        while stack:
-            idx = stack.pop()
-            if idx < 0:
-                # Back up over node ~idx: undo its step.
-                node = nodes[~idx]
-                closed = (node.vertex, *adj[node.vertex])
-                if node.kind == forget:
-                    for u in closed:
-                        near[u] -= 1
-                    for u in moved[~idx]:
-                        taken[lanes[u]] = 0
-                else:
-                    for u in closed:
-                        near[u] += 1
-                    for u in moved[~idx]:
-                        taken[lanes[u]] = 1
-                continue
-            node = nodes[idx]
-            kind = node.kind
-            if kind == forget:
-                # Below, the bag holds the vertex.
-                gone = []
-                for u in (node.vertex, *adj[node.vertex]):
-                    near[u] += 1
-                    if near[u] == 1:
-                        lanes[u] = lane = taken.find(0)
-                        taken[lane] = 1
-                        gone.append(u)
-                moved[idx] = tuple(gone)
-                stack.append(~idx)
-            elif kind == introduce:
-                new = []
-                for u in (node.vertex, *adj[node.vertex]):
-                    near[u] -= 1
-                    if not near[u]:
-                        taken[lanes[u]] = 0
-                        new.append(u)
-                moved[idx] = tuple(new)
-                stack.append(~idx)
-            stack.extend(node.children)
-        return lanes, moved
 
     def node_layout(self, idx: int) -> dict[int, int]:
         """The layout of node ``idx``'s entries by definition: each vertex of

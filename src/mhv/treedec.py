@@ -14,7 +14,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError
 from .graph import Graph, _as_text, reachable
@@ -360,6 +360,70 @@ class NiceTreeDecomposition:
             result = handlers[node.kind](idx, *[pending.pop(c) for c in node.children])
             pending[idx] = result
             yield idx, result
+
+    def lanes(self, reach: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Per vertex its lane, and per introduce (forget) node the vertices
+        that it adds to (drops from) the stored set.
+
+        A dynamic program stores ``reach[v]`` while v is in the bag, so a
+        node's stored set is the union of ``reach`` over its bag.
+        ``reach[v]`` holds v and vertices that share a bag with v: v alone,
+        or its closed neighbourhood.  One pass from the root keeps, per
+        vertex, how many bag vertices reach it.  A vertex takes the lowest
+        free lane where it enters the stored set on the way down, below a
+        forget, and frees it where it leaves, below an introduce, and again
+        on the way back up.  The nodes that store a vertex form one subtree
+        (``validate_nice``), so it enters once, vertices stored together
+        hold different lanes, and every lane is below the size of the
+        largest stored set.
+        """
+        nodes = self.nodes
+        forget, introduce = NodeKind.FORGET, NodeKind.INTRODUCE
+        lanes = [0] * self.n
+        moved: list[tuple[int, ...]] = [()] * len(nodes)
+        near = [0] * self.n
+        taken = bytearray(self.n + 1)
+        stack = [self.root]
+        while stack:
+            idx = stack.pop()
+            if idx < 0:
+                # Back up over node ~idx: undo its step.
+                node = nodes[~idx]
+                if node.kind == forget:
+                    for u in reach[node.vertex]:
+                        near[u] -= 1
+                    for u in moved[~idx]:
+                        taken[lanes[u]] = 0
+                else:
+                    for u in reach[node.vertex]:
+                        near[u] += 1
+                    for u in moved[~idx]:
+                        taken[lanes[u]] = 1
+                continue
+            node = nodes[idx]
+            kind = node.kind
+            if kind == forget:
+                # Below, the bag holds the vertex.
+                gone = []
+                for u in reach[node.vertex]:
+                    near[u] += 1
+                    if near[u] == 1:
+                        lanes[u] = lane = taken.find(0)
+                        taken[lane] = 1
+                        gone.append(u)
+                moved[idx] = tuple(gone)
+                stack.append(~idx)
+            elif kind == introduce:
+                new = []
+                for u in reach[node.vertex]:
+                    near[u] -= 1
+                    if not near[u]:
+                        taken[lanes[u]] = 0
+                        new.append(u)
+                moved[idx] = tuple(new)
+                stack.append(~idx)
+            stack.extend(node.children)
+        return lanes, moved
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,10 @@ def _nice_for(g, seed=0):
     return make_nice(min_fill_decompose(g, seed=seed), g)
 
 
-# k = 2 and 3 give 3-bit lanes, k = 5 4-bit lanes and k = 9 5-bit lanes.
+# k = 1 gives 2-bit lanes, k = 2 and 3 3-bit lanes, k = 5 4-bit lanes and
+# k = 9 5-bit lanes.
 _FUZZ = {
+    "fuzz-619-k1": lambda: fuzz_instances(60, seed=619, ks=(1,)),
     "fuzz-607-k2-k3": lambda: fuzz_instances(150, seed=607),
     "fuzz-613-k5-k9": lambda: fuzz_instances(40, seed=613, ks=(5, 9), n_lo=9, n_hi=12),
 }
@@ -55,8 +57,8 @@ def test_packed_dp_matches_the_tuple_reference_on_fuzz(corpus):
 
 def test_fuzz_covers_every_lane_width():
     ks = {inst.colouring.k for make in _FUZZ.values() for inst in make()}
-    assert ks == {2, 3, 5, 9}
-    assert {(2 * k + 1).bit_length() for k in ks} == {3, 4, 5}
+    assert ks == {1, 2, 3, 5, 9}
+    assert {(2 * k + 1).bit_length() for k in ks} == {2, 3, 4, 5}
 
 
 def _tree_colouring(n, seed, k=3):

@@ -9,6 +9,7 @@ import pytest
 
 from mhv.errors import InputError, ParseError
 from mhv.graph import Graph
+from mhv.harness import generate, hardest_regime, random_tree
 from mhv.treedec import (
     NiceTreeDecomposition,
     NodeKind,
@@ -22,7 +23,7 @@ from mhv.treedec import (
     write_td,
 )
 
-from corpus import er_graph, random_tree_graph
+from corpus import er_graph, fuzz_instances, random_tree_graph
 
 
 def brute_force_treewidth(g: Graph) -> int:
@@ -493,6 +494,44 @@ def test_nice_separation_property():
                 for u, v in g.edges:
                     assert not (u in only_a and v in only_b)
                     assert not (v in only_a and u in only_b)
+
+
+def _assert_lanes(g, nice):
+    """For the exact DP's reach (the bag) and the beam DP's (N[bag]): at
+    every node the stored vertices hold distinct lanes, below the size of
+    the largest stored set, and ``moved`` is what an introduce adds to its
+    child's stored set or a forget drops from it."""
+    bag_reach = [(v,) for v in range(g.n)]
+    closed_reach = [(v, *a) for v, a in enumerate(g.adjacency)]
+    for reach in (bag_reach, closed_reach):
+        lanes, moved = nice.lanes(reach)
+        stored = [{u for v in node.bag for u in reach[v]} for node in nice.nodes]
+        largest = max(map(len, stored))
+        if reach is bag_reach:
+            assert largest == nice.width + 1
+        for idx, node in enumerate(nice.nodes):
+            held = [lanes[u] for u in stored[idx]]
+            assert len(set(held)) == len(held)
+            assert max(held, default=0) < max(largest, 1)
+            assert len(set(moved[idx])) == len(moved[idx])
+            if node.kind == NodeKind.INTRODUCE:
+                assert set(moved[idx]) == stored[idx] - stored[node.children[0]]
+            elif node.kind == NodeKind.FORGET:
+                assert set(moved[idx]) == stored[node.children[0]] - stored[idx]
+            else:
+                assert moved[idx] == ()
+
+
+def test_lanes_on_the_fuzz_corpus():
+    for i, inst in enumerate(fuzz_instances(150, seed=607)):
+        _assert_lanes(inst.graph, make_nice(min_fill_decompose(inst.graph, seed=i), inst.graph))
+
+
+def test_lanes_on_a_tree_and_the_hardest_regime():
+    tree = random_tree(300, seed=5)
+    hard = generate(hardest_regime(30, 3, seed=0)).graph
+    for g in (tree, hard):
+        _assert_lanes(g, make_nice(min_fill_decompose(g, seed=0), g))
 
 
 def test_parse_td_width_mismatch_warns():
