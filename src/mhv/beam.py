@@ -62,33 +62,30 @@ class LabelWeights:
 class PartialSolution:
     """One beam entry.
 
-    ``layout`` maps each vertex the entry stores to its lane, and ``state``
-    packs their colours and labels into one int, a vertex's at the bits of
-    its lane (see ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.
-    The entries of a node are the only holders of its layout, which the
-    parent's handler derives its own from.
+    ``state`` packs the colours and labels of the vertices the entry stores,
+    its node's N[bag], into one int, a vertex's at the bits of its lane (see
+    ``mhv.heuristic``); a zero lane means uncoloured / UNKNOWN.  The entry
+    does not name its vertices or their lanes: its node and the solver's one
+    lane table do, so reading an entry needs its node.
     ``counts`` holds the totals over all vertices for the four scored labels
     in enum order.  ``forgotten`` is the newest of the solver's forget
-    records, which hold the colours of the coloured vertices outside the
-    layout, -1 for none.  At the node that holds it, the coloured vertices
-    are exactly those of the bags below.  ``layout`` may be left out for an
-    entry that is only ranked, never read.
+    records, which hold the colours of the coloured vertices outside N[bag],
+    -1 for none.  At the node that holds it, the coloured vertices are
+    exactly those of the bags below.
     """
 
-    __slots__ = ("state", "counts", "score", "layout", "forgotten")
+    __slots__ = ("state", "counts", "score", "forgotten")
 
     def __init__(
         self,
         state: int,
         counts: tuple[int, int, int, int],
         score: int,
-        layout: dict[int, int] | None = None,
         forgotten: int = -1,
     ) -> None:
         self.state = state
         self.counts = counts
         self.score = score
-        self.layout = layout
         self.forgotten = forgotten
 
     def __repr__(self) -> str:

@@ -287,7 +287,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
     manifest_path = Path(args.manifest)
-    entries, algorithms, options = check_manifest(json.loads(_read_text(manifest_path)))
+    text = _read_text(manifest_path)
+    try:
+        manifest = json.loads(text)
+    except RecursionError:
+        raise InputError(f"{manifest_path} is nested too deeply to read") from None
+    entries, algorithms, options = check_manifest(manifest)
     # The flag overrides the manifest, which overrides the environment.
     if args.workers is not None:
         if args.workers < 1:

@@ -385,12 +385,13 @@ def bench_run(
 
     Each instance is one task: the process that runs it decomposes it once,
     shares the decomposition across its runs and returns its records in
-    (spec, repetition) order.  ``workers`` processes run the tasks (the
-    calling process when it is 1), and records come out per finished
-    instance in input order.  Repetition r uses per-run seed
-    ``spec.seed + r``, bound to the run rather than the worker, so results
-    do not depend on the worker count.  Failed runs yield error records and
-    the sweep continues.  The arguments are checked before this returns.
+    (spec, repetition) order.  ``workers`` processes, never more than there
+    are instances, run the tasks (the calling process when that is 1), and
+    records come out per finished instance in input order.  Repetition r
+    uses per-run seed ``spec.seed + r``, bound to the run rather than the
+    worker, so results do not depend on the worker count.  Failed runs
+    yield error records and the sweep continues.  The arguments are checked
+    before this returns.
     """
     if repetitions < 1:
         raise InputError("repetitions must be at least 1")
@@ -414,6 +415,10 @@ def _records(
     instances: Iterable[tuple[str, Instance]],
     workers: int,
 ) -> Iterator[BenchRecord]:
+    if workers > 1:
+        # The pool forks all its processes at its first task.
+        instances = list(instances)
+        workers = min(workers, len(instances))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for records in (pool.map if pool else map)(run, instances):
             yield from records

@@ -40,17 +40,15 @@ change.
 An entry stores only what can still change: the colours and labels of its
 node's closed neighbourhood N[bag] packed into one int, its four label counts
 over all vertices, its score, and the number of its newest forget record.
-Its layout is a dict from each vertex of N[bag] to its lane, held by the
-entries alone: each handler derives its node's from its child's first entry,
-and no beam is ever empty (a leaf has one entry, an introduce keeps its
-backups while its main list is empty, a forget one entry per key, and a join
-without an exact match merges heuristically).  Every vertex
-has one lane for the whole solve, ``k.bit_length()`` colour bits and then 3
-label bits, and a lane outside the node's N[bag] is zero.  The
-decomposition's lane pass (``NiceTreeDecomposition.lanes``, with each
-vertex reaching its closed neighbourhood) gives each vertex the lowest lane
-free where it enters N[bag], so vertices that share an N[bag] never share a
-lane; ``solve_exact`` runs the same pass over the bags alone.
+Every vertex has one lane for the whole solve, ``k.bit_length()`` colour bits
+and then 3 label bits, read from one lane table, ``HeuristicSolver._lanes``.
+An entry does not say which vertices it stores; its node does
+(``node_layout``), so every reader of an entry is given its node, and a lane
+outside the node's N[bag] is zero.  The decomposition's lane pass
+(``NiceTreeDecomposition.lanes``, with each vertex reaching its closed
+neighbourhood) builds the table: each vertex gets the lowest lane free where
+it enters N[bag], so vertices that share an N[bag] never share a lane;
+``solve_exact`` runs the same pass over the bags alone.
 So the vertices an introduce adds to N[bag] find their lanes zero, that is
 uncoloured and UNKNOWN; a forget clears the lanes of those that leave; and a
 join's two children hold its bag in the same lanes, so that its keys and
@@ -67,12 +65,10 @@ conflict without the records.  ``solve`` rebuilds the colouring from the best
 root entry's records, by an iterative walk, and derives the final labels
 from it.
 
-The solver owns the entry format.  Entries are made from full arrays by
-``HeuristicSolver.entry``, laid out on a given node or over every vertex (a
-lane per vertex, in vertex order), and read as full arrays, rebuilt the same
-way, by ``HeuristicSolver.arrays``.  Only the node handlers and their join
-helpers touch an entry's state; a handler reads entries laid out on its
-children's layouts, the join helpers read any two that share their lanes.
+The solver owns the entry format.  Entries are made from full arrays on a
+given node by ``HeuristicSolver.entry`` and read as full arrays, rebuilt the
+same way, by ``HeuristicSolver.arrays``.  Only the node handlers and their
+join helpers touch an entry's state.
 
 The joins rest on one fact of table DP over nice decompositions: a forgotten
 vertex has had all its neighbours introduced.  So at every node an uncoloured
@@ -87,13 +83,14 @@ solver indexes the inner list by match key once and makes every exact merge
 first.  Heuristic backups, each outer solution merged with its nearest inner
 one, are built only when no outer solution has an exact partner, the one
 case whose list the node returns; otherwise they would be thrown away.  Then
-the first outer solution fixes the join's distance masks and its table of
-the ring, N[bag] without the bag: every entry of one child colours the same
-vertices, and an uncoloured neighbour of a bag vertex is never UNKNOWN, so
-every distance weighting is fixed per side of the join.  The exception is
-``greedy_match``, whose merges draw from the RNG: it still builds, and
-drops, the backups of the outer solutions before the first with an exact
-partner, because the order of draws is part of the behaviour.
+the join's bag fixes its table of the ring, N[bag] without the bag, and the
+first outer solution its distance masks: every entry of one child colours
+the same vertices, and an uncoloured neighbour of a bag vertex is never
+UNKNOWN, so every distance weighting is fixed per side of the join.  The
+exception is
+``greedy_match``, whose merges draw from the RNG: it still builds, and drops,
+the backups of the outer solutions before the first with an exact partner,
+because the order of draws is part of the behaviour.
 """
 
 from __future__ import annotations
@@ -239,7 +236,6 @@ class HeuristicSolver:
         # vertex that leaves N[bag], and (-1, one side's newest, the other's)
         # per join; -1 ends a chain.
         self._records: list[int] = []
-        self._everything: dict[int, int] | None = None
         self._evidence = precoloured_evidence(g, colouring)
 
     # -- entry format -----------------------------------------------------
@@ -249,22 +245,16 @@ class HeuristicSolver:
         colours: Iterable[int],
         labels: Iterable[int],
         counts: Sequence[int] | None = None,
-        node: int | None = None,
+        *,
+        node: int,
     ) -> PartialSolution:
-        """A beam entry made from full arrays, scored from its four label
-        counts, which are counted from ``labels`` if not given.  It is laid
-        out on node ``node``'s layout, its other coloured vertices taken as
-        forgotten, or over every vertex if no node is given.  A node handler
-        reads only entries laid out on its children's layouts; the join
-        helpers and ``arrays`` read any."""
+        """A beam entry of node ``node`` made from full arrays, scored from
+        its four label counts, which are counted from ``labels`` if not
+        given; its coloured vertices outside the node's N[bag] are taken as
+        forgotten."""
         colours, labels = bytes(colours), bytes(labels)
         counts_t = label_counts(labels) if counts is None else tuple(counts)
-        if node is None:
-            layout = self._everything
-            if layout is None:
-                layout = self._everything = dict(zip(range(self.n), range(self.n)))
-        else:
-            layout = self.node_layout(node)
+        layout = self.node_layout(node)
         forgotten = -1
         for v, c in enumerate(colours):
             if c and v not in layout:
@@ -273,22 +263,23 @@ class HeuristicSolver:
         state = 0
         for v, lane in layout.items():
             state |= (colours[v] | labels[v] << cb) << lw * lane
-        return PartialSolution(state, counts_t, evaluate(self.weights, counts_t), layout, forgotten)
+        return PartialSolution(state, counts_t, evaluate(self.weights, counts_t), forgotten)
 
-    def arrays(self, sol: PartialSolution) -> tuple[bytes, bytes]:
-        """An entry's colours and labels over all vertices, rebuilt by
-        traceback (see the module docstring)."""
-        colours = self._colouring(sol)
+    def arrays(self, sol: PartialSolution, idx: int) -> tuple[bytes, bytes]:
+        """The colours and labels over all vertices of ``sol``, an entry of
+        node ``idx``, rebuilt by traceback (see the module docstring)."""
+        colours = self._colouring(sol, idx)
         labels = self._settled_labels(colours)
-        for v, _, lab in self._read(sol):
+        for v, _, lab in self._read(sol, idx):
             labels[v] = UNHAPPY if lab == FAR_UNHAPPY else lab
         return bytes(colours), bytes(labels)
 
-    def _read(self, sol: PartialSolution) -> Iterator[tuple[int, int, int]]:
-        """(vertex, colour, label) per vertex that ``sol`` stores."""
+    def _read(self, sol: PartialSolution, idx: int) -> Iterator[tuple[int, int, int]]:
+        """(vertex, colour, label) per vertex that ``sol``, an entry of node
+        ``idx``, stores."""
         state, cb, lw = sol.state, self._cb, self._lw
         low = (1 << cb) - 1
-        for v, lane in sol.layout.items():
+        for v, lane in self.node_layout(idx).items():
             bits = state >> lw * lane
             yield v, bits & low, bits >> cb & 7
 
@@ -314,27 +305,10 @@ class HeuristicSolver:
         return folded & self._ones
 
     def node_layout(self, idx: int) -> dict[int, int]:
-        """The layout of node ``idx``'s entries by definition: each vertex of
-        N[bag] mapped to its lane.  The handlers derive the same layout from
-        their child's entries instead (``_derived_layout``)."""
+        """What node ``idx``'s entries store: each vertex of N[bag] mapped to
+        its lane."""
         lanes, adj = self._lanes, self.adj
         return {u: lanes[u] for v in self.nice.nodes[idx].bag for u in (v, *adj[v])}
-
-    def _derived_layout(self, idx: int, child: dict[int, int]) -> dict[int, int]:
-        """Introduce or forget node ``idx``'s layout from its child's,
-        ``child``: an introduce adds the vertices new to N[bag], a forget
-        drops those that no longer touch the bag, and ``child`` itself serves
-        when none moves."""
-        moved = self._moved[idx]
-        if not moved:
-            return child
-        layout = child.copy()
-        if self.nice.nodes[idx].kind == NodeKind.INTRODUCE:
-            layout.update(zip(moved, map(self._lanes.__getitem__, moved)))
-        else:
-            for u in moved:
-                del layout[u]
-        return layout
 
     def _record(self, vertex: int, colour: int, older: int) -> int:
         """A new forget record; its number."""
@@ -350,9 +324,10 @@ class HeuristicSolver:
             return max(a.forgotten, b.forgotten)
         return self._record(-1, a.forgotten, b.forgotten)
 
-    def _colouring(self, sol: PartialSolution) -> bytearray:
-        """The colouring of the subtree below ``sol``: its layout's coloured
-        vertices and its forget records, by an iterative walk."""
+    def _colouring(self, sol: PartialSolution, idx: int) -> bytearray:
+        """The colouring of the subtree below ``sol``, an entry of node
+        ``idx``: its coloured vertices of N[bag] and its forget records, by
+        an iterative walk."""
         colours = bytearray(self.n)
         records = self._records
         stack = [sol.forgotten]
@@ -364,7 +339,7 @@ class HeuristicSolver:
                     stack.append(c)
                 else:
                     colours[v] = c
-        for v, c, _ in self._read(sol):
+        for v, c, _ in self._read(sol, idx):
             if c:
                 colours[v] = c
         return colours
@@ -413,13 +388,13 @@ class HeuristicSolver:
             return UNKNOWN
         return UNHAPPY if conflict else MAYBE_HAPPY
 
-    def _ring(self, layout: dict[int, int], bag_set: frozenset[int]) -> _Ring:
-        """The ring table of the vertices of ``layout`` outside ``bag_set``."""
-        evidence = self._evidence
+    def _ring(self, bag: frozenset[int]) -> _Ring:
+        """The ring table of a join whose bag is ``bag``."""
+        lanes, adj, evidence = self._lanes, self.adj, self._evidence
+        stored = bag.union(*(adj[v] for v in bag))
         return {
-            i: (tuple(layout[u] for u in self.adj[v] if u in layout), evidence[v])
-            for v, i in layout.items()
-            if v not in bag_set
+            lanes[v]: (tuple(lanes[u] for u in adj[v] if u in stored), evidence[v])
+            for v in stored - bag
         }
 
     def _ring_label(self, state: int, near: tuple[int, ...], evidence: int) -> int:
@@ -446,7 +421,7 @@ class HeuristicSolver:
     def handle_leaf(self, idx: int) -> Beam:
         """The unique empty partial solution: nothing coloured, all UNKNOWN."""
         beam = Beam(self.config.width)
-        beam.insert(PartialSolution(0, (0, 0, 0, 0), 0, {}), self.rng)
+        beam.insert(PartialSolution(0, (0, 0, 0, 0), 0), self.rng)
         return beam
 
     def handle_introduce(self, idx: int, child_beam: Beam) -> Beam:
@@ -621,19 +596,18 @@ class HeuristicSolver:
             backup.extend(backup_offers, self.rng)
         main = Beam(self.config.width)
         main.extend(main_offers, self.rng)
-        layout = self._derived_layout(idx, child_beam.entries[0].layout)
-        return self._materialise(main if main_offers else backup, layout)
+        return self._materialise(main if main_offers else backup)
 
-    def _materialise(self, beam: Beam, layout: dict[int, int]) -> Beam:
+    def _materialise(self, beam: Beam) -> Beam:
         """Replace each (child solution, change) offer in an introduce's
-        result by its finished entry over ``layout``: the child's state XOR
-        the change's, its counts plus the change's.  A vertex new to N[bag]
-        has a zero lane in the child, so no child state needs padding."""
+        result by its finished entry: the child's state XOR the change's, its
+        counts plus the change's.  A vertex new to N[bag] has a zero lane in
+        the child, so no child state needs padding."""
         entries = []
         for (sol, (xor, change)), score in zip(beam.entries, beam.scores):
             c = sol.counts
             counts = (c[0] + change[0], c[1] + change[1], c[2] + change[2], c[3] + change[3])
-            entries.append(PartialSolution(sol.state ^ xor, counts, score, layout, sol.forgotten))
+            entries.append(PartialSolution(sol.state ^ xor, counts, score, sol.forgotten))
         beam.entries = entries
         return beam
 
@@ -655,7 +629,6 @@ class HeuristicSolver:
         node = self.nice.nodes[idx]
         vtx = node.vertex
         assert vtx is not None
-        layout = self._derived_layout(idx, child_beam.entries[0].layout)
         lanes, cb, lw = self._lanes, self._cb, self._lw
         low, full = (1 << cb) - 1, (1 << lw) - 1
         # The lanes of the bag without the forgotten vertex.
@@ -693,7 +666,7 @@ class HeuristicSolver:
         if not gone:
             for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
                 if promoted:
-                    sol = PartialSolution(sol.state ^ promote, counts, score, layout, sol.forgotten)
+                    sol = PartialSolution(sol.state ^ promote, counts, score, sol.forgotten)
                 entries.append(sol)
             beam.entries = entries
             return beam
@@ -703,14 +676,18 @@ class HeuristicSolver:
         leaving = [(u, lw * lanes[u]) for u in gone]
         # (the label shift of a ring vertex next to one that leaves, the
         # colour shifts of both).
+        bag, adj = node.bag, self.adj
         marks = [
-            (lw * lanes[v] + cb, lw * lanes[v], at) for u, at in leaving for v in self.adj[u] if v in layout
+            (lw * lanes[v] + cb, lw * lanes[v], at)
+            for u, at in leaving
+            for v in adj[u]
+            if v in bag or not bag.isdisjoint(adj[v])
         ]
         check = self.config.check_invariants
         records = self._records
         for (_, sol, counts, promoted), score in zip(beam.entries, beam.scores):
             if check:
-                self._check_settled(sol, list(gone), vtx if promoted else -1)
+                self._check_settled(sol, node.children[0], list(gone), vtx if promoted else -1)
             state = sol.state
             settled = state & kept
             if promoted:
@@ -724,7 +701,7 @@ class HeuristicSolver:
                 newest = len(records)
                 records += (u, state >> at & low, forgotten)
                 forgotten = newest
-            entries.append(PartialSolution(settled, counts, score, layout, forgotten))
+            entries.append(PartialSolution(settled, counts, score, forgotten))
         beam.entries = entries
         return beam
 
@@ -740,12 +717,11 @@ class HeuristicSolver:
         exact partner, for their draws, and drops them.  The returned list is
         the one offered to the node's beam, in one selection.
 
-        Both children hold the same vertices in the same lanes, so an entry
-        of either is laid out on the node, and each merge keeps its first
-        entry's layout.  ``merge_exact`` gives the same union in either
-        order, so the outer solution goes first.  The first outer solution
-        without a partner fixes the distance masks and the ring table
-        (module docstring).
+        Both children store the node's N[bag], in the same lanes, so an
+        entry of either is an entry of the node.  ``merge_exact`` gives the
+        same union in either order, so the outer solution goes first.  The
+        first outer solution without a partner fixes the distance masks, and
+        the bag the ring table (module docstring).
         """
         node = self.nice.nodes[idx]
         bag = tuple(sorted(node.bag))
@@ -784,7 +760,7 @@ class HeuristicSolver:
         # their RNG draws.
         if unmatched and (not exact or self.config.join_merge_method == "greedy_match"):
             masks = self.distance_masks(bag, unmatched[0])
-            ring = self._ring(unmatched[0].layout, node.bag)
+            ring = self._ring(node.bag)
             for outer_sol in unmatched:
                 # The first nearest in best-first order.
                 nearest = min(inner_entries, key=lambda sol: self.tuple_distance(outer_sol, sol, masks))
@@ -822,10 +798,10 @@ class HeuristicSolver:
         """Per distinct non-zero weight of ``distance_weights(bag, outer)``,
         the weight and bits 0 and 1 of its bag vertices' lanes."""
         by_weight: dict[int, int] = {}
-        layout = outer.layout
+        lanes = self._lanes
         for w, v in zip(self.distance_weights(bag, outer), bag):
             if w:
-                by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * layout[v]
+                by_weight[w] = by_weight.get(w, 0) | 3 << self._lw * lanes[v]
         return tuple(by_weight.items())
 
     def distance_weights(self, bag: tuple[int, ...], outer: PartialSolution) -> tuple[int, ...]:
@@ -839,19 +815,19 @@ class HeuristicSolver:
         if test is None:
             return (1,) * len(bag)
         bag_set = frozenset(bag)
-        layout = outer.layout
+        lanes = self._lanes
         coloured, lw = self._coloured(outer.state), self._lw
         weights = []
         for v in bag:
             count = 0
             for u in self.adj[v]:
-                count += test(u in bag_set, bool(coloured >> lw * layout[u] & 1))
+                count += test(u in bag_set, bool(coloured >> lw * lanes[u] & 1))
             weights.append(min(count, 1) if capped else count)
         return tuple(weights)
 
     def merge_exact(self, a: PartialSolution, b: PartialSolution) -> PartialSolution:
         """Union two solutions of a join's children that agree on the bag's
-        colours and designations, laid out as ``a`` and in ``a``'s lanes.
+        colours and designations.
 
         Colours and settled labels come from each side's own territory.  The
         territories meet only on the bag, and an uncoloured vertex with a
@@ -883,7 +859,7 @@ class HeuristicSolver:
         )
         w = self._label_weight
         score = w[1] * counts[0] + w[2] * counts[1] + w[3] * counts[2] + w[4] * counts[3]
-        return PartialSolution(state, counts, score, a.layout, self._joined(a, b))
+        return PartialSolution(state, counts, score, self._joined(a, b))
 
     def merge_heuristic(
         self,
@@ -892,9 +868,8 @@ class HeuristicSolver:
         bag: tuple[int, ...],
         ring: _Ring,
     ) -> list[PartialSolution]:
-        """Force two non-matching solutions of a join's children together,
-        each merge into an entry laid out as its first solution; ``ring`` is
-        the join's ring table.
+        """Force two non-matching solutions of a join's children together;
+        ``ring`` is the join's ring table.
 
         ``copy_bag`` keeps one side's bag decisions wholesale and produces a
         solution per role assignment; ``greedy_match`` keeps whatever the two
@@ -908,8 +883,8 @@ class HeuristicSolver:
         return [self._merge_greedy(outer, inner, bag, ring)]
 
     def _merged(self, state: int, a: PartialSolution, b: PartialSolution) -> PartialSolution:
-        """The entry, laid out as ``a``, of a join's heuristic merge of ``a``
-        and ``b`` whose N[bag] is ``state``.  Its counts are each side's counts
+        """The entry of a join's heuristic merge of ``a`` and ``b`` whose
+        N[bag] is ``state``.  Its counts are each side's counts
         away from N[bag], where the two sides never overlap, plus those of
         ``state``."""
         ta, tb, tn = self._state_counts(a.state), self._state_counts(b.state), self._state_counts(state)
@@ -920,7 +895,7 @@ class HeuristicSolver:
             ca[2] + cb[2] - ta[2] - tb[2] + tn[2],
             ca[3] + cb[3] - ta[3] - tb[3] + tn[3],
         )
-        return PartialSolution(state, counts, evaluate(self.weights, counts), a.layout, self._joined(a, b))
+        return PartialSolution(state, counts, evaluate(self.weights, counts), self._joined(a, b))
 
     def _merge_copy(self, primary: PartialSolution, secondary: PartialSolution, ring: _Ring) -> PartialSolution:
         cb, lw = self._cb, self._lw
@@ -946,7 +921,7 @@ class HeuristicSolver:
                 if cu and cu != cv:
                     conflict = True
                     label = state >> lw * j + cb & 7
-                    # A lane of the layout off the ring is a bag lane.
+                    # A lane of N[bag] off the ring is a bag lane.
                     if j not in ring and label in (HAPPY, ASSUMED_UNHAPPY):
                         state ^= (label ^ UNHAPPY) << lw * j + cb
             label = state >> at + cb & 7
@@ -959,11 +934,11 @@ class HeuristicSolver:
     ) -> PartialSolution:
         cb, lw = self._cb, self._lw
         low, full = (1 << cb) - 1, (1 << lw) - 1
-        sa, sb, layout = a.state, b.state, a.layout
+        sa, sb, lanes = a.state, b.state, self._lanes
         adj, base = self.adj, self.base
         # Bag lanes, as (shift, vertex), in the order of ``bag``, which the
         # adoption and the RNG draws follow.
-        order = [(lw * layout[v], v) for v in bag]
+        order = [(lw * lanes[v], v) for v in bag]
         bag_set = set(bag)
         bag_lanes = sum(full << at for at, _ in order)
         # The ring lanes as ``_merge_copy`` takes them; the bag lanes cleared
@@ -975,7 +950,7 @@ class HeuristicSolver:
         def consistent(at: int, v: int) -> bool:
             cv = state >> at & low
             for u in adj[v]:
-                cu = state >> lw * layout[u] & low
+                cu = state >> lw * lanes[u] & low
                 if cu:
                     if cu != cv:
                         return False
@@ -1002,7 +977,7 @@ class HeuristicSolver:
                     # Its uncoloured bag neighbours adopt its colour.
                     for u in adj[v]:
                         if u in bag_set:
-                            s = lw * layout[u]
+                            s = lw * lanes[u]
                             if not state >> s & low:
                                 state |= cv << s
                 changed = True
@@ -1026,7 +1001,7 @@ class HeuristicSolver:
         for at, v in order:
             if (off_a | off_b) >> at & 1:
                 for u in adj[v]:
-                    lane = layout[u]
+                    lane = lanes[u]
                     if lane in ring and (off_b if moved >> lw * lane & 1 else off_a) >> at & 1:
                         stale.add(lane)
         for lane in stale:
@@ -1067,12 +1042,11 @@ class HeuristicSolver:
 
     def solve(self) -> SolveResult:
         start = time.perf_counter()
-        for _, root_beam in self.beams():
+        for root, root_beam in self.beams():
             pass  # the root comes last
-        assert len(root_beam)
         best = max(root_beam.entries, key=entry_rank)
         # The root's bag and ring are empty: every label is a settled one.
-        colours, labels = self.arrays(best)
+        colours, labels = self.arrays(best, root)
         return solve_result(
             "heuristic-dp", self.g, self.colouring, colours, start, self.all_below_capacity,
             happy=best.counts[0], final_labels=tuple(labels),
@@ -1084,14 +1058,15 @@ class HeuristicSolver:
         """The vertices of the bags in the subtree of node ``idx``."""
         return self.nice.nodes[idx].bag.union(*below)
 
-    def _check_settled(self, sol: PartialSolution, gone: list[int], promoted: int) -> None:
+    def _check_settled(self, sol: PartialSolution, child: int, gone: list[int], promoted: int) -> None:
         """Assert the premise the traceback rests on for each vertex a forget
-        drops from ``sol``: its label is HAPPY exactly when no neighbour has
-        another colour.  ``promoted`` is the forgotten vertex if its label
-        turns from ASSUMED_UNHAPPY to HAPPY, else -1."""
-        colours = self._colouring(sol)
+        drops from ``sol``, an entry of node ``child``: its label is HAPPY
+        exactly when no neighbour has another colour.  ``promoted`` is the
+        forgotten vertex if its label turns from ASSUMED_UNHAPPY to HAPPY,
+        else -1."""
+        colours = self._colouring(sol, child)
         for u in gone:
-            stored = HAPPY if u == promoted else sol.state >> self._lw * sol.layout[u] + self._cb & 7
+            stored = HAPPY if u == promoted else sol.state >> self._lw * self._lanes[u] + self._cb & 7
             clash = any(colours[w] != colours[u] for w in self.adj[u])
             assert stored == (UNHAPPY if clash else HAPPY) or (clash and stored == FAR_UNHAPPY), (
                 f"vertex {u} leaves N[bag] labelled {stored}, its colouring says otherwise"
@@ -1103,22 +1078,18 @@ class HeuristicSolver:
         layout = self.node_layout(idx)
         base = self.base
         assert len(beam) <= self.config.width
+        lanes = sum(((1 << self._lw) - 1) << self._lw * lane for lane in layout.values())
         for sol in beam:
             assert isinstance(sol, PartialSolution), f"node {idx}: unbuilt entry"
-            # Laid out on the node, or over every vertex when made from arrays,
-            # with no bits outside its lanes.
-            laid = sol.layout
-            assert laid is self._everything or laid == layout, f"node {idx}: foreign layout"
-            lanes = sum(((1 << self._lw) - 1) << self._lw * lane for lane in laid.values())
             assert type(sol.state) is int and not sol.state & ~lanes, f"node {idx}: stray lanes"
-            full_colours, full_labels = self.arrays(sol)
+            full_colours, full_labels = self.arrays(sol, idx)
             assert label_counts(full_labels) == sol.counts, f"node {idx}: counts differ from labels"
             assert evaluate(self.weights, sol.counts) == sol.score
             # FAR_UNHAPPY marks exactly the coloured ring vertices with a
-            # conflicting neighbour outside the layout.
-            for v, cv, lab in self._read(sol):
+            # conflicting neighbour outside N[bag].
+            for v, cv, lab in self._read(sol, idx):
                 far_clash = cv and any(
-                    full_colours[u] != cv for u in self.adj[v] if u not in laid
+                    full_colours[u] != cv for u in self.adj[v] if u not in layout
                 )
                 assert (lab == FAR_UNHAPPY) == bool(far_clash), (
                     f"node {idx}: vertex {v} labelled {lab}, conflict away from N[bag] {far_clash}"
@@ -1140,12 +1111,14 @@ class HeuristicSolver:
                                 f"{Label(lab).name} vertex {v} has a conflicting neighbour"
                             )
                 else:
-                    # The premise the joins rely on (module docstring).
-                    assert lab == UNKNOWN or v in layout, (
-                        f"node {idx}: uncoloured vertex {v} is labelled "
-                        f"{Label(lab).name} but lies outside N(bag)"
+                    # The premise the joins rely on (module docstring): off
+                    # N[bag], where no label is stored, no neighbour is coloured.
+                    border = self._border_label(v, full_colours)
+                    assert border == UNKNOWN or v in layout, (
+                        f"node {idx}: uncoloured vertex {v} would be labelled "
+                        f"{Label(border).name} but lies outside N(bag)"
                     )
-                    assert lab == self._border_label(v, full_colours)
+                    assert lab == border
         # Entries in ascending score order, mirrored by ``scores``.
         assert [sol.score for sol in beam] == beam.scores == sorted(beam.scores)
 

@@ -87,8 +87,11 @@ def _evidence_colour(solver: HeuristicSolver, v: int, colours: bytes) -> int:
     return 0
 
 
-def _emit(solver, emitted, sol, vtx, colour, labels_for_vertex) -> None:
-    sol_colours, sol_labels = solver.arrays(sol)
+def _emit(solver, emitted, sol, idx, vtx, colour, labels_for_vertex) -> None:
+    """Emit into ``emitted``, as entries of introduce node ``idx``, ``sol``,
+    an entry of its child, with ``vtx`` coloured ``colour``, once per label
+    of ``labels_for_vertex``."""
+    sol_colours, sol_labels = solver.arrays(sol, solver.nice.nodes[idx].children[0])
     colours = bytearray(sol_colours)
     colours[vtx] = colour
     labels = bytearray(sol_labels)
@@ -106,17 +109,19 @@ def _emit(solver, emitted, sol, vtx, colour, labels_for_vertex) -> None:
         out_labels = bytearray(labels)
         out_counts = list(counts)
         _set_label(out_labels, out_counts, vtx, lab)
-        emitted.append(solver.entry(frozen_colours, out_labels, out_counts))
+        emitted.append(solver.entry(frozen_colours, out_labels, out_counts, node=idx))
 
 
-def _emit_backup(solver, emitted, sol, vtx, colour) -> None:
-    colours, sol_labels = solver.arrays(sol)
+def _emit_backup(solver, emitted, sol, idx, vtx, colour) -> None:
+    child = solver.nice.nodes[idx].children[0]
+    colours, sol_labels = solver.arrays(sol, child)
     labels = bytearray(sol_labels)
     counts = list(sol.counts)
     for u in solver.adj[vtx]:
         if colours[u] and colours[u] != colour and labels[u] == HAPPY:
             _set_label(labels, counts, u, UNHAPPY)
-    _emit(solver, emitted, solver.entry(colours, labels, counts), vtx, colour, (UNHAPPY,))
+    demoted = solver.entry(colours, labels, counts, node=child)
+    _emit(solver, emitted, demoted, idx, vtx, colour, (UNHAPPY,))
 
 
 def reference_introduce(
@@ -133,24 +138,25 @@ def reference_introduce(
     allowed = (base[vtx],) if base[vtx] else tuple(range(1, solver.k + 1))
     main_emitted: list[PartialSolution] = []
     backup_emitted: list[PartialSolution] = []
+    child = solver.nice.nodes[idx].children[0]
     for sol in child_entries:
-        col_c, lab_c = solver.arrays(sol)
+        col_c, lab_c = solver.arrays(sol, child)
         v_label = lab_c[vtx]
         for i in allowed:
             if v_label == UNKNOWN:
                 conflict = any(base[u] and base[u] != i for u in adj_v)
                 labs = (UNHAPPY,) if conflict else (HAPPY, ASSUMED_UNHAPPY)
-                _emit(solver, main_emitted, sol, vtx, i, labs)
+                _emit(solver, main_emitted, sol, idx, vtx, i, labs)
                 continue
             blocked = any(col_c[u] and col_c[u] != i and lab_c[u] == HAPPY for u in adj_v)
             if blocked:
                 if not main_emitted:
-                    _emit_backup(solver, backup_emitted, sol, vtx, i)
+                    _emit_backup(solver, backup_emitted, sol, idx, vtx, i)
                 continue
             if v_label == MAYBE_HAPPY and _evidence_colour(solver, vtx, col_c) == i:
-                _emit(solver, main_emitted, sol, vtx, i, (HAPPY, ASSUMED_UNHAPPY))
+                _emit(solver, main_emitted, sol, idx, vtx, i, (HAPPY, ASSUMED_UNHAPPY))
             else:
-                _emit(solver, main_emitted, sol, vtx, i, (UNHAPPY,))
+                _emit(solver, main_emitted, sol, idx, vtx, i, (UNHAPPY,))
     backup = ReferenceBeam(solver.config.width)
     backup.extend(backup_emitted, rng)
     main = ReferenceBeam(solver.config.width)

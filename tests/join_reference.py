@@ -43,7 +43,7 @@ class PrefixJoinSolver(HeuristicSolver):
             elif not exact:
                 if masks is None:
                     masks = self.distance_masks(bag, outer_sol)
-                    ring = self._ring(outer_sol.layout, node.bag)
+                    ring = self._ring(node.bag)
                 nearest = min(inner_entries, key=lambda sol: self.tuple_distance(outer_sol, sol, masks))
                 for merged in self.merge_heuristic(outer_sol, nearest, bag, ring):
                     backup.append((merged.score, merged))

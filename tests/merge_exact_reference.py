@@ -13,10 +13,11 @@ from mhv.heuristic import UNHAPPY, HeuristicSolver, PartialSolution
 
 
 def reference_merge_exact(
-    solver: HeuristicSolver, a: PartialSolution, b: PartialSolution
+    solver: HeuristicSolver, a: PartialSolution, b: PartialSolution, idx: int
 ) -> PartialSolution:
-    a_colours, a_labels = solver.arrays(a)
-    b_colours, b_labels = solver.arrays(b)
+    """The merge of ``a`` and ``b``, entries of join node ``idx``."""
+    a_colours, a_labels = solver.arrays(a, idx)
+    b_colours, b_labels = solver.arrays(b, idx)
     colours = bytearray(a_colours)
     labels = bytearray(a_labels)
     for v in range(solver.n):
@@ -34,4 +35,4 @@ def reference_merge_exact(
     for lab in labels:
         totals[lab] += 1
     counts = (totals[1], totals[2], totals[3], totals[4])
-    return solver.entry(colours, labels, counts)
+    return solver.entry(colours, labels, counts, node=idx)

@@ -22,13 +22,15 @@ from mhv.heuristic import (
 )
 
 
-def _unpack(solver: HeuristicSolver, sol: PartialSolution) -> tuple[bytearray, bytearray]:
-    """An entry's colours and labels, each an array indexed by lane (a lane
-    is below n)."""
+def _unpack(
+    solver: HeuristicSolver, sol: PartialSolution, layout: dict[int, int]
+) -> tuple[bytearray, bytearray]:
+    """The colours and labels of an entry that stores ``layout``, each an
+    array indexed by lane (a lane is below n)."""
     colours, labels = bytearray(solver.n), bytearray(solver.n)
     state, cb, lw = sol.state, solver._cb, solver._lw
     low = (1 << cb) - 1
-    for lane in sol.layout.values():
+    for lane in layout.values():
         bits = state >> lw * lane
         colours[lane] = bits & low
         labels[lane] = bits >> cb & 7
@@ -61,8 +63,8 @@ def reference_merge_greedy(
 ) -> PartialSolution:
     index = layout
     colours, labels = bytearray(solver.n), bytearray(solver.n)
-    a_col, a_lab = _unpack(solver, a)
-    b_col, b_lab = _unpack(solver, b)
+    a_col, a_lab = _unpack(solver, a, layout)
+    b_col, b_lab = _unpack(solver, b, layout)
     for i in ring:
         if a_col[i]:
             colours[i] = a_col[i]

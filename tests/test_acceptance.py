@@ -267,7 +267,7 @@ def test_criterion_9_forget_join_reproduce_exact_recurrences():
             bag = bags[idx]
             groups: dict[tuple[int, ...], int] = {}
             for sol in beam:
-                colours, labels = solver.arrays(sol)
+                colours, labels = solver.arrays(sol, idx)
                 key = tuple(
                     (colours[v] << 1) | (1 if labels[v] == HAPPY else 0)
                     for v in bag

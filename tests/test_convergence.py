@@ -28,10 +28,10 @@ from plain_dp_reference import reference_tables
 HAPPY_COUNT_WEIGHTS = LabelWeights(1, 0, 0, 0)
 
 
-def _beam_groups(solver, bag, beam):
+def _beam_groups(solver, idx, bag, beam):
     groups = {}
     for sol in beam:
-        colours, labels = solver.arrays(sol)
+        colours, labels = solver.arrays(sol, idx)
         key = tuple((colours[v] << 1) | (1 if labels[v] == HAPPY else 0) for v in bag)
         held = groups.get(key, -1)
         if sol.counts[0] > held:
@@ -80,7 +80,7 @@ def test_unbounded_beam_matches_reference_tables():
             assert len(beam) < solver.config.width
 
             bag = bags[idx]
-            groups = _beam_groups(solver, bag, beam)
+            groups = _beam_groups(solver, idx, bag, beam)
             reference = tables[idx]
             for state, best_happy in groups.items():
                 assert state in reference, f"node {idx}: unexpected state {state}"
@@ -98,7 +98,7 @@ def test_unbounded_beam_matches_reference_tables():
             elif node.kind == NodeKind.FORGET:
                 forgets_seen += 1
 
-        root_groups = _beam_groups(solver, (), beam)
+        root_groups = _beam_groups(solver, nice.root, (), beam)
         optimum = brute_force(g, colouring).happy
         assert root_groups[()] == tables[nice.root][()] == optimum
     assert joins_seen >= 10, "corpus must exercise join nodes"

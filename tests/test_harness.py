@@ -305,6 +305,38 @@ def test_bench_parallel_matches_sequential():
     assert seq.getvalue().count(",error,") == 4
 
 
+def test_bench_pool_is_never_larger_than_the_instance_count(monkeypatch):
+    """Two instances at 64 workers build one executor of 2 processes, and one
+    instance runs in the calling process; the records stay those of one
+    worker.  The executor is a fake that maps in the calling process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("mhv.harness.ProcessPoolExecutor", InlinePool)
+    specs = [AlgorithmSpec("greedy"), AlgorithmSpec("heuristic", width=8, seed=5)]
+    two = _bench_instances()
+    csvs = []
+    for instances, workers in ((two, 1), (two, 64), (two[:1], 64)):
+        out = io.StringIO()
+        bench_to_csv(out, instances, specs, include_timing=False, workers=workers)
+        csvs.append(out.getvalue())
+    assert sizes == [2]
+    assert csvs[1] == csvs[0]
+    assert csvs[0].startswith(csvs[2])
+
+
 @pytest.mark.parametrize("options", [{"workers": 0}, {"repetitions": 0}])
 def test_bench_to_csv_checks_arguments_before_writing(options):
     out = io.StringIO()
@@ -734,6 +766,19 @@ def test_cli_bench_rejects_malformed_manifest_before_decomposing(
     assert main(["bench", str(manifest_path), "--out", str(csv_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error: "), err
+    assert not csv_path.exists()
+
+
+def test_cli_bench_rejects_a_too_deeply_nested_manifest(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit is one input error line
+    that names the manifest, not a traceback."""
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text("[" * 100000 + "]" * 100000)
+    csv_path = tmp_path / "out.csv"
+    assert main(["bench", str(manifest_path), "--out", str(csv_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: "), err
+    assert str(manifest_path) in err[0]
     assert not csv_path.exists()
 
 

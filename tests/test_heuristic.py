@@ -45,14 +45,21 @@ def _introduce_idx(solver, vertex):
     )
 
 
-def _states(solver, beam, v):
-    """The (colour, label) pairs the entries of ``beam`` give vertex ``v``."""
-    return {(colours[v], labels[v]) for colours, labels in map(solver.arrays, beam)}
+def _bag_node(solver, *bag):
+    """The first node whose bag is ``bag``."""
+    return next(i for i, node in enumerate(solver.nice.nodes) if node.bag == frozenset(bag))
 
 
-def _derived_counts(solver, sol):
-    """The label counts of ``sol`` as the solver derives them from its arrays."""
-    return solver.entry(*solver.arrays(sol)).counts
+def _states(solver, beam, idx, v):
+    """The (colour, label) pairs the entries of ``beam``, node ``idx``'s,
+    give vertex ``v``."""
+    return {(colours[v], labels[v]) for colours, labels in (solver.arrays(sol, idx) for sol in beam)}
+
+
+def _derived_counts(solver, sol, idx):
+    """The label counts of ``sol``, an entry of node ``idx``, as the solver
+    derives them from its arrays."""
+    return solver.entry(*solver.arrays(sol, idx), node=idx).counts
 
 
 # -- evaluation ------------------------------------------------------------
@@ -113,7 +120,7 @@ def test_handle_leaf_single_empty_solution():
     sol = beam.best()
     assert sol.score == 0
     assert sol.counts == (0, 0, 0, 0)
-    colours, labels = solver.arrays(sol)
+    colours, labels = solver.arrays(sol, 0)
     assert set(colours) == {0}
     assert set(labels) == {UNKNOWN}
 
@@ -126,7 +133,7 @@ def test_introduce_isolated_vertex_all_colour_label_pairs():
     solver = _solver(g, PartialColouring(2), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    states = _states(solver, beam, 0)
+    states = _states(solver, beam, idx, 0)
     assert states == {(1, HAPPY), (1, ASSUMED_UNHAPPY), (2, HAPPY), (2, ASSUMED_UNHAPPY)}
 
 
@@ -135,7 +142,7 @@ def test_introduce_precoloured_vertex_restricted_to_its_colour():
     solver = _solver(g, PartialColouring(2, {0: 1}), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    states = _states(solver, beam, 0)
+    states = _states(solver, beam, idx, 0)
     assert states == {(1, HAPPY), (1, ASSUMED_UNHAPPY)}
 
 
@@ -145,7 +152,7 @@ def test_introduce_with_conflicting_precoloured_neighbours_is_unhappy():
     solver = _solver(g, PartialColouring(2, {1: 1, 2: 2}), width=67)
     idx = _introduce_idx(solver, 0)
     beam = solver.handle_introduce(idx, solver.handle_leaf(0))
-    assert _states(solver, beam, 0) == {(1, UNHAPPY), (2, UNHAPPY)}
+    assert _states(solver, beam, idx, 0) == {(1, UNHAPPY), (2, UNHAPPY)}
 
 
 def test_introduce_backup_demotes_conflicting_happy_neighbours():
@@ -162,7 +169,7 @@ def test_introduce_backup_demotes_conflicting_happy_neighbours():
     child.insert(solver.entry([1, 2, 0], [HAPPY, HAPPY, UNHAPPY], node=child_idx), solver.rng)
     beam = solver.handle_introduce(idx, child)
     assert len(beam) == 2  # one backup per colour
-    for colours, labels in map(solver.arrays, beam):
+    for colours, labels in (solver.arrays(sol, idx) for sol in beam):
         assert labels[2] == UNHAPPY
         demoted = [v for v in (0, 1) if labels[v] == UNHAPPY]
         kept = [v for v in (0, 1) if labels[v] == HAPPY]
@@ -223,7 +230,7 @@ def test_verify_rejects_an_unbuilt_introduce_entry(monkeypatch):
     """An introduce offer that leaves its node without arrays fails loudly."""
     g = Graph(3, [(0, 1), (1, 2)])
     solver = _solver(g, PartialColouring(2, {0: 1}), width=4, check_invariants=True)
-    monkeypatch.setattr(solver, "_materialise", lambda beam, vtx: beam)
+    monkeypatch.setattr(solver, "_materialise", lambda beam: beam)
     with pytest.raises(AssertionError, match="unbuilt entry"):
         solver.solve()
 
@@ -237,12 +244,14 @@ def test_introduce_maybe_happy_matching_colour_offers_happy():
     child_idx = solver.nice.nodes[idx].children[0]
     child.insert(solver.entry([1, 0], [ASSUMED_UNHAPPY, MAYBE_HAPPY], node=child_idx), solver.rng)
     beam = solver.handle_introduce(idx, child)
-    states = _states(solver, beam, 1)
+    states = _states(solver, beam, idx, 1)
     assert (1, HAPPY) in states
     assert (1, ASSUMED_UNHAPPY) in states
     assert (2, UNHAPPY) in states
     # Colouring 1 differently demotes the consistent neighbour.
-    mismatch = next(labels for colours, labels in map(solver.arrays, beam) if colours[1] == 2)
+    mismatch = next(
+        labels for colours, labels in (solver.arrays(sol, idx) for sol in beam) if colours[1] == 2
+    )
     assert mismatch[0] == UNHAPPY
 
 
@@ -273,12 +282,12 @@ def test_naive_count_trap_instance():
             target = list(beam)
     assert target is not None
     best = max(target, key=lambda s: s.score)
-    best_colours, best_labels = solver.arrays(best)
+    best_colours, best_labels = solver.arrays(best, idx)
     # The winner colours the triangle side and leans on potential happiness.
     assert best_colours[2] == 2
     assert best_labels[0] == HAPPY
     assert best.counts[2] >= 1, "the winning branch counts a MAYBE_HAPPY vertex"
-    pendant_branch = [s for s in target if solver.arrays(s)[0][2] == 1]
+    pendant_branch = [s for s in target if solver.arrays(s, idx)[0][2] == 1]
     assert pendant_branch, "the trap branch is still represented"
     assert all(s.score < best.score for s in pendant_branch)
 
@@ -328,14 +337,14 @@ def test_forget_promotes_assumed_unhappy():
     before = sol.score
     beam = solver.handle_forget(forget_idx, child)
     after = beam.best()
-    assert solver.arrays(after)[1][vtx] == HAPPY
+    assert solver.arrays(after, forget_idx)[1][vtx] == HAPPY
     assert after.counts == (2, 0, 0, 0)
     assert after.score - before == TUNED.happy - TUNED.assumed_unhappy
 
 
 def _dropping_forget(solver):
-    """A forget node whose layout lacks a vertex of its child's that has a
-    neighbour left in the layout: (node, child, leaving vertex, neighbour)."""
+    """A forget node whose N[bag] lacks a vertex of its child's that has a
+    neighbour left in it: (node, child, leaving vertex, neighbour)."""
     for idx, node in enumerate(solver.nice.nodes):
         if node.kind != NodeKind.FORGET:
             continue
@@ -382,29 +391,31 @@ def test_forget_marks_a_conflict_that_leaves_n_bag():
         beam = Beam(8)
         beam.insert(solver.entry(colours, [HAPPY] * 5, node=child), solver.rng)
         sol = solver.handle_forget(idx, beam).best()
-        assert {u: lab for u, _, lab in solver._read(sol)}[v] == expected
-        assert solver.arrays(sol)[1][v] == (UNHAPPY if expected == FAR_UNHAPPY else HAPPY)
+        assert {u: lab for u, _, lab in solver._read(sol, idx)}[v] == expected
+        assert solver.arrays(sol, idx)[1][v] == (UNHAPPY if expected == FAR_UNHAPPY else HAPPY)
 
 
 # -- distance ----------------------------------------------------------------
 
 
 def _distance_fixture():
-    # 0-1 in the bag; 2 hangs off 1; 3 isolated.
+    # 0-1 in the bag; 2 hangs off 1; 3 isolated.  Entries of the node whose
+    # bag is {0, 1}, which store 0, 1 and 2.
     g = Graph(4, [(0, 1), (1, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
-    a = solver.entry([1, 1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
-    b = solver.entry([1, 2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN])
-    return solver, a, b
+    idx = _bag_node(solver, 0, 1)
+    a = solver.entry([1, 1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN], node=idx)
+    b = solver.entry([1, 2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, HAPPY, UNKNOWN], node=idx)
+    return solver, idx, a, b
 
 
 def test_distance_identical_is_zero():
-    solver, a, _ = _distance_fixture()
+    solver, _, a, _ = _distance_fixture()
     assert solver.tuple_distance(a, a, solver.distance_masks((0, 1), a)) == 0
 
 
 def test_distance_all_ones_counts_colour_and_label():
-    solver, a, b = _distance_fixture()
+    solver, idx, a, b = _distance_fixture()
     solver = HeuristicSolver(
         solver.g,
         PartialColouring(2),
@@ -413,12 +424,12 @@ def test_distance_all_ones_counts_colour_and_label():
     )
     # vertex 1 differs in colour only; labels agree.
     assert solver.tuple_distance(a, b, solver.distance_masks((0, 1), a)) == 1
-    c = solver.entry(solver.arrays(b)[0], [ASSUMED_UNHAPPY, UNHAPPY, HAPPY, UNKNOWN])
+    c = solver.entry(solver.arrays(b, idx)[0], [ASSUMED_UNHAPPY, UNHAPPY, HAPPY, UNKNOWN], node=idx)
     assert solver.tuple_distance(a, c, solver.distance_masks((0, 1), a)) == 2
 
 
 def test_distance_blind_when_no_external_neighbour():
-    solver, a, b = _distance_fixture()
+    solver, idx, a, b = _distance_fixture()
     solver = HeuristicSolver(
         solver.g,
         PartialColouring(2),
@@ -426,7 +437,7 @@ def test_distance_blind_when_no_external_neighbour():
         HeuristicConfig(width=8, join_distance_weighting="has_external_neighbour"),
     )
     # Vertex 0 has no neighbour outside the bag {0, 1}: weight 0.
-    c = solver.entry([2, 1, 1, 0], [UNHAPPY, HAPPY, HAPPY, UNKNOWN])
+    c = solver.entry([2, 1, 1, 0], [UNHAPPY, HAPPY, HAPPY, UNKNOWN], node=idx)
     assert solver.tuple_distance(a, c, solver.distance_masks((0, 1), a)) == 0
     # Vertex 1 has external neighbour 2: weight 1 per differing dimension.
     assert solver.tuple_distance(a, b, solver.distance_masks((0, 1), a)) == 1
@@ -436,46 +447,47 @@ def test_distance_blind_when_no_external_neighbour():
 
 
 def _merge_fixture():
+    """Two entries of a node whose bag is {3, 4}, a join's: N[bag] is
+    {3, 4, 5, 7}, and 6 and 8 are coloured below it."""
     edges = [(3, 4), (3, 5), (5, 6), (4, 7), (7, 8), (0, 1), (1, 2)]
     g = Graph(9, edges)
     solver = _solver(g, PartialColouring(2), width=16)
+    idx = _bag_node(solver, 3, 4)
     outer = solver.entry(
         [0, 0, 0, 1, 2, 1, 1, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, HAPPY, HAPPY, MAYBE_HAPPY, UNKNOWN],
+        node=idx,
     )
     inner = solver.entry(
         [0, 0, 0, 1, 2, 0, 0, 2, 2],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY],
+        node=idx,
     )
-    return solver, outer, inner
-
-
-def _ring(solver, sol, bag_set):
-    """The ring table that a join's heuristic merge is given."""
-    return solver._ring(sol.layout, bag_set)
+    return solver, idx, outer, inner
 
 
 def test_merge_exact_two_sided():
-    solver, outer, inner = _merge_fixture()
+    solver, idx, outer, inner = _merge_fixture()
     merged = solver.merge_exact(outer, inner)
-    colours, labels = solver.arrays(merged)
+    colours, labels = solver.arrays(merged, idx)
     assert colours == bytes([0, 0, 0, 1, 2, 1, 1, 2, 2])
     assert labels[0] == UNKNOWN
     assert labels[1] == UNKNOWN
     assert labels[2] == UNKNOWN
     assert merged.counts == (4, 2, 0, 0)
-    assert merged.counts == _derived_counts(solver, merged)
+    assert merged.counts == _derived_counts(solver, merged, idx)
     assert merged.score == evaluate(solver.weights, merged.counts)
 
 
 def test_merge_exact_with_bag_only_inner_keeps_outer_counts():
-    solver, outer, _ = _merge_fixture()
+    solver, idx, outer, _ = _merge_fixture()
     bag_only = solver.entry(
         [0, 0, 0, 1, 2, 0, 0, 0, 0],
         [UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, MAYBE_HAPPY, UNKNOWN],
+        node=idx,
     )
     merged = solver.merge_exact(outer, bag_only)
-    assert solver.arrays(merged)[0] == solver.arrays(outer)[0]
+    assert solver.arrays(merged, idx)[0] == solver.arrays(outer, idx)[0]
     assert merged.counts == outer.counts
 
 
@@ -483,12 +495,13 @@ def test_merge_exact_unhappy_dominates_assumed_unhappy():
     g = Graph(3, [(0, 1), (0, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
     # Bag = {0}; side a saw a conflict with its interior 1, side b did not.
-    a = solver.entry([1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY])
-    b = solver.entry([1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
+    idx = _bag_node(solver, 0)
+    a = solver.entry([1, 2, 0], [UNHAPPY, UNHAPPY, MAYBE_HAPPY], node=idx)
+    b = solver.entry([1, 0, 1], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY], node=idx)
     merged = solver.merge_exact(b, a)
-    assert solver.arrays(merged)[1][0] == UNHAPPY
+    assert solver.arrays(merged, idx)[1][0] == UNHAPPY
     merged2 = solver.merge_exact(a, b)
-    assert solver.arrays(merged2)[1][0] == UNHAPPY
+    assert solver.arrays(merged2, idx)[1][0] == UNHAPPY
 
 
 def test_merge_copy_flips_conflicting_labels():
@@ -501,50 +514,54 @@ def test_merge_copy_flips_conflicting_labels():
     )
     # Bag {0}: outer colours it 1 with interior 1 happy; inner colours it 2
     # with interior 2 happy.
-    outer = solver.entry([1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
-    inner = solver.entry([2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY])
-    merged = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({0})))
-    colours, labels = solver.arrays(merged)
+    idx = _bag_node(solver, 0)
+    outer = solver.entry([1, 1, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY], node=idx)
+    inner = solver.entry([2, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, HAPPY], node=idx)
+    merged = solver._merge_copy(outer, inner, solver._ring(frozenset({0})))
+    colours, labels = solver.arrays(merged, idx)
     assert colours == bytes([1, 1, 2])
     assert labels[1] == HAPPY
     assert labels[2] == UNHAPPY  # flipped: neighbour 0 is colour 1
     assert labels[0] == UNHAPPY  # bag vertex now has a conflict too
-    assert merged.counts == _derived_counts(solver, merged)
+    assert merged.counts == _derived_counts(solver, merged, idx)
 
 
 def test_merge_copy_upgrades_vanished_conflicts():
     g = Graph(3, [(0, 1), (0, 2)])
     solver = _solver(g, PartialColouring(2), width=8)
-    outer = solver.entry([2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY])
+    idx = _bag_node(solver, 0)
+    outer = solver.entry([2, 2, 0], [ASSUMED_UNHAPPY, HAPPY, MAYBE_HAPPY], node=idx)
     # Inner committed 0 to colour 1, so its interior 2 (colour 2) was unhappy.
-    inner = solver.entry([1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY])
-    merged = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({0})))
+    inner = solver.entry([1, 0, 2], [ASSUMED_UNHAPPY, MAYBE_HAPPY, UNHAPPY], node=idx)
+    merged = solver._merge_copy(outer, inner, solver._ring(frozenset({0})))
     # With the outer's bag colour the conflict is gone: 2 is genuinely happy.
-    colours, labels = solver.arrays(merged)
+    colours, labels = solver.arrays(merged, idx)
     assert colours == bytes([2, 2, 2])
     assert labels[2] == HAPPY
 
 
 def test_merge_methods_degenerate_to_exact_on_identical_bags():
-    solver, outer, inner = _merge_fixture()
+    solver, idx, outer, inner = _merge_fixture()
+    ring = solver._ring(frozenset({3, 4}))
     exact = solver.merge_exact(outer, inner)
-    copy1 = solver._merge_copy(outer, inner, _ring(solver, outer, frozenset({3, 4})))
-    copy2 = solver._merge_copy(inner, outer, _ring(solver, inner, frozenset({3, 4})))
-    greedy = solver._merge_greedy(outer, inner, (3, 4), _ring(solver, outer, frozenset({3, 4})))
+    copy1 = solver._merge_copy(outer, inner, ring)
+    copy2 = solver._merge_copy(inner, outer, ring)
+    greedy = solver._merge_greedy(outer, inner, (3, 4), ring)
     for merged in (copy1, copy2, greedy):
-        assert solver.arrays(merged)[0] == solver.arrays(exact)[0]
+        assert solver.arrays(merged, idx)[0] == solver.arrays(exact, idx)[0]
         assert merged.counts == exact.counts
 
 
 def test_merge_greedy_invariants_on_mismatched_tuples():
-    solver, outer, inner = _merge_fixture()
+    solver, idx, outer, inner = _merge_fixture()
     flipped = solver.entry(
         bytes([0, 0, 0, 2, 1, 0, 0, 1, 1]),
         bytes([UNKNOWN, UNKNOWN, UNKNOWN, UNHAPPY, UNHAPPY, MAYBE_HAPPY, UNKNOWN, HAPPY, HAPPY]),
+        node=idx,
     )
-    merged = solver._merge_greedy(outer, flipped, (3, 4), _ring(solver, outer, frozenset({3, 4})))
-    assert merged.counts == _derived_counts(solver, merged)
-    colours, labels = solver.arrays(merged)
+    merged = solver._merge_greedy(outer, flipped, (3, 4), solver._ring(frozenset({3, 4})))
+    assert merged.counts == _derived_counts(solver, merged, idx)
+    colours, labels = solver.arrays(merged, idx)
     for v in range(9):
         if labels[v] == HAPPY:
             cv = colours[v]
@@ -552,18 +569,22 @@ def test_merge_greedy_invariants_on_mismatched_tuples():
                 assert colours[u] in (0, cv)
 
 
-def _labelled(solver, colours):
-    """A state with the given colours, HAPPY coloured vertices and the border
-    labels the colouring implies."""
+def _labelled(solver, colours, idx):
+    """An entry of node ``idx`` with the given colours, HAPPY coloured
+    vertices and, on N[bag], the border labels the colouring implies."""
     border = bytes(colours)
-    labels = [HAPPY if c else solver._border_label(v, border) for v, c in enumerate(colours)]
-    return solver.entry(colours, labels)
+    stored = solver.node_layout(idx)
+    labels = [
+        HAPPY if c else solver._border_label(v, border) if v in stored else UNKNOWN
+        for v, c in enumerate(colours)
+    ]
+    return solver.entry(colours, labels, node=idx)
 
 
 def test_verify_enforces_labels_only_next_to_the_bag():
     """The merges skip every vertex outside N[bag]; ``_verify`` must reject a
     state in which a coloured vertex away from the bag gives a label to an
-    uncoloured vertex outside N(bag)."""
+    uncoloured vertex outside N[bag], which the entry does not store."""
     g = Graph(7, [(i, i + 1) for i in range(6)])
     solver = _solver(g, PartialColouring(2), width=8)
     idx = next(
@@ -572,13 +593,13 @@ def test_verify_enforces_labels_only_next_to_the_bag():
     bag = solver.nice.nodes[idx].bag
     colours = [1 if v in bag else 0 for v in range(7)]
     valid = Beam(8)
-    valid.insert(_labelled(solver, colours), solver.rng)
+    valid.insert(_labelled(solver, colours, idx), solver.rng)
     solver._verify(idx, valid, frozenset(bag))
 
     # Vertex 5 coloured as if forgotten below: 4 and 6 become MAYBE_HAPPY.
     colours[5] = 1
     broken = Beam(8)
-    broken.insert(_labelled(solver, colours), solver.rng)
+    broken.insert(_labelled(solver, colours, idx), solver.rng)
     with pytest.raises(AssertionError, match=r"outside N\(bag\)"):
         solver._verify(idx, broken, frozenset(bag) | {5})
 
@@ -611,7 +632,7 @@ def test_join_with_bag_only_side_preserves_other_side():
     left = beams[node.children[0]]
     bag = sorted(node.bag)
     crafted = Beam(67)
-    for sol_colours, sol_labels in map(solver.arrays, left):
+    for sol_colours, sol_labels in (solver.arrays(sol, node.children[0]) for sol in left):
         colours = bytearray(solver.n)
         labels = bytearray(solver.n)
         for v in bag:
@@ -646,7 +667,7 @@ def test_join_mismatch_only_lists_use_backup():
     out = solver.handle_join(join_idx, left, right)
     assert len(out) == 2  # copy_bag yields both role assignments
     for sol in out:
-        assert sol.counts == _derived_counts(solver, sol)
+        assert sol.counts == _derived_counts(solver, sol, join_idx)
 
 
 def test_join_builds_backups_only_without_an_exact_merge(monkeypatch):
@@ -710,14 +731,14 @@ class _JoinPremiseSolver(HeuristicSolver):
     def handle_join(self, idx, first, second):
         node = self.nice.nodes[idx]
         bag = tuple(sorted(node.bag))
-        ring = self._ring(self.node_layout(idx), node.bag)
+        ring = self._ring(node.bag)
         for side in (first, second):
             # The weights are fixed per side of the join.
             weights = {HeuristicSolver.distance_weights(self, bag, sol) for sol in side}
             assert len(weights) == 1, f"node {idx}: one side gives weights {weights}"
             for sol in side:
-                colours = self.arrays(sol)[0]
-                for v, lane in sol.layout.items():
+                colours = self.arrays(sol, idx)[0]
+                for v, lane in self.node_layout(idx).items():
                     if lane in ring and not colours[v]:
                         want = self._border_label(v, colours)
                         assert self._ring_label(sol.state, *ring[lane]) == want, f"node {idx}: {v}"

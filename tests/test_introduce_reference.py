@@ -14,8 +14,8 @@ from corpus import tree_instance
 from introduce_reference import ReferenceBeam, reference_introduce
 
 
-def _state(solver, sol):
-    return (*solver.arrays(sol), sol.counts, sol.score)
+def _state(solver, sol, idx):
+    return (*solver.arrays(sol, idx), sol.counts, sol.score)
 
 
 @contextmanager
@@ -56,7 +56,7 @@ class _CheckedSolver(HeuristicSolver):
         want, main = reference_introduce(self, idx, list(child_beam), rng)
         with _bulk_offers_only():
             got = super().handle_introduce(idx, child_beam)
-        assert [_state(self, s) for s in got] == [_state(self, s) for s in want.entries], (
+        assert [_state(self, s, idx) for s in got] == [_state(self, s, idx) for s in want.entries], (
             f"node {idx}"
         )
         assert self.rng.getstate() == rng.getstate(), f"node {idx}: RNG draws differ"

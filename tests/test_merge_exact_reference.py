@@ -16,24 +16,30 @@ from merge_exact_reference import reference_merge_exact
 class _CheckedSolver(HeuristicSolver):
     """Compares every exact merge with the reference before using it, and
     with the merge of its sides swapped: the join may hand them in either
-    order."""
+    order.  ``join`` is the join node being handled."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.merges = 0
+        self.join = -1
+
+    def handle_join(self, idx, first, second):
+        self.join = idx
+        return super().handle_join(idx, first, second)
 
     def merge_exact(self, a, b):
+        idx = self.join
         got = super().merge_exact(a, b)
-        want = reference_merge_exact(self, a, b)
-        assert (*self.arrays(got), got.counts, got.score) == (
-            *self.arrays(want),
+        want = reference_merge_exact(self, a, b, idx)
+        assert (*self.arrays(got, idx), got.counts, got.score) == (
+            *self.arrays(want, idx),
             want.counts,
             want.score,
         )
         swapped = super().merge_exact(b, a)
-        assert (got.state, *self.arrays(got), got.counts, got.score) == (
+        assert (got.state, *self.arrays(got, idx), got.counts, got.score) == (
             swapped.state,
-            *self.arrays(swapped),
+            *self.arrays(swapped, idx),
             swapped.counts,
             swapped.score,
         )

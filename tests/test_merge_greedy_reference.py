@@ -15,21 +15,28 @@ from merge_greedy_reference import reference_merge_greedy
 
 class _CheckedSolver(HeuristicSolver):
     """Compares every heuristic merge with the reference before using it:
-    the entry, and the RNG state the two leave behind from one start."""
+    the entry, and the RNG state the two leave behind from one start.
+    ``join`` is the join node being handled."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.merges = 0
+        self.join = -1
+
+    def handle_join(self, idx, first, second):
+        self.join = idx
+        return super().handle_join(idx, first, second)
 
     def merge_heuristic(self, outer, inner, bag, ring):
+        idx = self.join
         start = self.rng.getstate()
         (got,) = super().merge_heuristic(outer, inner, bag, ring)
         after = self.rng.getstate()
         self.rng.setstate(start)
-        want = reference_merge_greedy(self, outer, inner, bag, ring, outer.layout)
+        want = reference_merge_greedy(self, outer, inner, bag, ring, self.node_layout(idx))
         assert self.rng.getstate() == after
-        assert (*self.arrays(got), got.counts, got.score) == (
-            *self.arrays(want),
+        assert (*self.arrays(got, idx), got.counts, got.score) == (
+            *self.arrays(want, idx),
             want.counts,
             want.score,
         )

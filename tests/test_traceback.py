@@ -90,11 +90,11 @@ def test_entries_store_only_the_closed_neighbourhood_of_the_bag(make):
     for idx, beam in solver.beams():
         bag = solver.nice.nodes[idx].bag
         near = len(bag.union(*(g.adjacency[v] for v in bag)))
+        # At most |N[bag]| lanes, no two vertices in one, no bit outside.
+        lanes = list(solver.node_layout(idx).values())
+        held = sum(lane << solver._lw * at for at in lanes)
+        assert len(set(lanes)) == len(lanes) <= near, f"node {idx}"
         for sol in beam:
-            # At most |N[bag]| lanes, no two vertices in one, no bit outside.
-            lanes = list(sol.layout.values())
-            held = sum(lane << solver._lw * at for at in lanes)
-            assert len(set(lanes)) == len(lanes) <= near, f"node {idx}"
             assert not sol.state & ~held, f"node {idx}"
             checked += 1
     assert checked > 0
